@@ -3,7 +3,7 @@
 Spawns a :class:`~repro.cluster.local.LocalShardFleet` — separate
 compile-server *processes*, the real deployment shape — behind a
 :class:`~repro.cluster.gateway.ClusterGateway` and drives it through the
-unchanged ``urllib`` client fleet:
+unchanged keep-alive client fleet:
 
 * ``1 shard`` vs ``2 shards`` — the same distinct-job workload, so the
   records show what sharding buys on the host's core count (on a single

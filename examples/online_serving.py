@@ -6,7 +6,7 @@ a Python process; the server turns the same pipeline into a long-running
 system behind an HTTP JSON API.  This walkthrough shows the full lifecycle:
 
 1. start a :class:`~repro.server.http.CompileServer` on an ephemeral port,
-2. submit blocking and non-blocking jobs through the ``urllib`` client,
+2. submit blocking and non-blocking jobs through the keep-alive client,
 3. submit the *same* job from several threads at once and watch the queue
    coalesce them onto one computation,
 4. replay a job from the warm result cache, and

@@ -7,7 +7,9 @@ nothing else changes:
 
 * ``POST /jobs`` / ``POST /portfolio`` — the gateway parses the payload just
   far enough to compute the content-addressed job key, picks the owning shard
-  from the :class:`~repro.cluster.ring.ShardRing` and proxies the request.
+  from the :class:`~repro.cluster.ring.ShardRing` and proxies the request
+  — the client's bytes as received, over the shard's keep-alive
+  connection pool (:attr:`~repro.cluster.ring.ShardMember.pool`).
   Because placement is a pure function of the key, every duplicate of a spec
   lands on the same shard and coalesces there — per-shard coalescing is
   preserved by construction.
@@ -34,7 +36,9 @@ gateway ejects it (feeding the :class:`~repro.cluster.health.HealthMonitor`'s
 hysteresis) and retries the next ring member, so the client sees one normal
 reply.  HTTP-level errors (400/404/429/503) are *passed through* — a shard
 saying "queue full" or "draining" is alive, and the client's existing
-429/503 retry behaviour handles it unchanged.
+429/503 retry behaviour handles it unchanged.  A pooled shard connection
+that went stale is resent once by the pool
+(:mod:`repro.server.transport`) and is not a failover.
 """
 
 from __future__ import annotations
@@ -43,10 +47,6 @@ import http.client
 import json
 import threading
 import time
-import urllib.error
-import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import urlsplit
 
 from repro.cluster.health import HealthMonitor
 from repro.cluster.ring import ShardMember, ShardRing
@@ -56,11 +56,13 @@ from repro.obs.store import get_store
 from repro.obs.timeseries import sample_from_prometheus
 from repro.obs.trace import (TRACE_HEADER, TraceContext, activate,
                              current_trace, record_span, span)
-# The gateway enforces the backend's exact edge limits; importing them keeps
-# the two layers in lockstep when either bound changes.
-from repro.server.http import MAX_BODY_BYTES, MAX_WAIT_S
+# The gateway enforces the backend's exact edge limits (the body cap through
+# the shared handler base); importing them keeps the two layers in lockstep
+# when either bound changes.
+from repro.server.http import MAX_WAIT_S
 from repro.server.metrics import iter_samples
 from repro.server.tenancy import TENANT_HEADER, normalize_tenant
+from repro.server.transport import JSONHandler, KeepAliveServer
 from repro.service.jobs import CompileJob, PortfolioJob
 
 #: Socket headroom added on top of a proxied blocking wait.
@@ -71,8 +73,7 @@ _HISTOGRAMS = ("job_wait_seconds", "job_service_seconds")
 _LOG = get_logger("cluster.gateway")
 
 #: Transport-level failures that trigger failover to the next ring member.
-_TRANSPORT_ERRORS = (ConnectionError, TimeoutError,
-                     http.client.HTTPException, urllib.error.URLError)
+_TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
 
 
 class NoShardAvailableError(RuntimeError):
@@ -190,89 +191,13 @@ class GatewayMetrics:
         return lines
 
 
-class _GatewayHandler(BaseHTTPRequestHandler):
+class _GatewayHandler(JSONHandler):
     """Routes requests to the owning :class:`ClusterGateway` (``server.app``)."""
 
-    protocol_version = "HTTP/1.1"
     server_version = "repro-cluster-gateway"
+    _log = _LOG
 
-    @property
-    def app(self) -> "ClusterGateway":
-        return self.server.app  # type: ignore[attr-defined]
-
-    def log_message(self, format, *args):  # noqa: A002 — stdlib signature
-        _LOG.debug("http_access", client=self.address_string(),
-                   message=format % args)
-
-    # ------------------------------------------------------------------ #
-    def _reply(self, status: int, payload: dict | str, *,
-               content_type: str = "application/json",
-               shard: str | None = None) -> None:
-        trace = getattr(self, "_trace", None)
-        entry = getattr(self, "_span", None)
-        if entry is not None:
-            entry.attributes["status"] = status
-        body = (payload if isinstance(payload, str)
-                else json.dumps(payload, sort_keys=True)).encode("utf-8")
-        self.send_response(status)
-        if trace is not None:
-            self.send_header(TRACE_HEADER, trace.to_header())
-        self.send_header("Content-Type", f"{content_type}; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        if shard is not None:
-            self.send_header("X-Repro-Shard", shard)
-        if status == 429:
-            self.send_header("Retry-After", "1")
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _reply_raw(self, status: int, body: bytes, content_type: str,
-                   shard: str) -> None:
-        trace = getattr(self, "_trace", None)
-        entry = getattr(self, "_span", None)
-        if entry is not None:
-            entry.attributes["status"] = status
-        self.send_response(status)
-        if trace is not None:
-            self.send_header(TRACE_HEADER, trace.to_header())
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("X-Repro-Shard", shard)
-        if status == 429:
-            self.send_header("Retry-After", "1")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _error(self, status: int, message: str) -> None:
-        self._reply(status, {"error": message})
-
-    def _read_json(self) -> dict | None:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            self._error(400, "request body required")
-            return None
-        if length > MAX_BODY_BYTES:
-            self.close_connection = True
-            self._error(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-            return None
-        try:
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            self._error(400, f"invalid JSON body: {exc}")
-            return None
-        if not isinstance(payload, dict):
-            self._error(400, "JSON body must be an object")
-            return None
-        return payload
-
-    # ------------------------------------------------------------------ #
     def do_GET(self) -> None:  # noqa: N802 — stdlib naming
-        # Request-scoped trace state must not leak across keep-alive
-        # requests on this connection (handlers live per connection).
-        self._trace = None
-        self._span = None
         self.app.metrics.record_request()
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
         if path == "/healthz":
@@ -301,16 +226,6 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         else:
             self._error(404, f"unknown path {path!r}")
 
-    def _query_int(self, name: str, default: int) -> int:
-        for item in urlsplit(self.path).query.split("&"):
-            key, sep, value = item.partition("=")
-            if sep and key == name:
-                try:
-                    return int(value)
-                except ValueError:
-                    return default
-        return default
-
     def _get_monitor(self, view: str) -> None:
         monitor = self.app.monitor
         if monitor is None or not monitor.enabled:
@@ -335,7 +250,6 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         context = (TraceContext.from_header(self.headers.get(TRACE_HEADER))
                    or TraceContext.new())
         self._trace = context
-        self._span = None
         with activate(context):
             with span("gateway.request", method="POST", path=path) as entry:
                 self._span = entry
@@ -372,8 +286,8 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             self._span.attributes["tenant"] = tenant
         timeout = (wait_timeout + PROXY_MARGIN_S
                    if payload.get("wait") else None)
-        self._proxy(job.key, "POST", path,
-                    body=json.dumps(payload).encode("utf-8"), timeout=timeout,
+        # The shard gets the client's bytes as received: no re-encoding.
+        self._proxy(job.key, "POST", path, body=self._body, timeout=timeout,
                     tenant=tenant)
 
     def _proxy(self, key: str, method: str, path: str, *,
@@ -386,7 +300,8 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         except NoShardAvailableError as exc:
             self._error(503, str(exc))
             return
-        self._reply_raw(status, reply_body, content_type, shard.name)
+        self._send(status, reply_body, content_type,
+                   {"X-Repro-Shard": shard.name})
 
 
 class ClusterGateway:
@@ -439,15 +354,7 @@ class ClusterGateway:
         # across restarts too.
         self._raw_counters: dict[str, dict[str, float]] = {}  #: guarded by self._samples_lock
         self._counter_offsets: dict[str, dict[str, float]] = {}  #: guarded by self._samples_lock
-        # Same backlog bump as CompileServer: the stdlib default
-        # request_queue_size=5 resets connections under a client-herd burst.
-        self._httpd = ThreadingHTTPServer((host, port), _GatewayHandler,
-                                          bind_and_activate=False)
-        self._httpd.request_queue_size = 128
-        self._httpd.server_bind()
-        self._httpd.server_activate()
-        self._httpd.daemon_threads = True
-        self._httpd.app = self  # type: ignore[attr-defined]
+        self._httpd = KeepAliveServer((host, port), _GatewayHandler, self)
         self._http_thread: threading.Thread | None = None
         self._started_at: float | None = None
         self.monitor = Monitor(self._fleet_sample, monitor, name="gateway")
@@ -618,8 +525,7 @@ class ClusterGateway:
                         tenant=tenant)
                     if entry is not None:
                         entry.attributes["status"] = status
-            except (ConnectionError, TimeoutError,
-                    http.client.HTTPException, urllib.error.URLError) as exc:
+            except _TRANSPORT_ERRORS as exc:
                 if member.alive:
                     # Last-ditch attempts against already-ejected members
                     # are expected to fail; don't skew failover counters
@@ -649,25 +555,16 @@ class ClusterGateway:
     def _request(self, member: ShardMember, method: str, path: str, *,
                  body: bytes | None = None, timeout: float | None = None,
                  tenant: str | None = None) -> tuple[int, bytes, str]:
-        request = urllib.request.Request(member.url + path, method=method)
-        context = current_trace()
-        if context is not None:
-            request.add_header(TRACE_HEADER, context.to_header())
-        if tenant is not None:
-            request.add_header(TENANT_HEADER, tenant)
-        if body is not None:
-            request.add_header("Content-Type", "application/json")
-        try:
-            with urllib.request.urlopen(
-                    request, data=body,
-                    timeout=timeout or self.proxy_timeout) as reply:
-                return (reply.status, reply.read(),
-                        reply.headers.get("Content-Type",
-                                          "application/json"))
-        except urllib.error.HTTPError as exc:
-            # The shard answered: pass its error reply through verbatim.
-            return (exc.code, exc.read(),
-                    exc.headers.get("Content-Type", "application/json"))
+        """One round trip on the shard's keep-alive pool.
+
+        Any HTTP status is an answer, passed through verbatim; transport
+        failures raise (see :data:`_TRANSPORT_ERRORS`).
+        """
+        reply = member.pool.request(method, path, body,
+                                    timeout=timeout or self.proxy_timeout,
+                                    tenant=tenant)
+        return (reply.status, reply.body,
+                reply.headers.get("Content-Type", "application/json"))
 
     # ------------------------------------------------------------------ #
     def _scrape_merged(self) -> tuple[dict[str, float], int, int]:
@@ -843,6 +740,11 @@ class ClusterGateway:
         return self
 
     def stop(self, timeout: float = 10.0) -> None:
+        """Stop serving; close idle client and shard connections.
+
+        Requests in flight still get their reply, sent with
+        ``Connection: close``.
+        """
         self.monitor.stop()
         self.health_monitor.stop()
         self._httpd.shutdown()
@@ -850,6 +752,8 @@ class ClusterGateway:
         if self._http_thread is not None:
             self._http_thread.join(timeout)
             self._http_thread = None
+        for member in self.ring.members:
+            member.pool.close()
 
     def serve_forever(self) -> None:
         """Foreground mode for the CLI: block until interrupted."""

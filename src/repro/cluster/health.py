@@ -10,15 +10,18 @@ flaps the ring and a restarted shard rejoins without operator action.
 The gateway also reports proxy-level connection failures straight into the
 monitor (:meth:`report_failure`), so a shard that dies between probes is
 ejected on first contact instead of waiting out the probe interval.
+
+Probes ride on the member's keep-alive pool
+(:class:`~repro.server.transport.ConnectionPool`, shared with the gateway):
+a pooled connection the shard closed is resent once on a fresh one, so only
+a shard that refuses or drops a *fresh* connection fails a probe.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
-import time
-import urllib.error
-import urllib.request
 
 from repro.cluster.ring import ShardMember, ShardRing
 from repro.obs.logging import get_logger
@@ -66,14 +69,11 @@ class HealthMonitor:
     def probe(self, member: ShardMember) -> bool:
         """One synchronous ``/healthz`` probe; updates liveness, returns it."""
         try:
-            request = urllib.request.Request(member.url + "/healthz",
-                                             method="GET")
-            with urllib.request.urlopen(request,
-                                        timeout=self.timeout) as reply:
-                payload = json.loads(reply.read().decode("utf-8"))
-            healthy = (reply.status == 200
-                       and payload.get("status") == "ok")
-        except (OSError, ValueError, urllib.error.URLError) as exc:
+            reply = member.pool.request("GET", "/healthz",
+                                        timeout=self.timeout)
+            healthy = (reply.status == 200 and json.loads(
+                reply.body.decode("utf-8")).get("status") == "ok")
+        except (OSError, ValueError, http.client.HTTPException) as exc:
             # A failed probe is expected operational noise, but it must be
             # attributable: debug-log the cause so an ejection investigation
             # does not start from a silent False.

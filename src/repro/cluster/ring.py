@@ -29,6 +29,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
+from repro.server.transport import ConnectionPool
+
 
 def _hash64(text: str) -> int:
     """Stable 64-bit hash (sha256 prefix) — no PYTHONHASHSEED sensitivity."""
@@ -50,6 +52,8 @@ class ShardMember:
     #: in the ring (their keys keep a stable owner to return to) but are
     #: skipped by :meth:`ShardRing.owner` and the gateway's first choices.
     alive: bool = field(default=True, compare=False)
+    _pool: ConnectionPool | None = field(default=None, init=False,
+                                         repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -57,6 +61,16 @@ class ShardMember:
         if self.weight <= 0:
             raise ValueError(f"shard {self.name!r}: weight must be > 0")
         self.url = self.url.rstrip("/")
+
+    @property
+    def pool(self) -> ConnectionPool:
+        """Keep-alive connections to :attr:`url`, shared by the gateway's
+        proxy, scrape and fan-out requests and the health probes (a new
+        pool once the URL changed)."""
+        pool = self._pool
+        if pool is None or pool.base_url != self.url:
+            pool = self._pool = ConnectionPool(self.url)
+        return pool
 
 
 def _coerce_member(spec, index: int) -> ShardMember:

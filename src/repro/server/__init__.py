@@ -19,8 +19,19 @@ concurrently:
 * :mod:`repro.server.http` — :class:`CompileServer`, a stdlib-only HTTP JSON
   API (``POST /jobs``, ``GET /jobs/<key>``, ``GET /results/<key>``,
   ``GET /metrics``, ``GET /healthz``),
-* :mod:`repro.server.client` — :class:`CompileClient`, the ``urllib`` client
-  used by the CLI and the end-to-end tests.
+* :mod:`repro.server.client` — :class:`CompileClient`, the keep-alive client
+  used by the CLI and the end-to-end tests,
+* :mod:`repro.server.transport` — the HTTP/1.1 keep-alive transport under
+  every fleet hop: a thread-safe connection pool per base URL (the client
+  keeps one, the gateway one per shard), and the server and handler base
+  that :class:`CompileServer` and the cluster gateway share.  Both ends run
+  with ``TCP_NODELAY`` (the handlers write headers and body separately, so
+  Nagle would stall every reused connection on a delayed ACK).  A request
+  that fails on a *reused* pooled connection before any reply is resent
+  once on a fresh one, so a server that closed an idle connection costs
+  neither a client retry nor a gateway failover; ``stop()`` shuts idle
+  connections down and answers requests in flight with
+  ``Connection: close``.
 
 Quickstart::
 

@@ -1,7 +1,9 @@
-"""Thin ``urllib`` client for the compile server's JSON API.
+"""Thin keep-alive client for the compile server's JSON API.
 
-No third-party HTTP stack: requests are built with
-:mod:`urllib.request`, errors surface as :class:`ServerError` carrying the
+No third-party HTTP stack: requests go over a
+:class:`~repro.server.transport.ConnectionPool` of persistent
+:mod:`http.client` HTTP/1.1 connections, one pool per client shared by all
+threads using it, and errors surface as :class:`ServerError` carrying the
 HTTP status and the server's parsed error body.  The client is what the CLI's
 ``repro submit`` / ``repro status`` commands and the end-to-end tests use, and
 doubles as the reference for talking to the server from any language — every
@@ -12,20 +14,25 @@ Transient failures are retried with bounded exponential backoff plus jitter:
 replies, and connection resets mid-request.  Retrying a ``POST /jobs`` is
 safe by construction — jobs are content-addressed and the server coalesces
 duplicate submissions of the same key onto one computation.
+
+A pooled connection the server closed while it sat idle (a restart, or the
+server's ``stop()``, which shuts idle connections down) is not a transient
+failure: the pool resends the request once on a fresh connection and
+:attr:`CompileClient.retried` does not move.  Only failures on a fresh
+connection reach the retry loop.  Sockets run with ``TCP_NODELAY`` (set by
+:mod:`http.client`) to match the servers, which disable Nagle's algorithm —
+with it on, every reused connection would wait out a delayed ACK.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import random
 import time
-import urllib.error
-import urllib.request
 
-from repro.obs.trace import (TRACE_HEADER, TraceContext, activate,
-                             current_trace, span)
-from repro.server.tenancy import TENANT_HEADER, normalize_tenant
+from repro.obs.trace import TraceContext, activate, current_trace, span
+from repro.server.tenancy import normalize_tenant
+from repro.server.transport import ConnectionPool, Reply
 from repro.service.jobs import CompileJob, CompileOutcome, PortfolioJob
 
 
@@ -71,6 +78,7 @@ class CompileClient:
         if retries < 0:
             raise ValueError("retries must be >= 0")
         self.base_url = base_url.rstrip("/")
+        self._pool = ConnectionPool(self.base_url)
         self.timeout = timeout
         self.tenant = normalize_tenant(tenant) if tenant is not None else None
         self.retries = retries
@@ -97,14 +105,10 @@ class CompileClient:
                 if (exc.status not in self.retry_statuses
                         or attempt >= self.retries):
                     raise
-            except (ConnectionError, http.client.RemoteDisconnected):
-                # A reset/aborted socket, incl. a server closing a keep-alive
-                # connection mid-reuse; the request may simply be resent.
+            except ConnectionError:
+                # Refused, reset or dropped on a fresh connection (stale
+                # pooled ones are resent by the pool); resend after backoff.
                 if attempt >= self.retries:
-                    raise
-            except urllib.error.URLError as exc:
-                if (not isinstance(exc.reason, ConnectionError)
-                        or attempt >= self.retries):
                     raise
             self.retried += 1
             time.sleep(self._retry_delay(attempt))
@@ -117,32 +121,22 @@ class CompileClient:
     def _request_once(self, method: str, path: str, body: dict | None = None,
                       *, timeout: float | None = None,
                       tenant: str | None = None) -> tuple[int, dict | str]:
-        request = urllib.request.Request(self.base_url + path, method=method)
-        context = current_trace()
-        if context is not None:
-            request.add_header(TRACE_HEADER, context.to_header())
-        effective_tenant = tenant if tenant is not None else self.tenant
-        if effective_tenant is not None:
-            request.add_header(TENANT_HEADER, effective_tenant)
-        data = None
-        if body is not None:
-            data = json.dumps(body).encode("utf-8")
-            request.add_header("Content-Type", "application/json")
-        try:
-            with urllib.request.urlopen(request, data=data,
-                                        timeout=timeout or self.timeout) as reply:
-                return reply.status, self._decode(reply)
-        except urllib.error.HTTPError as exc:
-            payload = self._decode(exc)
-            message = (payload.get("error", str(exc))
-                       if isinstance(payload, dict) else str(exc))
-            raise ServerError(exc.code, message,
-                              payload if isinstance(payload, dict) else None
-                              ) from None
+        reply = self._pool.request(
+            method, path,
+            json.dumps(body).encode("utf-8") if body is not None else None,
+            timeout=timeout or self.timeout,
+            tenant=tenant if tenant is not None else self.tenant)
+        payload = self._decode(reply)
+        if not 200 <= reply.status < 300:
+            if isinstance(payload, dict):
+                raise ServerError(reply.status,
+                                  payload.get("error", reply.reason), payload)
+            raise ServerError(reply.status, reply.reason)
+        return reply.status, payload
 
     @staticmethod
-    def _decode(reply) -> dict | str:
-        text = reply.read().decode("utf-8", errors="replace")
+    def _decode(reply: Reply) -> dict | str:
+        text = reply.body.decode("utf-8", errors="replace")
         if "application/json" in (reply.headers.get("Content-Type") or ""):
             try:
                 return json.loads(text)

@@ -44,19 +44,19 @@ tree.  The header is echoed on the response and the trace id is embedded in
 submit replies.  Status polls (``GET``) are deliberately untraced — a 30 s
 blocking wait would otherwise bury the ring under hundreds of poll spans.
 
-The server is a ``ThreadingHTTPServer``: each request gets a thread, so a
-blocking ``wait`` submit does not starve status polls.  :class:`CompileServer`
+The server is a :class:`~repro.server.transport.KeepAliveServer`: each
+HTTP/1.1 keep-alive connection gets a thread, so a blocking ``wait`` submit
+does not starve status polls on other connections.  :class:`CompileServer`
 bundles queue + scheduler + HTTP into one object with ``start``/``stop`` and
 context-manager support; ``port=0`` binds an ephemeral port (see ``.url``).
+``stop()`` refuses new connections and shuts down idle ones; a request
+already in flight still gets its reply, sent with ``Connection: close``.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import urlsplit
 
 from repro.obs.logging import get_logger
 from repro.obs.monitor import Monitor, MonitorConfig
@@ -67,86 +67,25 @@ from repro.server.queue import (JobQueue, QueueClosedError, QueueFullError,
                                 TenantQuotaError)
 from repro.server.scheduler import Scheduler
 from repro.server.tenancy import TENANT_HEADER, normalize_tenant
+from repro.server.transport import JSONHandler, KeepAliveServer
+from repro.server.transport import MAX_BODY_BYTES  # noqa: F401 — re-exported
 from repro.service.cache import ResultCache
 from repro.service.executor import CompilationService
 from repro.service.jobs import CompileJob, PortfolioJob
 
-#: Cap on request bodies; the largest suite QASM is ~100 kB.
-MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Longest a single blocking-wait submit may hold its request thread.
 MAX_WAIT_S = 300.0
 
 _LOG = get_logger("server.http")
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(JSONHandler):
     """Routes requests to the owning :class:`CompileServer` (``server.app``)."""
 
-    protocol_version = "HTTP/1.1"
     server_version = "repro-server"
+    _log = _LOG
 
-    # ------------------------------------------------------------------ #
-    @property
-    def app(self) -> "CompileServer":
-        return self.server.app  # type: ignore[attr-defined]
-
-    def log_message(self, format, *args):  # noqa: A002 — stdlib signature
-        # Structured instead of the stdlib's raw stderr lines: 4xx/5xx during
-        # an incident are greppable by trace id like everything else.
-        _LOG.debug("http_access", client=self.address_string(),
-                   message=format % args)
-
-    def _reply(self, status: int, payload: dict | str, *,
-               content_type: str = "application/json") -> None:
-        trace = getattr(self, "_trace", None)
-        entry = getattr(self, "_span", None)
-        if entry is not None:
-            entry.attributes["status"] = status
-        body = (payload if isinstance(payload, str)
-                else json.dumps(payload, sort_keys=True)).encode("utf-8")
-        self.send_response(status)
-        if trace is not None:
-            self.send_header(TRACE_HEADER, trace.to_header())
-        self.send_header("Content-Type", f"{content_type}; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        if status == 429:
-            self.send_header("Retry-After", "1")
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _error(self, status: int, message: str) -> None:
-        self._reply(status, {"error": message})
-
-    def _read_json(self) -> dict | None:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            self._error(400, "request body required")
-            return None
-        if length > MAX_BODY_BYTES:
-            # The body stays unread, so the keep-alive stream is desynced;
-            # make the client reconnect instead of parsing body bytes as a
-            # request line.
-            self.close_connection = True
-            self._error(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-            return None
-        try:
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            self._error(400, f"invalid JSON body: {exc}")
-            return None
-        if not isinstance(payload, dict):
-            self._error(400, "JSON body must be an object")
-            return None
-        return payload
-
-    # ------------------------------------------------------------------ #
     def do_GET(self) -> None:  # noqa: N802 — stdlib naming
-        # Handler instances live per *connection*: clear request-scoped trace
-        # state so a keep-alive GET never reuses the previous POST's trace.
-        self._trace = None
-        self._span = None
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
         if path == "/healthz":
             self._reply(200, self.app.health())
@@ -169,16 +108,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._get_result(path[len("/results/"):])
         else:
             self._error(404, f"unknown path {path!r}")
-
-    def _query_int(self, name: str, default: int) -> int:
-        for item in urlsplit(self.path).query.split("&"):
-            key, sep, value = item.partition("=")
-            if sep and key == name:
-                try:
-                    return int(value)
-                except ValueError:
-                    return default
-        return default
 
     def _get_monitor(self, view: str) -> None:
         monitor = self.app.monitor
@@ -238,7 +167,6 @@ class _Handler(BaseHTTPRequestHandler):
         context = (TraceContext.from_header(self.headers.get(TRACE_HEADER))
                    or TraceContext.new())
         self._trace = context
-        self._span = None
         started = time.monotonic()
         with activate(context):
             with span("server.request", method="POST", path=path) as entry:
@@ -395,16 +323,7 @@ class CompileServer:
         self.monitor = Monitor(self.metrics.history_sample, monitor,
                                exemplar_source=self._slo_exemplar,
                                name="server")
-        # The stdlib default listen backlog (request_queue_size=5) drops —
-        # and on Linux resets — connections under a client-herd burst, which
-        # an upstream gateway would misread as a dead shard and fail over.
-        self._httpd = ThreadingHTTPServer((host, port), _Handler,
-                                          bind_and_activate=False)
-        self._httpd.request_queue_size = 128
-        self._httpd.server_bind()
-        self._httpd.server_activate()
-        self._httpd.daemon_threads = True
-        self._httpd.app = self  # type: ignore[attr-defined]
+        self._httpd = KeepAliveServer((host, port), _Handler, self)
         self._http_thread: threading.Thread | None = None
         self._started_at: float | None = None
 
@@ -465,7 +384,12 @@ class CompileServer:
         return self
 
     def stop(self, graceful: bool = True, timeout: float = 30.0) -> None:
-        """Stop accepting requests, then wind the scheduler down."""
+        """Stop accepting requests, then wind the scheduler down.
+
+        Idle keep-alive connections are shut down at once; requests in
+        flight (a blocking wait included) still get their reply, sent with
+        ``Connection: close``.
+        """
         self.monitor.stop()
         self._httpd.shutdown()
         self._httpd.server_close()

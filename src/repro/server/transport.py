@@ -1,0 +1,323 @@
+"""Keep-alive HTTP/1.1 transport for every hop of the serving fleet.
+
+Client → gateway → shard, and the gateway's health probes, all speak JSON
+over HTTP/1.1.  This module holds both ends of that transport:
+
+* :class:`ConnectionPool` — persistent :class:`http.client.HTTPConnection`
+  objects for one base URL, behind a locked idle list.  A caller borrows an
+  idle connection (or opens one), sends one request, reads the whole reply
+  and hands the connection back, so a stream of requests rides on one TCP
+  connection instead of paying a connect, and a new server handler thread,
+  per call.  :class:`~repro.server.client.CompileClient` keeps one pool
+  shared by its threads; every :class:`~repro.cluster.ring.ShardMember`
+  carries one, shared by the gateway's proxying, ``/metrics`` scrape, trace
+  and alert fan-out and the health probes.
+* :class:`KeepAliveServer` and :class:`JSONHandler` — the
+  ``ThreadingHTTPServer`` and request-handler base under both
+  :class:`~repro.server.http.CompileServer` and
+  :class:`~repro.cluster.gateway.ClusterGateway`: JSON replies, the body
+  limit, query parsing, per-request trace state and connection tracking.
+
+The rules:
+
+* **Resend once on a stale connection.**  A server may close a pooled
+  connection while it sits idle (a restart, or ``stop()``).  A request that
+  fails on a *reused* connection before any reply arrives
+  (``RemoteDisconnected``, ``ConnectionResetError``, ``BrokenPipeError``) is
+  resent once on a fresh connection, and counts as neither a client retry
+  nor a gateway failover; resending is safe because job keys are
+  content-addressed and duplicate submissions coalesce.  A failure on a
+  fresh connection propagates, so the client's retry and the gateway's
+  failover paths see exactly what they saw before pooling.
+* A reply carrying ``Connection: close`` is never pooled.
+* **No Nagle.**  The handlers write a reply's headers and body in two
+  writes; with Nagle's algorithm on, the second write waits for the peer's
+  delayed ACK on every reused connection.  Handlers set
+  ``disable_nagle_algorithm``, and ``http.client`` sets ``TCP_NODELAY`` on
+  every socket it connects.
+* **Stopping closes idle connections.**  ``server_close()`` (called by
+  both servers' ``stop()``) shuts down every connection waiting for its
+  next request, so a pooled peer fails over or reconnects instead of
+  talking to a half-stopped server; a request already in flight still gets
+  its reply, sent with ``Connection: close``.
+"""
+
+from __future__ import annotations
+
+import http.client
+import json
+import socket
+import threading
+import weakref
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import NamedTuple
+from urllib.parse import urlsplit
+
+from repro.obs.logging import get_logger
+from repro.obs.trace import TRACE_HEADER, current_trace
+from repro.server.tenancy import TENANT_HEADER
+
+#: Idle connections one pool keeps; a wider burst opens extra connections
+#: that are closed when handed back.
+MAX_IDLE_CONNECTIONS = 32
+#: Cap on request bodies; the largest suite QASM is ~100 kB.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: How a reused connection fails when the server closed it while idle
+#: (``RemoteDisconnected`` is a ``ConnectionResetError``).
+_STALE = (ConnectionResetError, BrokenPipeError)
+
+_LOG = get_logger("server.transport")
+
+
+class Reply(NamedTuple):
+    """One complete HTTP reply."""
+
+    status: int
+    reason: str
+    headers: http.client.HTTPMessage
+    body: bytes
+
+
+class ConnectionPool:
+    """Thread-safe keep-alive connections to one ``http://host:port`` base."""
+
+    def __init__(self, base_url: str):
+        self.base_url = base_url
+        parts = urlsplit(base_url)
+        self._address = ((parts.hostname, parts.port or 80)
+                         if parts.scheme == "http" and parts.hostname
+                         else None)
+        self._lock = threading.Lock()
+        self._idle: list[http.client.HTTPConnection] = []  #: guarded by self._lock
+        # A dropped pool (say, a throwaway client's) closes what it still
+        # holds instead of leaving open sockets to the garbage collector.
+        weakref.finalize(self, _close_all, self._idle)
+
+    def request(self, method: str, path: str, body: bytes | None = None, *,
+                timeout: float, tenant: str | None = None) -> Reply:
+        """Send one request and read the whole reply.
+
+        The active trace context and ``tenant`` ride along as the
+        ``X-Repro-Trace`` / ``X-Repro-Tenant`` headers; a body is JSON.
+        """
+        headers = {}
+        context = current_trace()
+        if context is not None:
+            headers[TRACE_HEADER] = context.to_header()
+        if tenant is not None:
+            headers[TENANT_HEADER] = tenant
+        if body is not None:
+            headers["Content-Type"] = "application/json"
+        with self._lock:
+            connection = self._idle.pop() if self._idle else None
+        reused = connection is not None
+        if connection is None:
+            connection = self._connection()
+        try:
+            try:
+                response = _exchange(connection, method, path, body, headers,
+                                     timeout)
+            except _STALE:
+                if not reused:
+                    raise
+                connection.close()
+                connection = self._connection()
+                response = _exchange(connection, method, path, body, headers,
+                                     timeout)
+            data = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        with self._lock:
+            pooled = (not response.will_close
+                      and len(self._idle) < MAX_IDLE_CONNECTIONS)
+            if pooled:
+                self._idle.append(connection)
+        if not pooled:
+            connection.close()
+        return Reply(response.status, response.reason, response.headers, data)
+
+    def close(self) -> None:
+        """Close the idle connections (the pool stays usable)."""
+        with self._lock:
+            idle = self._idle[:]
+            self._idle.clear()
+        _close_all(idle)
+
+    def _connection(self) -> http.client.HTTPConnection:
+        if self._address is None:
+            raise ValueError(f"not an http:// base URL: {self.base_url!r}")
+        return http.client.HTTPConnection(*self._address)
+
+
+def _close_all(connections: list[http.client.HTTPConnection]) -> None:
+    for connection in connections:
+        connection.close()
+
+
+def _exchange(connection: http.client.HTTPConnection, method: str,
+              path: str, body: bytes | None, headers: dict[str, str],
+              timeout: float) -> http.client.HTTPResponse:
+    """Send the request; return the reply once its headers arrived."""
+    connection.timeout = timeout
+    if connection.sock is not None:
+        connection.sock.settimeout(timeout)
+    connection.request(method, path, body=body, headers=headers)
+    return connection.getresponse()
+
+
+class KeepAliveServer(ThreadingHTTPServer):
+    """``ThreadingHTTPServer`` that can shut down its idle connections.
+
+    Each connection's handler thread marks its socket idle while it waits
+    for the next request and busy once a request line arrives, so
+    :meth:`server_close` can shut the idle ones down; after it, every reply
+    closes its connection.  ``app`` is the owning server object, reached by
+    handlers as ``self.app``.
+    """
+
+    daemon_threads = True
+    # The stdlib default listen backlog (5) drops — and on Linux resets —
+    # connections under a client-herd burst, which an upstream gateway
+    # would misread as a dead shard and fail over.
+    request_queue_size = 128
+
+    def __init__(self, address: tuple[str, int], handler, app):
+        super().__init__(address, handler)
+        self.app = app
+        self.closing = threading.Event()
+        self._lock = threading.Lock()
+        self._idle: set[socket.socket] = set()  #: guarded by self._lock
+
+    def mark_idle(self, connection: socket.socket) -> bool:
+        """``connection`` awaits its next request; ``False`` once closing."""
+        with self._lock:
+            if self.closing.is_set():
+                return False
+            self._idle.add(connection)
+            return True
+
+    def mark_busy(self, connection: socket.socket) -> None:
+        with self._lock:
+            self._idle.discard(connection)
+
+    def server_close(self) -> None:
+        """Close the listening socket and every idle connection."""
+        with self._lock:
+            self.closing.set()
+            idle, self._idle = self._idle, set()
+        super().server_close()
+        for connection in idle:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the peer hung up first: nothing left to shut down
+
+
+class JSONHandler(BaseHTTPRequestHandler):
+    """Request-handler base for the JSON APIs on a :class:`KeepAliveServer`.
+
+    Handler instances live per *connection*; request-scoped state (the
+    trace context and span behind ``_reply``) is reset as each request
+    arrives.
+    """
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    _log = _LOG
+    _trace = None
+    _span = None
+
+    @property
+    def app(self):
+        return self.server.app
+
+    def log_message(self, format, *args):  # noqa: A002 — stdlib signature
+        # Structured instead of the stdlib's raw stderr lines: 4xx/5xx during
+        # an incident are greppable by trace id like everything else.
+        self._log.debug("http_access", client=self.address_string(),
+                        message=format % args)
+
+    def handle(self) -> None:
+        try:
+            while self.server.mark_idle(self.connection):
+                self.handle_one_request()
+                if self.close_connection:
+                    break
+        finally:
+            self.server.mark_busy(self.connection)  # leave the idle set
+
+    def parse_request(self) -> bool:
+        self.server.mark_busy(self.connection)
+        self._trace = None
+        self._span = None
+        return super().parse_request()
+
+    # ------------------------------------------------------------------ #
+    def _send(self, status: int, body: bytes, content_type: str,
+              headers: dict[str, str] | None = None) -> None:
+        if self._span is not None:
+            self._span.attributes["status"] = status
+        self.send_response(status)
+        if self._trace is not None:
+            self.send_header(TRACE_HEADER, self._trace.to_header())
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        if status == 429:
+            self.send_header("Retry-After", "1")
+        if self.server.closing.is_set():
+            self.close_connection = True
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(body)
+
+    def _reply(self, status: int, payload: dict | str, *,
+               content_type: str = "application/json") -> None:
+        body = (payload if isinstance(payload, str)
+                else json.dumps(payload, sort_keys=True))
+        self._send(status, body.encode("utf-8"),
+                   f"{content_type}; charset=utf-8")
+
+    def _error(self, status: int, message: str) -> None:
+        self._reply(status, {"error": message})
+
+    def _read_json(self) -> dict | None:
+        """The request's JSON object body, or ``None`` after an error reply.
+
+        The raw bytes stay on ``self._body`` for handlers that forward them.
+        """
+        length = int(self.headers.get("Content-Length") or 0)
+        if length <= 0:
+            self._error(400, "request body required")
+            return None
+        if length > MAX_BODY_BYTES:
+            # The body stays unread, so the keep-alive stream is desynced;
+            # make the client reconnect instead of parsing body bytes as a
+            # request line.
+            self.close_connection = True
+            self._error(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
+            return None
+        self._body = self.rfile.read(length)
+        try:
+            payload = json.loads(self._body.decode("utf-8"))
+        except (ValueError, UnicodeDecodeError) as exc:
+            self._error(400, f"invalid JSON body: {exc}")
+            return None
+        if not isinstance(payload, dict):
+            self._error(400, "JSON body must be an object")
+            return None
+        return payload
+
+    def _query_int(self, name: str, default: int) -> int:
+        for item in urlsplit(self.path).query.split("&"):
+            key, sep, value = item.partition("=")
+            if sep and key == name:
+                try:
+                    return int(value)
+                except ValueError:
+                    return default
+        return default

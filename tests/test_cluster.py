@@ -2,7 +2,7 @@
 
 The gateway tests run real :class:`~repro.server.http.CompileServer` shards
 and a real :class:`~repro.cluster.gateway.ClusterGateway` on ephemeral ports
-inside the test process, driven through the unchanged ``urllib``
+inside the test process, driven through the unchanged keep-alive
 :class:`~repro.server.client.CompileClient` — the full request path a
 production client would take.  The process-level fleet (spawn + kill real
 shard processes) is exercised in the slow lane.

@@ -3,7 +3,7 @@ renderer — plus end-to-end HTTP trace propagation and gateway stitching.
 
 The HTTP tests run real :class:`~repro.server.http.CompileServer` instances
 (and a real :class:`~repro.cluster.gateway.ClusterGateway`) on ephemeral
-ports inside the test process, driven through the unchanged ``urllib``
+ports inside the test process, driven through the unchanged keep-alive
 :class:`~repro.server.client.CompileClient` — so one assertion covers the
 whole propagation chain: header minted at the client, parsed by the
 gateway, re-emitted to the shard, threaded through the queue ticket into

@@ -2,7 +2,7 @@
 
 The HTTP tests run a real :class:`~repro.server.http.CompileServer` on an
 ephemeral port inside the test process and talk to it through the real
-``urllib`` client — the full request path, not a mocked handler.
+keep-alive client — the full request path, not a mocked handler.
 """
 
 import threading
