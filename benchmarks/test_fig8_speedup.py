@@ -7,8 +7,9 @@ IBM Q20 Tokyo 1.214, Google Q54 Sycamore 1.258.
 
 Default mode routes a representative subset per architecture (fast); pass
 ``--paper-scale`` to sweep every suite benchmark that fits each device.
-The assertion captures the *shape* of the result: CODAR speeds programs up on
-average on every architecture.
+The assertions capture the *shape* of the result (CODAR speeds programs up on
+average on every architecture) and, on the default subset, pin each
+architecture's exact average so a change in routing output fails here.
 """
 
 import pytest
@@ -29,6 +30,17 @@ PAPER_AVERAGES = {
     "ibm_q20_tokyo": 1.214,
     "google_sycamore54": 1.258,
 }
+
+#: Exact per-architecture averages of the default (fast) subset, 51
+#: benchmarks each.  Routing is deterministic, so any change to a routed
+#: circuit shows here; re-pinning needs a stated reason in CHANGES.md.
+PINNED_FAST_AVERAGES = {
+    "ibm_q16_melbourne": 1.185488191853217,
+    "grid_6x6": 1.1875281616476139,
+    "ibm_q20_tokyo": 1.1219154269220397,
+    "google_sycamore54": 1.2650935699897183,
+}
+PINNED_FAST_BENCHMARKS = 51
 
 
 @pytest.mark.parametrize("architecture", PAPER_ARCHITECTURES)
@@ -60,3 +72,10 @@ def test_fig8_speedup(benchmark, architecture, paper_scale):
     # architecture (the paper's headline claim), even if the exact factor
     # differs because the benchmark binaries are regenerated.
     assert summary.average_speedup > 1.0
+    if not paper_scale:
+        assert len(summary.records) == PINNED_FAST_BENCHMARKS, rows
+        assert summary.average_speedup == pytest.approx(
+            PINNED_FAST_AVERAGES[architecture], rel=1e-12), (
+            f"{architecture} average speedup {summary.average_speedup!r} "
+            f"moved from the pinned {PINNED_FAST_AVERAGES[architecture]!r}:"
+            f"\n{rows}")

@@ -17,17 +17,20 @@ This harness quantifies that win two ways and writes both into
   aggregates from the pipeline's stage records and the parse-cache hit
   ratio of the warm leg,
 * ``backend_suite`` — the 16-job routing-heavy suite (17–20 qubit GHZ/QFT
-  on both devices) compiled once per router backend; the vectorized
-  ``numpy`` backend must beat the scalar ``python`` reference on warm
-  route-stage seconds while producing byte-identical routed circuits,
+  on both devices) compiled once per scoring backend; the delta-scoring
+  ``python`` default and the vectorized ``numpy`` backend must each beat a
+  full-recompute reference (one ``swap_priority`` / ``sabre_score`` call per
+  candidate, registered by this module) on warm route-stage seconds while
+  producing byte-identical routed circuits,
 * ``kernel_microbench`` — the raw swap-scoring kernels (CODAR priority,
-  SABRE heuristic) timed head-to-head on a full Sycamore-54 candidate set.
+  SABRE heuristic) timed head-to-head on a full Sycamore-54 candidate set,
+  against the same reference.
 
 Small circuits on large devices are exactly the online-serving shape where
 the analysis overhead matters: a 3–6 qubit job on Sycamore-54 pays more for
 the distance matrix than for the routing itself.  The backend suite uses
-larger circuits on purpose: vectorized scoring pays off once the candidate
-and front sets grow, which is why ``python`` stays the default backend.
+larger circuits on purpose: faster scoring pays off once the candidate and
+front sets grow.
 """
 
 import time
@@ -37,6 +40,10 @@ from perf_record import record_perf
 from repro.compiler import (analyze, cache_stats, clear_cache,
                             clear_parse_cache, get_backend, parse_cache_stats,
                             parse_cached)
+from repro.compiler.backends import register_backend
+from repro.compiler.backends.python import PythonBackend
+from repro.mapping.codar.priority import swap_priority
+from repro.mapping.sabre.heuristic import sabre_score
 from repro.service.executor import execute_job
 from repro.service.jobs import CompileJob
 from repro.workloads.generators import ghz, qft
@@ -179,6 +186,40 @@ def test_routing_suite_cold_vs_warm_analysis(paper_scale):
     }, path=BENCH_PATH)
 
 
+#: Scoring backends the backend suite and the kernel microbench compare: the
+#: full-recompute reference first, then the two it must be slower than.
+LEGS = ("reference", "python", "numpy")
+
+
+class ReferenceBackend(PythonBackend):
+    """Full-recompute scoring: one ``swap_priority`` / ``sabre_score`` call
+    per candidate, each on every gate and a copied layout (the ``python``
+    backend's scoring before it scored by delta)."""
+
+    name = "reference"
+
+    def codar_swap_scores(self, coupling, layout, candidates, target_gates, *,
+                          use_fine=True, lookahead_gates=(),
+                          lookahead_decay=0.5):
+        return [swap_priority(a, b, coupling, layout, target_gates,
+                              use_fine=use_fine,
+                              lookahead_gates=lookahead_gates,
+                              lookahead_decay=lookahead_decay)
+                for a, b in candidates]
+
+    def sabre_scores(self, coupling, layout, candidates, front_gates,
+                     extended_gates, decay, extended_weight=0.5):
+        return [sabre_score(a, b, coupling, layout, front_gates,
+                            extended_gates, decay, extended_weight)
+                for a, b in candidates]
+
+
+def _register_reference() -> None:
+    register_backend("reference", ReferenceBackend,
+                     "full-recompute scoring (benchmark reference)",
+                     overwrite=True)
+
+
 def _backend_jobs(backend: str, paper_scale: bool) -> list[CompileJob]:
     sizes = range(17, 23) if paper_scale else range(17, 21)
     circuits = [build(n) for n in sizes for build in (ghz, qft)]
@@ -188,7 +229,7 @@ def _backend_jobs(backend: str, paper_scale: bool) -> list[CompileJob]:
 
 
 def test_router_backend_suite(paper_scale):
-    """The numpy backend must beat the python reference on warm route time.
+    """Both backends must beat the full-recompute reference on warm route time.
 
     The same routing-heavy suite (16 jobs at default scale) is compiled once
     per backend; only the route stage swaps its scoring kernels, so routed
@@ -199,13 +240,14 @@ def test_router_backend_suite(paper_scale):
     """
     from repro.arch.devices import get_device
 
+    _register_reference()
     clear_cache()
     for device in DEVICES:
         analyze(get_device(device))
 
     route_s: dict[str, float] = {}
     routed: dict[str, list[str]] = {}
-    for backend in ("python", "numpy"):
+    for backend in LEGS:
         jobs = _backend_jobs(backend, paper_scale)
         warmup = [execute_job(job) for job in jobs]
         assert all(outcome.ok for outcome in warmup)
@@ -222,22 +264,29 @@ def test_router_backend_suite(paper_scale):
             assert any(row.get("metrics", {}).get("backend") == backend
                        for row in stages if row["stage"] == "route")
 
-    assert routed["python"] == routed["numpy"], (
-        "backends must route identically; only the speed may differ")
-    speedup = route_s["python"] / route_s["numpy"]
-    print(f"\nbackend suite: route python {route_s['python']:.3f}s "
-          f"vs numpy {route_s['numpy']:.3f}s ({speedup:.2f}x)")
-    # CI nightly floor; the recorded number should comfortably exceed it.
-    assert speedup >= 1.3, (
-        f"numpy backend only {speedup:.2f}x over python on the warm "
-        f"route stage (floor 1.3x)")
+    for backend in LEGS[1:]:
+        assert routed[backend] == routed["reference"], (
+            f"{backend} must route identically to the reference; only the "
+            "speed may differ")
+    speedups = {backend: route_s["reference"] / route_s[backend]
+                for backend in LEGS[1:]}
+    print("\nbackend suite: route " + " vs ".join(
+        f"{backend} {route_s[backend]:.3f}s" for backend in LEGS)
+        + " (" + ", ".join(f"{backend} {speedup:.2f}x"
+                           for backend, speedup in speedups.items()) + ")")
+    # CI nightly floor; the recorded numbers should comfortably exceed it.
+    for backend, speedup in speedups.items():
+        assert speedup >= 1.3, (
+            f"{backend} backend only {speedup:.2f}x over the full-recompute "
+            f"reference on the warm route stage (floor 1.3x)")
     record_perf("pipeline/backend_suite", {
         "jobs": len(routed["python"]),
         "devices": list(DEVICES),
         "router": "codar",
-        "python_route_s": round(route_s["python"], 4),
-        "numpy_route_s": round(route_s["numpy"], 4),
-        "speedup": round(speedup, 3),
+        **{f"{backend}_route_s": round(route_s[backend], 4)
+           for backend in LEGS},
+        **{f"{backend}_speedup": round(speedup, 3)
+           for backend, speedup in speedups.items()},
         "identical_output": True,
         "paper_scale": paper_scale,
     }, path=BENCH_PATH)
@@ -248,9 +297,9 @@ def test_router_kernel_microbench(paper_scale):
 
     Strips away the routing loop entirely: one fixed scoring problem (every
     coupler of Sycamore-54 as a candidate, a 32-gate CF window plus 20
-    look-ahead gates) is scored repeatedly by each backend.  This is the
-    upper bound the backend suite's end-to-end ratio approaches as circuits
-    grow.
+    look-ahead gates) is scored repeatedly by each backend and by the
+    full-recompute reference.  This is the upper bound the backend suite's
+    end-to-end ratio approaches as circuits grow.
     """
     import random
 
@@ -258,6 +307,7 @@ def test_router_kernel_microbench(paper_scale):
     from repro.core.gates import Gate
     from repro.mapping.layout import Layout
 
+    _register_reference()
     device = get_device("google_sycamore54")
     clear_cache()
     analyze(device)
@@ -291,7 +341,7 @@ def test_router_kernel_microbench(paper_scale):
     for kernel, run in kernels.items():
         timings: dict[str, float] = {}
         results: dict[str, list] = {}
-        for backend in ("python", "numpy"):
+        for backend in LEGS:
             impl = get_backend(backend)
             run(impl)  # warm-up (builds the numpy geometry cache)
             start = time.perf_counter()
@@ -299,21 +349,23 @@ def test_router_kernel_microbench(paper_scale):
                 scores = run(impl)
             timings[backend] = time.perf_counter() - start
             results[backend] = list(scores)
-        assert results["python"] == results["numpy"], (
-            f"{kernel} kernels disagree between backends")
-        speedup = timings["python"] / timings["numpy"]
-        print(f"\n{kernel} kernel: python "
-              f"{1000 * timings['python'] / iterations:.3f} ms/call vs numpy "
-              f"{1000 * timings['numpy'] / iterations:.3f} ms/call "
-              f"({speedup:.1f}x)")
-        assert speedup >= floors[kernel], (
-            f"{kernel} numpy kernel only {speedup:.1f}x over python "
-            f"(floor {floors[kernel]}x)")
-        record[kernel] = {
-            "python_ms_per_call": round(1000 * timings["python"] / iterations, 4),
-            "numpy_ms_per_call": round(1000 * timings["numpy"] / iterations, 4),
-            "speedup": round(speedup, 2),
-        }
+        record[kernel] = {}
+        for backend in LEGS[1:]:
+            assert results[backend] == results["reference"], (
+                f"{kernel} kernels disagree between {backend} and the "
+                "reference")
+            speedup = timings["reference"] / timings[backend]
+            print(f"\n{kernel} kernel: reference "
+                  f"{1000 * timings['reference'] / iterations:.3f} ms/call vs "
+                  f"{backend} {1000 * timings[backend] / iterations:.3f} "
+                  f"ms/call ({speedup:.1f}x)")
+            assert speedup >= floors[kernel], (
+                f"{kernel} {backend} kernel only {speedup:.1f}x over the "
+                f"reference (floor {floors[kernel]}x)")
+            record[kernel][f"{backend}_speedup"] = round(speedup, 2)
+        for backend in LEGS:
+            record[kernel][f"{backend}_ms_per_call"] = round(
+                1000 * timings[backend] / iterations, 4)
     record_perf("pipeline/kernel_microbench", record, path=BENCH_PATH)
 
 

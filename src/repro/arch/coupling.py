@@ -48,6 +48,7 @@ class CouplingGraph:
             self.add_edge(a, b)
         self.coordinates: dict[int, tuple[int, int]] = dict(coordinates or {})
         self._distance: np.ndarray | None = None
+        self._distance_rows: list[list[int]] | None = None
         self._predecessor: np.ndarray | None = None
 
     # ------------------------------------------------------------------ #
@@ -64,6 +65,7 @@ class CouplingGraph:
         self._adjacency[b].add(a)
         self._edges.add((min(a, b), max(a, b)))
         self._distance = None
+        self._distance_rows = None
         self._predecessor = None
 
     # ------------------------------------------------------------------ #
@@ -124,9 +126,20 @@ class CouplingGraph:
             self._distance = dist
         return self._distance
 
+    def distance_table(self) -> list[list[int]]:
+        """:meth:`distance_matrix` as nested Python lists, cached.
+
+        ``distance_table()[a][b]`` is the scalar lookup the routers' scoring
+        loops make per gate; indexing a list of ints avoids a numpy scalar
+        index and an ``int()`` conversion per lookup.  Treat it as read-only.
+        """
+        if self._distance_rows is None:
+            self._distance_rows = self.distance_matrix().tolist()
+        return self._distance_rows
+
     def distance(self, a: int, b: int) -> int:
         """Shortest hop count between two physical qubits."""
-        return int(self.distance_matrix()[a, b])
+        return self.distance_table()[a][b]
 
     def predecessor_matrix(self) -> np.ndarray:
         """All-pairs BFS predecessors ``P`` (``P[s, t]`` = penultimate node on

@@ -9,8 +9,13 @@ byte-stable.
 
 Built-ins:
 
-* ``python`` — the original scalar loops (default; the ground truth),
+* ``python`` — scalar scoring by delta, each candidate SWAP scored only on
+  the gates it moves (default),
 * ``numpy``  — vectorized gathers over the cached DeviceAnalysis matrices.
+
+Both must equal the full-recompute reference functions
+:func:`~repro.mapping.codar.priority.swap_priority` and
+:func:`~repro.mapping.sabre.heuristic.sabre_score` bit for bit.
 
 The registry follows the idiom of accelerated-implementation registries in
 simulator codebases (a uniform interface with optional fast backends): a
@@ -88,6 +93,6 @@ def list_backends() -> dict[str, str]:
 
 
 register_backend("python", PythonBackend,
-                 "scalar reference loops (default; the pre-backend code)")
+                 "scalar swap scoring by delta (default)")
 register_backend("numpy", NumpyBackend,
                  "vectorized swap scoring over cached DeviceAnalysis arrays")

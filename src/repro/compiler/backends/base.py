@@ -4,16 +4,20 @@ A :class:`RouterBackend` implements the numeric inner loops every router burns
 its time in — CODAR's candidate-SWAP priority, SABRE's front/extended-set
 cost, A*'s pair-distance bound and the shortest-path query — behind one
 uniform interface, so a router asks *what* to score and the backend decides
-*how*.  The ``python`` backend is today's scalar code verbatim; the ``numpy``
-backend replaces the per-gate ``coupling.distance`` calls with array gathers
-over the matrices :class:`~repro.compiler.analysis.DeviceAnalysis` already
-holds.  A future native/GPU backend drops into the same seam without touching
-any router.
+*how*.  The ``python`` backend scores each candidate only on the gates the
+SWAP moves; the ``numpy`` backend replaces per-gate distance lookups with
+array gathers over the matrices
+:class:`~repro.compiler.analysis.DeviceAnalysis` already holds.  A future
+native/GPU backend drops into the same seam without touching any router.
 
 The *selection* logic (which candidate wins, how ties break) lives here in
 the base class so every backend shares literally the same comparison code:
 backends may only accelerate the scoring, never change the answer.  The
-differential suite in ``tests/test_backends.py`` holds them to that.
+reference answer is the full-recompute scoring of
+:func:`~repro.mapping.codar.priority.swap_priority` and
+:func:`~repro.mapping.sabre.heuristic.sabre_score`;
+``tests/test_incremental_routing.py`` holds the ``python`` backend to it and
+``tests/test_backends.py`` holds ``numpy`` to ``python``.
 """
 
 from __future__ import annotations

@@ -15,9 +15,10 @@ unitary check as fallback for rare unclassified pairs.
 
 from __future__ import annotations
 
-from typing import Sequence
+import threading
+from typing import Iterator, Sequence
 
-from repro.core.gates import Gate
+from repro.core.gates import GATE_SET, Gate
 from repro.core.unitary import expand_to, gate_unitary, matrices_commute
 
 #: Gates whose unitary is diagonal in the computational basis.  Any two
@@ -148,51 +149,105 @@ def gates_commute(a: Gate, b: Gate, exact_fallback: bool = True) -> bool:
         return False
 
 
+#: Bound on the process-wide verdict table.  CODAR on the 256-pair Fig. 8
+#: draw derives about 1.4k distinct keys; the bound only caps memory when a
+#: stream of fresh rotation angles keeps adding keys.
+VERDICT_TABLE_LIMIT = 16384
+
+
+class VerdictTable:
+    """Bounded, thread-safe ``structural key -> commutes`` table.
+
+    When full, the oldest entry makes room for the new one.
+    """
+
+    def __init__(self, limit: int):
+        self._limit = limit
+        self._lock = threading.Lock()
+        self._verdicts: dict[tuple, bool] = {}  #: guarded by self._lock
+
+    def get(self, key: tuple) -> bool | None:
+        with self._lock:
+            return self._verdicts.get(key)
+
+    def put(self, key: tuple, verdict: bool) -> None:
+        with self._lock:
+            if key not in self._verdicts:
+                while len(self._verdicts) >= self._limit:
+                    del self._verdicts[next(iter(self._verdicts))]
+            self._verdicts[key] = verdict
+
+    def keys(self) -> list[tuple]:
+        """A snapshot of the keys, oldest first."""
+        with self._lock:
+            return list(self._verdicts)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._verdicts.clear()
+
+
+#: Verdicts on standard gates, shared by every checker in the process: a
+#: verdict depends only on the gate kinds, their parameters and how their
+#: qubits overlap, so one job can reuse what another derived.
+SHARED_VERDICTS = VerdictTable(VERDICT_TABLE_LIMIT)
+
+
+def _is_standard(gate: Gate) -> bool:
+    return gate.spec is GATE_SET.get(gate.name)
+
+
 class CommutativityChecker:
     """Memoising commutation oracle.
 
-    Routing a 30k-gate benchmark asks the same (gate-kind, relative-overlap)
-    questions over and over; caching on a structural key keeps the CF-front
-    computation cheap.
+    Routing asks the same (gate-kind, relative-overlap) questions over and
+    over, so verdicts are cached on a structural key.  Verdicts between
+    standard gates also go into :data:`SHARED_VERDICTS`, so the next job
+    starts warm.  A pair involving a gate with a custom
+    :class:`~repro.core.gates.GateSpec` stays on this checker, because
+    another job may give the same name another spec.
     """
 
     def __init__(self, exact_fallback: bool = True):
         self._exact_fallback = exact_fallback
-        self._cache: dict[tuple, bool] = {}
-        # Identity-level memo in front of the structural cache: routing asks
-        # about the same live Gate objects thousands of times, and building
-        # the structural key dominates the (always-hitting) lookup.  Entries
-        # keep references to both gates so an id() can never be recycled
-        # while its key is present.
-        self._pair_cache: dict[tuple[int, int], tuple[Gate, Gate, bool]] = {}
+        self._memo: dict[tuple, bool] = {}
 
     def _key(self, a: Gate, b: Gate) -> tuple:
         # Canonicalise the qubit overlap pattern so distinct qubit indices with
-        # the same sharing structure hit the same cache entry.
-        relabel: dict[int, int] = {}
-        for q in a.qubits + b.qubits:
-            if q not in relabel:
-                relabel[q] = len(relabel)
-        return (
-            a.name, tuple(relabel[q] for q in a.qubits), a.params,
-            b.name, tuple(relabel[q] for q in b.qubits), b.params,
-        )
+        # the same sharing structure hit the same cache entry: ``a``'s qubits
+        # are labelled 0..k-1 and each of ``b``'s gets its position in ``a``
+        # or the next fresh label.
+        qa = a.qubits
+        fresh = len(qa)
+        labels = []
+        for q in b.qubits:
+            if q in qa:
+                labels.append(qa.index(q))
+            else:
+                labels.append(fresh)
+                fresh += 1
+        return (a.name, len(qa), a.params, b.name, tuple(labels), b.params,
+                self._exact_fallback)
 
     def commute(self, a: Gate, b: Gate) -> bool:
-        pair = (id(a), id(b))
-        hit = self._pair_cache.get(pair)
-        if hit is not None:
-            return hit[2]
         if not _shares_qubits(a, b) and not (a.is_barrier or b.is_barrier):
-            verdict = True
-        else:
-            key = self._key(a, b)
-            cached = self._cache.get(key)
-            if cached is None:
-                cached = gates_commute(a, b, exact_fallback=self._exact_fallback)
-                self._cache[key] = cached
-            verdict = cached
-        self._pair_cache[pair] = (a, b, verdict)
+            return True
+        return self.overlapping_commute(a, b)
+
+    def overlapping_commute(self, a: Gate, b: Gate) -> bool:
+        """:meth:`commute` for two gates known to share a qubit."""
+        key = self._key(a, b)
+        verdict = self._memo.get(key)
+        if verdict is None:
+            shared = _is_standard(a) and _is_standard(b)
+            if shared:
+                verdict = SHARED_VERDICTS.get(key)
+            if verdict is None:
+                verdict = gates_commute(a, b,
+                                        exact_fallback=self._exact_fallback)
+                if shared:
+                    SHARED_VERDICTS.put(key, verdict)
+            self._memo[key] = verdict
         return verdict
 
 
@@ -255,6 +310,124 @@ def commutative_front(gates: Sequence[Gate],
         # Degenerate safety net: the first gate is always CF by definition.
         front.append(0)
     return front
+
+
+class _Slot:
+    """One window gate and its Definition 1 bookkeeping."""
+
+    __slots__ = ("gate", "blockers", "blocks")
+
+    def __init__(self, gate: Gate):
+        self.gate = gate
+        #: Earlier window gates that share a qubit and do not commute with it.
+        self.blockers = 0
+        #: The later window gates whose ``blockers`` count this one.
+        self.blocks: list[_Slot] = []
+
+
+class CommutativeFrontWindow:
+    """The Commutative-Front set of a shrinking gate sequence, kept across
+    removals instead of recomputed.
+
+    After every :meth:`remove`, :meth:`front` equals
+    ``commutative_front(remaining, checker, max_front, scan_limit)`` of the
+    gates not yet removed, or ``dependency_front(remaining[:scan_limit])``
+    with ``commutation=False``:
+
+    * the window holds the first ``scan_limit`` remaining gates, the prefix
+      :func:`commutative_front` scans;
+    * each window gate counts the earlier window gates that share a qubit
+      with it and do not commute with it, and is a CF gate when the count is
+      zero;
+    * removing a gate decrements only the gates it blocked, and each gate
+      that refills the window is judged once against the gates before it, so
+      no pair is judged twice.
+
+    Positions are indices into the remaining sequence, whose first
+    ``len(window)`` gates are the window.  The sequence must hold no global
+    barrier (CODAR drops every barrier before routing).
+    """
+
+    def __init__(self, gates: Sequence[Gate],
+                 checker: CommutativityChecker | None = None, *,
+                 max_front: int | None = None,
+                 scan_limit: int | None = None,
+                 commutation: bool = True):
+        self._gates = gates
+        self._next = 0
+        self._checker = checker or CommutativityChecker()
+        self._max_front = None if max_front is None else max(1, max_front)
+        self._scan_limit = scan_limit
+        self._commutation = commutation
+        # commutative_front always reports the first gate, even when it may
+        # scan none, so the window keeps at least one.
+        self._size = len(gates) if scan_limit is None else max(1, scan_limit)
+        self._slots: list[_Slot] = []
+        self._on_qubit: dict[int, list[_Slot]] = {}
+        self._fill()
+
+    def __len__(self) -> int:
+        """Number of gates not yet removed (window and beyond)."""
+        return len(self._slots) + len(self._gates) - self._next
+
+    def __getitem__(self, position: int) -> Gate:
+        """The window gate at ``position`` of the remaining sequence."""
+        return self._slots[position].gate
+
+    def __iter__(self) -> Iterator[Gate]:
+        """The remaining gates in program order."""
+        for slot in self._slots:
+            yield slot.gate
+        for index in range(self._next, len(self._gates)):
+            yield self._gates[index]
+
+    def front(self) -> list[int]:
+        """Positions of the front gates, in program order."""
+        if not self._commutation:
+            return dependency_front(
+                [slot.gate for slot in self._slots[:self._scan_limit]])
+        front = [position for position, slot in enumerate(self._slots)
+                 if not slot.blockers]
+        return front if self._max_front is None else front[:self._max_front]
+
+    def remove(self, positions: Sequence[int]) -> None:
+        """Drop the window gates at ``positions`` and refill the window."""
+        gone = set(positions)
+        kept = []
+        for position, slot in enumerate(self._slots):
+            if position not in gone:
+                kept.append(slot)
+                continue
+            for later in slot.blocks:
+                later.blockers -= 1
+            for q in slot.gate.qubits:
+                self._on_qubit[q].remove(slot)
+        self._slots = kept
+        self._fill()
+
+    def _fill(self) -> None:
+        gates = self._gates
+        while len(self._slots) < self._size and self._next < len(gates):
+            slot = _Slot(gates[self._next])
+            self._next += 1
+            if self._commutation:
+                self._count_blockers(slot)
+            for q in slot.gate.qubits:
+                self._on_qubit.setdefault(q, []).append(slot)
+            self._slots.append(slot)
+
+    def _count_blockers(self, slot: _Slot) -> None:
+        gate = slot.gate
+        commute = self._checker.overlapping_commute
+        seen: set[_Slot] = set()
+        for q in gate.qubits:
+            for earlier in self._on_qubit.get(q, ()):
+                if earlier in seen:
+                    continue
+                seen.add(earlier)
+                if not commute(earlier.gate, gate):
+                    slot.blockers += 1
+                    earlier.blocks.append(slot)
 
 
 def dependency_front(gates: Sequence[Gate]) -> list[int]:

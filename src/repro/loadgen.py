@@ -186,17 +186,19 @@ class LoadTest:
             tenant: CompileClient(self.url, retries=0, tenant=tenant,
                                   timeout=client_timeout)
             for tenant in self.mix.tenants}
+        # Health and metrics polls share one pooled connection.
+        self._control = CompileClient(self.url, retries=2)
         self._prefix = self._detect_prefix()
 
     def _detect_prefix(self) -> str:
-        health = CompileClient(self.url, retries=2).health()
+        health = self._control.health()
         return ("repro_cluster" if health.get("role") == "gateway"
                 else "repro_server")
 
     # ------------------------------------------------------------------ #
     def _snapshot(self) -> MetricsSnapshot:
         """The target's cumulative metrics, as the monitor would see them."""
-        text = CompileClient(self.url, retries=2).metrics_text()
+        text = self._control.metrics_text()
         samples = dict(iter_samples(text))
         return MetricsSnapshot.capture(
             time.monotonic(),

@@ -3,7 +3,11 @@
 CODAR simulates an execution timeline.  Each iteration ("cycle") performs the
 three steps of Fig. 4:
 
-1. compute the Commutative-Front set ``I_CF`` of the remaining gate sequence;
+1. update the Commutative-Front set ``I_CF`` of the remaining gate sequence.
+   The set is kept across cycles by
+   :class:`~repro.core.commutativity.CommutativeFrontWindow`: a launch
+   decrements the blocker counts of only the gates it blocked, instead of
+   rescanning the sequence;
 2. launch every directly executable CF gate (lock-free and, for two-qubit
    gates, mapped onto coupled physical qubits), moving it from the input
    sequence to the output and advancing the operands' qubit locks by the
@@ -31,12 +35,13 @@ mechanism independently:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.arch.devices import Device
 from repro.arch.maqam import MaQAM
 from repro.core.circuit import Circuit
-from repro.core.commutativity import (CommutativityChecker, commutative_front,
-                                      dependency_front)
+from repro.core.commutativity import (CommutativityChecker,
+                                      CommutativeFrontWindow)
 from repro.core.gates import Gate
 from repro.mapping.base import Router
 from repro.mapping.layout import Layout
@@ -76,42 +81,31 @@ class CodarRouter(Router):
         self.config = config or CodarConfig()
 
     # ------------------------------------------------------------------ #
-    def _front_indices(self, gates: list[Gate],
-                       checker: CommutativityChecker) -> list[int]:
-        if self.config.use_commutativity:
-            return commutative_front(
-                gates, checker,
-                max_front=self.config.max_front_size,
-                scan_limit=self.config.front_scan_limit,
-            )
-        return dependency_front(gates[: self.config.front_scan_limit])
-
     def _route(self, circuit: Circuit, device: Device,
                layout: Layout) -> tuple[Circuit, Layout, int, dict]:
         machine = MaQAM.create(device, layout)
         coupling = device.coupling
-        checker = CommutativityChecker()
 
         # Barriers are scheduling hints for other backends; CODAR's own
         # timeline supersedes them, so they are dropped before routing.
-        remaining: list[Gate] = [g for g in circuit.gates if not g.is_barrier]
+        remaining = CommutativeFrontWindow(
+            [g for g in circuit.gates if not g.is_barrier],
+            CommutativityChecker(),
+            max_front=self.config.max_front_size,
+            scan_limit=self.config.front_scan_limit,
+            commutation=self.config.use_commutativity)
         routed = Circuit(device.num_qubits, circuit.num_clbits,
                          name=f"{circuit.name}@{device.name}")
         swap_count = 0
         cycles = 0
         deadlocks = 0
 
-        # The CF front is a pure function of the gate sequence; ``remaining``
-        # is only rebound when gates launch, so cycles that merely insert
-        # SWAPs or advance the clock can reuse the previous front verbatim.
-        front_for: list[Gate] | None = None
-        front: list[int] = []
+        # The front only changes when gates launch, so cycles that merely
+        # insert SWAPs or advance the clock reuse it.
+        front = remaining.front()
 
         while remaining:
             cycles += 1
-            if remaining is not front_for:
-                front = self._front_indices(remaining, checker)
-                front_for = remaining
             launched_indices: list[int] = []
 
             # --- Step 2: launch every directly executable CF gate. -----------
@@ -125,14 +119,12 @@ class CodarRouter(Router):
                                    spec=gate.spec))
                 launched_indices.append(idx)
             if launched_indices:
-                launched_set = set(launched_indices)
-                remaining = [g for i, g in enumerate(remaining) if i not in launched_set]
+                remaining.remove(launched_indices)
                 if not remaining:
                     break
                 # Launching gates may promote new gates into the CF set; expose
                 # them to the SWAP heuristic of this same cycle.
-                front = self._front_indices(remaining, checker)
-                front_for = remaining
+                front = remaining.front()
 
             # --- Step 3: greedy SWAP insertion for blocked CF CNOTs. ----------
             # Candidate SWAPs are anchored on the CNOTs that connectivity still
@@ -205,7 +197,8 @@ class CodarRouter(Router):
                     seen.add(edge)
         return sorted(seen)
 
-    def _lookahead_gates(self, remaining: list[Gate], front: list[int]) -> list[Gate]:
+    def _lookahead_gates(self, remaining: Iterable[Gate],
+                         front: list[int]) -> list[Gate]:
         """Two-qubit gates just beyond the CF set, used only for tie-breaking."""
         if self.config.lookahead_size <= 0:
             return []

@@ -77,6 +77,10 @@ class SabreRouter(Router):
         decay = [1.0] * device.num_qubits
         swap_count = 0
         swaps_since_reset = 0
+        # The front and extended sets change only when a gate executes, so
+        # consecutive SWAPs score against the same two gate lists.
+        front_gates: list[Gate] | None = None
+        extended_gates: list[Gate] = []
 
         def execute(index: int) -> None:
             gate = dag.gate(index)
@@ -102,11 +106,14 @@ class SabreRouter(Router):
                             front.append(successor)
                 decay = [1.0] * device.num_qubits
                 swaps_since_reset = 0
+                front_gates = None
                 continue
 
             # --- all front gates blocked: pick the cheapest SWAP.
-            front_gates = [dag.gate(i) for i in front]
-            extended_gates = self._extended_set(dag, front, remaining_preds)
+            if front_gates is None:
+                front_gates = [dag.gate(i) for i in front]
+                extended_gates = self._extended_set(dag, front,
+                                                    remaining_preds)
             candidates = self._candidate_swaps(front_gates, coupling, layout)
             if not candidates:  # pragma: no cover - needs a disconnected device
                 raise RuntimeError(

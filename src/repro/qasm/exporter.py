@@ -23,14 +23,18 @@ def _format_param(value: float) -> str:
     if value == 0:
         return "0"
     for denom in (1, 2, 3, 4, 6, 8, 16, 32):
-        for num in range(-64, 65):
-            if num == 0:
-                continue
-            if abs(value - num * math.pi / denom) < 1e-12:
-                sign = "-" if num < 0 else ""
-                num = abs(num)
-                numerator = "pi" if num == 1 else f"{num}*pi"
-                return f"{sign}{numerator}" if denom == 1 else f"{sign}{numerator}/{denom}"
+        # Candidates for one denominator lie pi/denom apart, so only the
+        # nearest numerator can be within 1e-12 of ``value``; numerators stay
+        # within +-64.
+        ratio = value * denom / math.pi
+        if not abs(ratio) <= 64.5:
+            continue
+        num = round(ratio)
+        if num != 0 and abs(value - num * math.pi / denom) < 1e-12:
+            sign = "-" if num < 0 else ""
+            num = abs(num)
+            numerator = "pi" if num == 1 else f"{num}*pi"
+            return f"{sign}{numerator}" if denom == 1 else f"{sign}{numerator}/{denom}"
     return repr(float(value))
 
 

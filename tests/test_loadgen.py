@@ -4,6 +4,7 @@ pools and a short end-to-end loadtest step against a live server."""
 import json
 
 import pytest
+from test_transport import _accepted
 
 from repro.loadgen import LoadTest, TenantMix, WorkloadPool, arrival_times
 from repro.server import CompileServer
@@ -90,6 +91,14 @@ class TestLoadTestEndToEnd:
             assert step["met_target"] is True
             report = json.loads(json.dumps(step))  # JSON-serialisable
             assert report["p95_target_s"] == 5.0
+
+    def test_health_and_metrics_polls_share_one_connection(self):
+        with CompileServer(port=0, workers=1, monitor=False) as server:
+            accepted = _accepted(server)
+            test = LoadTest(server.url)
+            for _ in range(5):
+                test._snapshot()
+            assert len(accepted) == 1
 
     def test_run_reports_sustained_rate(self):
         with CompileServer(port=0, workers=2, monitor=False) as server:

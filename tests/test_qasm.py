@@ -8,6 +8,7 @@ import pytest
 from repro.core.circuit import Circuit
 from repro.core.unitary import circuit_unitary
 from repro.qasm import QasmError, circuit_to_qasm, parse_qasm
+from repro.qasm.exporter import _format_param
 from repro.qasm.lexer import QasmSyntaxError, tokenize
 from repro.qasm.parser import evaluate_expr, _Parser
 
@@ -214,6 +215,45 @@ class TestExporter:
         circ = Circuit(2).add("xx", [0, 1])
         text = circuit_to_qasm(circ)
         assert "gate xx" in text
+
+    def test_angle_rendering_matches_exhaustive_search(self):
+        """``_format_param`` tests one numerator per denominator; the
+        exhaustive (denominator, numerator) scan it replaced is the oracle.
+
+        The oracle keeps the scan's order and arithmetic but evaluates each
+        value against all 1024 multiples at once, so 40k values stay cheap.
+        """
+        pairs = [(denom, num) for denom in (1, 2, 3, 4, 6, 8, 16, 32)
+                 for num in range(-64, 65) if num != 0]
+        multiples = np.array([num * math.pi / denom for denom, num in pairs])
+
+        def exhaustive(value: float) -> str:
+            if value == 0:
+                return "0"
+            hits = np.flatnonzero(np.abs(value - multiples) < 1e-12)
+            if not hits.size:
+                return repr(float(value))
+            denom, num = pairs[hits[0]]
+            sign = "-" if num < 0 else ""
+            num = abs(num)
+            numerator = "pi" if num == 1 else f"{num}*pi"
+            return (f"{sign}{numerator}" if denom == 1
+                    else f"{sign}{numerator}/{denom}")
+
+        values = [65 * math.pi, -65 * math.pi, 0.0, -0.0, math.inf,
+                  -math.inf, math.nan]
+        for denom in (1, 2, 3, 4, 5, 6, 8, 12, 16, 32, 64):
+            for num in range(-66, 67):
+                value = num * math.pi / denom
+                values += [value + offset
+                           for offset in (5e-13, -5e-13, 2e-12, -2e-12)]
+                values += [value, math.nextafter(value, math.inf),
+                           math.nextafter(value, -math.inf)]
+        rng = np.random.default_rng(16)
+        values += rng.uniform(-250.0, 250.0, 20_000).tolist()
+        mismatched = [value for value in values
+                      if _format_param(value) != exhaustive(value)]
+        assert not mismatched, mismatched[:5]
 
 
 class TestSuiteQasmRoundtrip:
