@@ -23,12 +23,22 @@ if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 
+#: Harnesses that pin the paper's numbers (Fig. 8, Fig. 9, the ablation and
+#: Table I).  On the default subset they take about ten seconds together, so
+#: they stay in the fast lane: a change that moves a paper number fails on
+#: every PR, not only nightly.
+PAPER_PINS = ("test_fig8_speedup.py", "test_fig9_fidelity.py",
+              "test_ablation.py", "test_table1_devices.py")
+
+
 def pytest_collection_modifyitems(config, items):
-    """Every harness under benchmarks/ counts as slow (regenerating the
-    paper's tables takes minutes), so ``-m "not slow"`` gives a fast lane."""
+    """Every other harness under benchmarks/ counts as slow (regenerating
+    the paper's tables at scale and the timing harnesses take minutes), so
+    ``-m "not slow"`` gives a fast lane."""
     here = os.path.dirname(os.path.abspath(__file__))
     for item in items:
-        if str(item.fspath).startswith(here):
+        path = str(item.fspath)
+        if path.startswith(here) and os.path.basename(path) not in PAPER_PINS:
             item.add_marker(pytest.mark.slow)
 
 

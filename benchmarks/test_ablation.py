@@ -4,10 +4,26 @@ Not a figure in the paper, but DESIGN.md calls out the three mechanisms
 (qubit locks, commutativity detection, fine priority) plus duration awareness
 as the design choices worth isolating.  The harness re-routes a subset of the
 suite with each mechanism disabled and reports the average slowdown relative
-to full CODAR.
+to full CODAR.  On the default subset each variant's average and worst
+slowdown are pinned, so a change on the paths only the ablation takes (the
+dependency front, routing without locks, uniform durations) fails here.
 """
 
+import pytest
+
 from repro.experiments.ablation import AblationExperiment
+
+#: variant -> (average slowdown, worst slowdown) over the default subset of
+#: ``PINNED_BENCHMARKS`` benchmarks.  Routing is deterministic; re-pinning
+#: needs a stated reason in CHANGES.md.
+PINNED_SLOWDOWNS = {
+    "full": (1.0, 1.0),
+    "no_commutativity": (1.0837388985453797, 1.9655172413793103),
+    "no_fine_priority": (0.9910823550320982, 1.0943396226415094),
+    "no_locks": (1.0857729847442408, 1.6896551724137931),
+    "uniform_durations": (1.027645095241037, 1.4375),
+}
+PINNED_BENCHMARKS = 32
 
 
 def test_codar_ablation(benchmark, paper_scale):
@@ -35,3 +51,21 @@ def test_codar_ablation(benchmark, paper_scale):
     for variant in variants - {"full"}:
         assert average(variant) >= 0.97, (
             f"disabling {variant} should not speed CODAR up on average")
+
+    if paper_scale:
+        return
+    rows = "\n".join(
+        f"  {v:<18s} benchmarks={sum(r.variant == v for r in records)} "
+        f"average={average(v)!r} "
+        f"worst={max(r.slowdown for r in records if r.variant == v)!r}"
+        for v in sorted(variants))
+    for variant, (pinned_average, pinned_worst) in PINNED_SLOWDOWNS.items():
+        subset = [r for r in records if r.variant == variant]
+        assert len(subset) == PINNED_BENCHMARKS, rows
+        assert average(variant) == pytest.approx(pinned_average, rel=1e-12), (
+            f"{variant} average slowdown moved from the pinned "
+            f"{pinned_average!r}:\n{rows}")
+        assert max(r.slowdown for r in subset) == pytest.approx(
+            pinned_worst, rel=1e-12), (
+            f"{variant} worst slowdown moved from the pinned "
+            f"{pinned_worst!r}:\n{rows}")

@@ -7,10 +7,35 @@ under damping-dominant noise the two perform about the same.
 
 This harness regenerates the same two bar groups with the density-matrix
 simulator.  The shape assertions: CODAR's average fidelity is not worse than
-SABRE's in either regime, and it is strictly better under dephasing.
+SABRE's in either regime, and it is strictly better under dephasing.  Every
+``(regime, algorithm)`` bar is also pinned: both fidelities and both
+weighted depths, so a routing change on a path Fig. 8 does not take fails
+here.
 """
 
+import pytest
+
 from repro.experiments.fidelity import FidelityExperiment
+
+#: ``(regime, algorithm) -> (CODAR fidelity, SABRE fidelity, CODAR weighted
+#: depth, SABRE weighted depth)``.  Routing and the simulator are
+#: deterministic; re-pinning needs a stated reason in CHANGES.md.
+PINNED_BARS = {
+    ("dephasing", "bv_4q"): (0.9786119462977387, 0.9786119462977387, 9.0, 9.0),
+    ("dephasing", "qft_4q"): (0.9284929999607981, 0.8965866228820666, 32.0, 44.0),
+    ("dephasing", "ghz_4q"): (0.9819987071355076, 0.970098116654102, 8.0, 13.0),
+    ("dephasing", "grover_3q"): (0.8938623193902068, 0.8651443009471323, 55.0, 72.0),
+    ("dephasing", "dj_4q"): (0.9786119462977387, 0.9786119462977387, 9.0, 9.0),
+    ("dephasing", "simon_4q"): (0.981882877622815, 0.981882877622815, 6.0, 6.0),
+    ("dephasing", "adder_4q"): (0.9619634280471291, 0.9597017543549496, 61.0, 65.0),
+    ("damping", "bv_4q"): (0.9465318818635469, 0.9465318818635469, 9.0, 9.0),
+    ("damping", "qft_4q"): (0.928492999960798, 0.8965866228820665, 32.0, 44.0),
+    ("damping", "ghz_4q"): (0.9651925331039803, 0.9419956048647316, 8.0, 13.0),
+    ("damping", "grover_3q"): (0.7934984599409451, 0.7124732156620261, 55.0, 72.0),
+    ("damping", "dj_4q"): (0.9465318818635469, 0.9465318818635469, 9.0, 9.0),
+    ("damping", "simon_4q"): (0.9657769885944381, 0.9657769885944381, 6.0, 6.0),
+    ("damping", "adder_4q"): (0.9622568988503792, 0.9602066467512859, 61.0, 65.0),
+}
 
 
 def test_fig9_fidelity(benchmark, paper_scale):
@@ -18,11 +43,12 @@ def test_fig9_fidelity(benchmark, paper_scale):
 
     records = benchmark.pedantic(experiment.run, iterations=1, rounds=1)
 
-    print("\nFig. 9 series — fidelity per algorithm and regime:")
-    for record in records:
-        print(f"  {record.regime:<10s} {record.algorithm:<10s} "
-              f"codar={record.codar_fidelity:.4f} sabre={record.sabre_fidelity:.4f} "
-              f"(wd {record.codar_weighted_depth:.0f} vs {record.sabre_weighted_depth:.0f})")
+    rows = "\n".join(
+        f"  {r.regime:<10s} {r.algorithm:<10s} "
+        f"codar={r.codar_fidelity!r} sabre={r.sabre_fidelity!r} "
+        f"(wd {r.codar_weighted_depth!r} vs {r.sabre_weighted_depth!r})"
+        for r in records)
+    print(f"\nFig. 9 series — fidelity per algorithm and regime:\n{rows}")
 
     for regime in ("dephasing", "damping"):
         subset = [r for r in records if r.regime == regime]
@@ -38,3 +64,16 @@ def test_fig9_fidelity(benchmark, paper_scale):
     dephasing = [r for r in records if r.regime == "dephasing"]
     assert any(r.codar_fidelity > r.sabre_fidelity + 1e-4 for r in dephasing), \
         "expected CODAR to win on at least one dephasing-dominant algorithm"
+
+    bars = {(r.regime, r.algorithm): r for r in records}
+    assert set(bars) == set(PINNED_BARS), rows
+    for key, (codar, sabre, codar_wd, sabre_wd) in PINNED_BARS.items():
+        record = bars[key]
+        assert record.codar_fidelity == pytest.approx(codar, rel=1e-12), (
+            f"{key} CODAR fidelity moved from the pinned {codar!r}:\n{rows}")
+        assert record.sabre_fidelity == pytest.approx(sabre, rel=1e-12), (
+            f"{key} SABRE fidelity moved from the pinned {sabre!r}:\n{rows}")
+        assert (record.codar_weighted_depth, record.sabre_weighted_depth) == (
+            codar_wd, sabre_wd), (
+            f"{key} weighted depths moved from the pinned "
+            f"({codar_wd!r}, {sabre_wd!r}):\n{rows}")

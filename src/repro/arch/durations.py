@@ -57,26 +57,29 @@ class GateDurationMap:
         if self.swap <= 0 or self.measure <= 0:
             raise ValueError("gate durations must be positive")
         self.overrides = dict(overrides or {})
-
-    # ------------------------------------------------------------------ #
-    def duration_of(self, gate: Gate | str) -> int:
-        """Duration in cycles of a gate instance or gate name."""
-        name = gate if isinstance(gate, str) else gate.name
-        if name in self.overrides:
-            return self.overrides[name]
-        spec = GATE_SET.get(name)
-        if spec is None:
-            # Unknown custom gate: assume a two-qubit-slot duration, the
-            # conservative choice.
-            return self.two
-        return {
+        by_class = {
             DurationClass.SINGLE: self.single,
             DurationClass.TWO: self.two,
             DurationClass.SWAP: self.swap,
             DurationClass.MEASURE: self.measure,
             DurationClass.BARRIER: 0,
             DurationClass.DIRECTIVE: 0,
-        }[spec.duration_class]
+        }
+        # Name -> duration, resolved once: a map is never changed after it
+        # is built, and the routers and the scheduler ask once per gate.
+        self._table = {name: by_class[spec.duration_class]
+                       for name, spec in GATE_SET.items()}
+        self._table.update(self.overrides)
+
+    # ------------------------------------------------------------------ #
+    def duration_of(self, gate: Gate | str) -> int:
+        """Duration in cycles of a gate instance or gate name.
+
+        An unknown custom gate takes a two-qubit slot, the conservative
+        choice.
+        """
+        name = gate if isinstance(gate, str) else gate.name
+        return self._table.get(name, self.two)
 
     def __getitem__(self, name: str) -> int:
         return self.duration_of(name)

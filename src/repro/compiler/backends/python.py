@@ -2,11 +2,13 @@
 
 A SWAP on physical qubits ``(x, y)`` moves only the operands sitting on
 ``x`` or ``y``, so it changes CODAR's Equations 1–2 and SABRE's distance sums
-only for the gates with an operand there.  Each scorer therefore indexes the
-gates by physical qubit once per call and scores every candidate on the
-gates it touches, reading distances from
+only for the gates with an operand there.  Each scorer therefore lists, once
+per call, every physical qubit's gates as ``(partner qubit, current
+distance)`` pairs, reading distances from
 :meth:`~repro.arch.coupling.CouplingGraph.distance_table` without copying the
-layout.
+layout.  The SWAP moves the operand on ``x`` to ``y``, so a gate in ``x``'s
+list changes its distance by ``dist[y][partner] - d``, and one in ``y``'s
+list by ``dist[x][partner] - d``; a gate on both qubits keeps its distance.
 
 The answers are bit-identical to the full-recompute reference functions
 :func:`~repro.mapping.codar.priority.swap_priority` and
@@ -16,7 +18,8 @@ The answers are bit-identical to the full-recompute reference functions
   in any order;
 * look-ahead terms are float products with ``lookahead_decay ** k`` built by
   iterated multiplication, so the touched gates are summed in index order,
-  as the reference loop adds them;
+  as the reference loop adds them (a gate on both qubits adds zero and is
+  skipped);
 * SABRE's cost applies the reference's float operations, in its order, to
   the exactly adjusted integer totals.
 """
@@ -32,34 +35,34 @@ from repro.mapping.codar.priority import SwapPriority
 from repro.mapping.layout import Layout
 
 
-def _operands(layout: Layout, gates: Sequence[Gate]) -> list[tuple[int, int]]:
-    """Physical operands of two-qubit ``gates`` under ``layout``."""
-    physical_of = layout.physical_list()
-    return [(physical_of[g.qubits[0]], physical_of[g.qubits[1]])
-            for g in gates]
+def _partners(physical_of: list[int], gates: Sequence[Gate],
+              dist: list[list[int]]
+              ) -> tuple[dict[int, list[tuple[int, int]]], int]:
+    """Physical qubit -> ``(partner, distance)`` of each two-qubit gate on
+    it, and the gates' total distance."""
+    on_qubit: dict[int, list[tuple[int, int]]] = {}
+    total = 0
+    for gate in gates:
+        pa, pb = physical_of[gate.qubits[0]], physical_of[gate.qubits[1]]
+        d = dist[pa][pb]
+        on_qubit.setdefault(pa, []).append((pb, d))
+        on_qubit.setdefault(pb, []).append((pa, d))
+        total += d
+    return on_qubit, total
 
 
-def _incidence(operands: list[tuple[int, int]]) -> dict[int, list[int]]:
-    """Physical qubit -> ascending indices of the gates with an operand on it."""
-    on_qubit: dict[int, list[int]] = {}
-    for index, (pa, pb) in enumerate(operands):
-        on_qubit.setdefault(pa, []).append(index)
-        on_qubit.setdefault(pb, []).append(index)
-    return on_qubit
-
-
-def _distance_change(operands: list[tuple[int, int]],
-                     on_qubit: dict[int, list[int]], dist: list[list[int]],
-                     x: int, y: int) -> int:
-    """Total distance after the SWAP of ``(x, y)`` minus before.
-
-    A gate on both ``x`` and ``y`` is visited twice but keeps its distance.
-    """
-    swap = {x: y, y: x}
+def _distance_change(on_qubit: dict[int, list[tuple[int, int]]],
+                     dist: list[list[int]], x: int, y: int) -> int:
+    """Total distance after the SWAP of ``(x, y)`` minus before."""
     change = 0
-    for index in on_qubit.get(x, []) + on_qubit.get(y, []):
-        pa, pb = operands[index]
-        change += dist[swap.get(pa, pa)][swap.get(pb, pb)] - dist[pa][pb]
+    row = dist[y]
+    for partner, d in on_qubit.get(x, ()):
+        if partner != y:
+            change += row[partner] - d
+    row = dist[x]
+    for partner, d in on_qubit.get(y, ()):
+        if partner != x:
+            change += row[partner] - d
     return change
 
 
@@ -84,34 +87,53 @@ class PythonBackend(RouterBackend):
                           lookahead_decay: float = 0.5
                           ) -> list[SwapPriority]:
         dist = coupling.distance_table()
-        targets = _operands(layout, target_gates)
-        targets_on = _incidence(targets)
-        ahead = _operands(layout, lookahead_gates)
-        ahead_on = _incidence(ahead)
+        physical_of = layout.physical_list()
+        targets_on, _ = _partners(physical_of, target_gates, dist)
+        # Look-ahead gates carry their index: their weighted terms are
+        # summed in index order.
+        ahead_on: dict[int, list[tuple[int, int, int]]] = {}
         weights = []
         weight = 1.0
-        for _ in ahead:
+        for index, gate in enumerate(lookahead_gates):
+            pa, pb = physical_of[gate.qubits[0]], physical_of[gate.qubits[1]]
+            d = dist[pa][pb]
+            ahead_on.setdefault(pa, []).append((index, pb, d))
+            ahead_on.setdefault(pb, []).append((index, pa, d))
             weights.append(weight)
             weight *= lookahead_decay
         coordinates = (coupling.coordinates
                        if use_fine and coupling.has_coordinates else None)
         scores = []
         for x, y in candidates:
-            swap = {x: y, y: x}
+            row_x, row_y = dist[x], dist[y]
             basic = 0
             fine = 0.0
-            for index in targets_on.get(x, []) + [
-                    i for i in targets_on.get(y, []) if x not in targets[i]]:
-                pa, pb = targets[index]
-                qa, qb = swap.get(pa, pa), swap.get(pb, pb)
-                basic += dist[pa][pb] - dist[qa][qb]
+            for partner, d in targets_on.get(x, ()):
+                if partner == y:
+                    # On both qubits: the SWAP flips the gate in place.
+                    if coordinates is not None:
+                        fine += _imbalance(coordinates, x, y)
+                    continue
+                basic += d - row_y[partner]
                 if coordinates is not None:
-                    fine += _imbalance(coordinates, qa, qb)
+                    fine += _imbalance(coordinates, y, partner)
+            for partner, d in targets_on.get(y, ()):
+                if partner == x:
+                    continue
+                basic += d - row_x[partner]
+                if coordinates is not None:
+                    fine += _imbalance(coordinates, x, partner)
             lookahead = 0.0
-            for index in sorted(set(ahead_on.get(x, []) + ahead_on.get(y, []))):
-                pa, pb = ahead[index]
-                lookahead += weights[index] * (
-                    dist[pa][pb] - dist[swap.get(pa, pa)][swap.get(pb, pb)])
+            if ahead_on:
+                terms = [(index, d - row_y[partner])
+                         for index, partner, d in ahead_on.get(x, ())
+                         if partner != y]
+                terms += [(index, d - row_x[partner])
+                          for index, partner, d in ahead_on.get(y, ())
+                          if partner != x]
+                terms.sort()
+                for index, change in terms:
+                    lookahead += weights[index] * change
             scores.append(SwapPriority(basic, fine, lookahead))
         return scores
 
@@ -122,23 +144,21 @@ class PythonBackend(RouterBackend):
                      decay: Sequence[float],
                      extended_weight: float = 0.5) -> list[float]:
         dist = coupling.distance_table()
-        front = _operands(layout, front_gates)
-        front_on = _incidence(front)
-        front_total = sum(dist[pa][pb] for pa, pb in front)
-        extended = _operands(layout, extended_gates)
-        extended_on = _incidence(extended)
-        extended_total = sum(dist[pa][pb] for pa, pb in extended)
+        physical_of = layout.physical_list()
+        front_on, front_total = _partners(physical_of, front_gates, dist)
+        extended_on, extended_total = _partners(physical_of, extended_gates,
+                                                dist)
         costs = []
         for x, y in candidates:
             front_term = 0.0
-            if front:
+            if front_gates:
                 front_term = float(front_total + _distance_change(
-                    front, front_on, dist, x, y)) / len(front)
+                    front_on, dist, x, y)) / len(front_gates)
             extended_term = 0.0
-            if extended:
+            if extended_gates:
                 extended_term = (extended_weight * float(
                     extended_total + _distance_change(
-                        extended, extended_on, dist, x, y)) / len(extended))
+                        extended_on, dist, x, y)) / len(extended_gates))
             costs.append(max(decay[x], decay[y])
                          * (front_term + extended_term))
         return costs

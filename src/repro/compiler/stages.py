@@ -247,7 +247,7 @@ class RouteStage(Pass):
         return self._router
 
     def run(self, context: PipelineContext) -> dict:
-        from repro.mapping.base import RoutingResult
+        from repro.mapping.base import RoutingResult, check_routable
         from repro.sim.scheduler import asap_schedule
 
         circuit = context.require_circuit(self.name)
@@ -256,19 +256,9 @@ class RouteStage(Pass):
         if self.backend is not None:
             router.backend = self.backend
         effective_backend = getattr(router, "backend", None) or "python"
-        if circuit.num_qubits > device.num_qubits:
-            raise ValueError(
-                f"circuit {circuit.name!r} needs {circuit.num_qubits} qubits "
-                f"but device {device.name!r} only has {device.num_qubits}")
         if context.analysis is None:
             context.analysis = analyze(device)
-        if (not context.analysis.connected
-                and any(g.num_qubits == 2 for g in circuit.gates)):
-            # SWAPs cannot cross coupling components, so every greedy router
-            # would spin forever on an unreachable pair.
-            raise ValueError(
-                f"device {device.name!r} has a disconnected coupling graph; "
-                "two-qubit gates cannot be routed on it")
+        check_routable(circuit, device, context.analysis.connected)
         if context.layout is None:
             from repro.mapping.layout import initial_layout
 

@@ -218,15 +218,20 @@ class CommutativityChecker:
         # are labelled 0..k-1 and each of ``b``'s gets its position in ``a``
         # or the next fresh label.
         qa = a.qubits
-        fresh = len(qa)
-        labels = []
-        for q in b.qubits:
-            if q in qa:
-                labels.append(qa.index(q))
-            else:
-                labels.append(fresh)
-                fresh += 1
-        return (a.name, len(qa), a.params, b.name, tuple(labels), b.params,
+        qb = b.qubits
+        if len(qb) == 1:
+            labels = (qa.index(qb[0]) if qb[0] in qa else len(qa),)
+        else:
+            fresh = len(qa)
+            overlap = []
+            for q in qb:
+                if q in qa:
+                    overlap.append(qa.index(q))
+                else:
+                    overlap.append(fresh)
+                    fresh += 1
+            labels = tuple(overlap)
+        return (a.name, len(qa), a.params, b.name, labels, b.params,
                 self._exact_fallback)
 
     def commute(self, a: Gate, b: Gate) -> bool:

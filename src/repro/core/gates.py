@@ -274,6 +274,21 @@ class Gate:
         return Gate(self.name, new_qubits, self.params, self.cbits,
                     spec=self.spec, tag=self.tag)
 
+    def relocated(self, qubits: tuple[int, ...]) -> "Gate":
+        """The gate moved onto ``qubits``, without validating it again.
+
+        The routers' hot path: ``qubits`` must be a tuple of distinct ints of
+        the gate's arity (the physical images of its operands under a
+        layout).  The copy equals and hashes like ``Gate(name, qubits,
+        params, cbits, spec=spec)``, shares this gate's ``spec`` and carries
+        no tag.
+        """
+        moved = object.__new__(Gate)
+        moved.__dict__.update(name=self.name, qubits=qubits,
+                              params=self.params, cbits=self.cbits,
+                              spec=self.spec, tag="")
+        return moved
+
     def inverse(self) -> "Gate":
         """Return the inverse gate (used to build reversed circuits for SABRE).
 

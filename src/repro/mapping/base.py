@@ -19,6 +19,7 @@ circuit depth of the circuits produced by CODAR and SABRE").
 from __future__ import annotations
 
 import abc
+import threading
 from dataclasses import dataclass, field
 
 from repro.arch.devices import Device
@@ -135,29 +136,60 @@ class RoutingResult:
         )
 
 
-#: Memo for reverse-traversal initial layouts, keyed by (circuit QASM,
-#: coupling fingerprint, seed).  Building one costs two full SABRE routing
-#: passes, and batch jobs that share a circuit+device (e.g. the CODAR and
-#: SABRE legs of the speedup sweep) would otherwise each pay it.
-_REVERSE_TRAVERSAL_MEMO: dict[tuple, list[int]] = {}
+def check_routable(circuit: Circuit, device: Device, connected: bool) -> None:
+    """Raise :class:`ValueError` when no router can map ``circuit`` onto
+    ``device``: the circuit is wider than the device, or it has two-qubit
+    gates and the coupling graph is not ``connected``.
+    """
+    if circuit.num_qubits > device.num_qubits:
+        raise ValueError(
+            f"circuit {circuit.name!r} needs {circuit.num_qubits} qubits "
+            f"but device {device.name!r} only has {device.num_qubits}")
+    if not connected and any(g.num_qubits == 2 for g in circuit.gates):
+        # SWAPs cannot cross coupling components, so every greedy router
+        # would spin forever on an unreachable pair.
+        raise ValueError(
+            f"device {device.name!r} has a disconnected coupling graph; "
+            "two-qubit gates cannot be routed on it")
+
+
+#: Memo for reverse-traversal initial layouts.  Building one costs two full
+#: SABRE routing passes, and batch jobs that share a circuit+device (e.g. the
+#: CODAR and SABRE legs of the speedup sweep) would otherwise each pay it.
+#: Served jobs run on several worker threads, so every read, eviction and
+#: write holds the lock; the routing itself runs outside it.
+_REVERSE_TRAVERSAL_LOCK = threading.Lock()
+_REVERSE_TRAVERSAL_MEMO: dict[tuple, list[int]] = {}  #: guarded by _REVERSE_TRAVERSAL_LOCK
 _REVERSE_TRAVERSAL_MEMO_LIMIT = 256
 
 
 def _reverse_traversal_memoized(circuit: Circuit, device: Device,
                                 seed: int | None, rounds: int = 1) -> Layout:
-    from repro.mapping.sabre.remapper import reverse_traversal_layout
-    from repro.qasm.exporter import circuit_to_qasm
+    """:func:`~repro.mapping.sabre.remapper.reverse_traversal_layout`,
+    memoised per process.
 
-    key = (circuit_to_qasm(circuit), device.num_qubits,
+    The key is the circuit's width and gate tuple (gates compare by name,
+    qubits, parameters and classical bits), the device's size and coupling
+    edges, the seed and the rounds: everything the layout depends on,
+    without exporting the circuit.  When the memo is full the oldest entry
+    makes room.  Two threads missing on one key both route it, and the
+    second write wins with the same layout.
+    """
+    from repro.mapping.sabre.remapper import reverse_traversal_layout
+
+    key = (circuit.num_qubits, tuple(circuit.gates), device.num_qubits,
            tuple(device.coupling.edges), seed, rounds)
-    cached = _REVERSE_TRAVERSAL_MEMO.get(key)
+    with _REVERSE_TRAVERSAL_LOCK:
+        cached = _REVERSE_TRAVERSAL_MEMO.get(key)
     if cached is not None:
         return Layout(cached)
     layout = reverse_traversal_layout(circuit, device, seed=seed,
                                       rounds=rounds)
-    if len(_REVERSE_TRAVERSAL_MEMO) >= _REVERSE_TRAVERSAL_MEMO_LIMIT:
-        _REVERSE_TRAVERSAL_MEMO.pop(next(iter(_REVERSE_TRAVERSAL_MEMO)))
-    _REVERSE_TRAVERSAL_MEMO[key] = layout.physical_list()
+    with _REVERSE_TRAVERSAL_LOCK:
+        if (key not in _REVERSE_TRAVERSAL_MEMO
+                and len(_REVERSE_TRAVERSAL_MEMO) >= _REVERSE_TRAVERSAL_MEMO_LIMIT):
+            del _REVERSE_TRAVERSAL_MEMO[next(iter(_REVERSE_TRAVERSAL_MEMO))]
+        _REVERSE_TRAVERSAL_MEMO[key] = layout.physical_list()
     return layout
 
 

@@ -101,8 +101,10 @@ class CodarRouter(Router):
         deadlocks = 0
 
         # The front only changes when gates launch, so cycles that merely
-        # insert SWAPs or advance the clock reuse it.
+        # insert SWAPs or advance the clock reuse it, and the look-ahead
+        # gates derived from it.
         front = remaining.front()
+        lookahead: list[Gate] | None = None
 
         while remaining:
             cycles += 1
@@ -115,8 +117,7 @@ class CodarRouter(Router):
                     continue
                 physical = machine.physical_qubits(gate)
                 machine.launch(gate.name, physical)
-                routed.append(Gate(gate.name, physical, gate.params, gate.cbits,
-                                   spec=gate.spec))
+                routed.append(gate.relocated(physical))
                 launched_indices.append(idx)
             if launched_indices:
                 remaining.remove(launched_indices)
@@ -125,6 +126,7 @@ class CodarRouter(Router):
                 # Launching gates may promote new gates into the CF set; expose
                 # them to the SWAP heuristic of this same cycle.
                 front = remaining.front()
+                lookahead = None
 
             # --- Step 3: greedy SWAP insertion for blocked CF CNOTs. ----------
             # Candidate SWAPs are anchored on the CNOTs that connectivity still
@@ -140,7 +142,8 @@ class CodarRouter(Router):
             progressed = bool(launched_indices)
             if unresolved:
                 candidates = self._candidate_swaps(machine, unresolved)
-                lookahead = self._lookahead_gates(remaining, front)
+                if lookahead is None:
+                    lookahead = self._lookahead_gates(remaining, front)
                 inserted = self._insert_swaps(machine, routed, candidates,
                                               cf_two_qubit,
                                               require_positive=True,

@@ -33,7 +33,7 @@ from repro.arch.devices import Device
 from repro.core.circuit import Circuit
 from repro.core.dag import CircuitDag
 from repro.core.gates import Gate
-from repro.mapping.base import Router
+from repro.mapping.base import Router, check_routable
 from repro.mapping.layout import Layout, initial_layout
 from repro.mapping.sabre.heuristic import EXTENDED_SET_WEIGHT
 
@@ -84,9 +84,8 @@ class SabreRouter(Router):
 
         def execute(index: int) -> None:
             gate = dag.gate(index)
-            physical = tuple(layout.physical(q) for q in gate.qubits)
-            routed.append(Gate(gate.name, physical, gate.params, gate.cbits,
-                               spec=gate.spec))
+            routed.append(gate.relocated(
+                tuple(layout.physical(q) for q in gate.qubits)))
 
         while front:
             # --- execute every gate of the front layer that fits the coupling.
@@ -139,22 +138,30 @@ class SabreRouter(Router):
     # ------------------------------------------------------------------ #
     def _extended_set(self, dag: CircuitDag, front: deque[int],
                       remaining_preds: list[int]) -> list[Gate]:
-        """Two-qubit successors of the front layer, up to the configured size."""
+        """Two-qubit successors of the front layer, up to the configured size.
+
+        A breadth-first walk from the front, which is not itself part of the
+        set.  Each gate is marked when it is queued, so it is queued once
+        however many of its predecessors the walk visits.
+        """
         limit = self.config.extended_set_size
+        successors = dag.successors
         extended: list[Gate] = []
-        visited: set[int] = set(front)
-        queue = deque()
-        for index in front:
-            queue.extend(dag.successors[index])
+        queued: set[int] = set(front)
+        queue = deque(front)
+        skip = len(queue)
         while queue and len(extended) < limit:
             index = queue.popleft()
-            if index in visited:
-                continue
-            visited.add(index)
-            gate = dag.gate(index)
-            if gate.num_qubits == 2:
-                extended.append(gate)
-            queue.extend(dag.successors[index])
+            if skip:
+                skip -= 1
+            else:
+                gate = dag.gate(index)
+                if gate.num_qubits == 2:
+                    extended.append(gate)
+            for successor in successors[index]:
+                if successor not in queued:
+                    queued.add(successor)
+                    queue.append(successor)
         return extended
 
     @staticmethod
@@ -181,18 +188,26 @@ def reverse_traversal_layout(circuit: Circuit, device: Device,
     returned after the last backward pass reflects the interaction structure
     near the *start* of the circuit, which is what the forward run wants.
 
+    Only the final layouts are read, so each pass calls the router's
+    ``_route`` directly: no routed circuit is scheduled, measured or
+    packaged.  The checks ``Router.run`` would make first still apply: a
+    circuit wider than the device, or two-qubit gates on a device whose
+    coupling graph is disconnected, raise :class:`ValueError` (the latter
+    would otherwise never finish routing).
+
     The paper uses this same initial mapping for CODAR and SABRE so that the
     comparison isolates the routing policy.
     """
+    from repro.compiler.analysis import analyze
+
     router = router or SabreRouter()
     layout = initial_layout(circuit, device.coupling, "degree", seed=seed)
-    if not circuit.two_qubit_gates():
+    if rounds < 1 or not circuit.two_qubit_gates():
         return layout
+    check_routable(circuit, device, analyze(device).connected)
     forward = circuit.without_measurements()
     backward = forward.reversed_order()
-    for _ in range(max(0, rounds)):
-        result_forward = router.run(forward, device, initial_layout=layout)
-        result_backward = router.run(backward, device,
-                                     initial_layout=result_forward.final_layout)
-        layout = result_backward.final_layout
+    for _ in range(rounds):
+        _, layout, _, _ = router._route(forward, device, layout)
+        _, layout, _, _ = router._route(backward, device, layout)
     return layout
