@@ -17,20 +17,20 @@ This harness quantifies that win two ways and writes both into
   aggregates from the pipeline's stage records and the parse-cache hit
   ratio of the warm leg,
 * ``backend_suite`` — the 16-job routing-heavy suite (17–20 qubit GHZ/QFT
-  on both devices) compiled once per scoring backend; the delta-scoring
-  ``python`` default and the vectorized ``numpy`` backend must each beat a
-  full-recompute reference (one ``swap_priority`` / ``sabre_score`` call per
-  candidate, registered by this module) on warm route-stage seconds while
-  producing byte-identical routed circuits,
+  on both devices) compiled once with the routers' delta scorer and once
+  with the full-recompute reference (one ``swap_priority`` /
+  ``sabre_score`` call per candidate, swapped in by the root conftest's
+  ``reference_scoring`` fixture); the delta scorer must beat it on warm
+  route-stage seconds while producing byte-identical routed circuits,
 * ``kernel_microbench`` — the raw swap-scoring kernels (CODAR priority,
   SABRE heuristic) timed head-to-head on a full Sycamore-54 candidate set,
   against the same reference.
 
 Small circuits on large devices are exactly the online-serving shape where
 the analysis overhead matters: a 3–6 qubit job on Sycamore-54 pays more for
-the distance matrix than for the routing itself.  The backend suite uses
-larger circuits on purpose: faster scoring pays off once the candidate and
-front sets grow.
+the distance matrix than for the routing itself.  The swap-scoring suite
+uses larger circuits on purpose: faster scoring pays off once the candidate
+and front sets grow.
 """
 
 import time
@@ -38,12 +38,9 @@ from pathlib import Path
 
 from perf_record import record_perf
 from repro.compiler import (analyze, cache_stats, clear_cache,
-                            clear_parse_cache, get_backend, parse_cache_stats,
+                            clear_parse_cache, parse_cache_stats,
                             parse_cached)
-from repro.compiler.backends import register_backend
-from repro.compiler.backends.python import PythonBackend
-from repro.mapping.codar.priority import swap_priority
-from repro.mapping.sabre.heuristic import sabre_score
+from repro.compiler.backends.base import SCORER
 from repro.service.executor import execute_job
 from repro.service.jobs import CompileJob
 from repro.workloads.generators import ghz, qft
@@ -186,120 +183,86 @@ def test_routing_suite_cold_vs_warm_analysis(paper_scale):
     }, path=BENCH_PATH)
 
 
-#: Scoring backends the backend suite and the kernel microbench compare: the
-#: full-recompute reference first, then the two it must be slower than.
-LEGS = ("reference", "python", "numpy")
+#: The two scorers the swap-scoring suite and the kernel microbench compare:
+#: the full-recompute reference (swapped in by the ``reference_scoring``
+#: fixture) and the routers' delta scorer, which must be the faster one.
+LEGS = ("reference", "delta")
 
 
-class ReferenceBackend(PythonBackend):
-    """Full-recompute scoring: one ``swap_priority`` / ``sabre_score`` call
-    per candidate, each on every gate and a copied layout (the ``python``
-    backend's scoring before it scored by delta)."""
-
-    name = "reference"
-
-    def codar_swap_scores(self, coupling, layout, candidates, target_gates, *,
-                          use_fine=True, lookahead_gates=(),
-                          lookahead_decay=0.5):
-        return [swap_priority(a, b, coupling, layout, target_gates,
-                              use_fine=use_fine,
-                              lookahead_gates=lookahead_gates,
-                              lookahead_decay=lookahead_decay)
-                for a, b in candidates]
-
-    def sabre_scores(self, coupling, layout, candidates, front_gates,
-                     extended_gates, decay, extended_weight=0.5):
-        return [sabre_score(a, b, coupling, layout, front_gates,
-                            extended_gates, decay, extended_weight)
-                for a, b in candidates]
-
-
-def _register_reference() -> None:
-    register_backend("reference", ReferenceBackend,
-                     "full-recompute scoring (benchmark reference)",
-                     overwrite=True)
-
-
-def _backend_jobs(backend: str, paper_scale: bool) -> list[CompileJob]:
+def _scoring_jobs(paper_scale: bool) -> list[CompileJob]:
     sizes = range(17, 23) if paper_scale else range(17, 21)
     circuits = [build(n) for n in sizes for build in (ghz, qft)]
     return [CompileJob.from_circuit(circuit, device, pipeline=PIPELINE,
-                                    seed=1, backend=backend)
+                                    seed=1)
             for device in DEVICES for circuit in circuits]
 
 
-def test_router_backend_suite(paper_scale):
-    """Both backends must beat the full-recompute reference on warm route time.
+def _best_route_seconds(jobs: list[CompileJob]) -> tuple[float, list[str]]:
+    """Best-of-3 warm route-stage seconds over ``jobs``, and the routed
+    circuits of the last round."""
+    outcomes = [execute_job(job) for job in jobs]  # warm-up
+    assert all(outcome.ok for outcome in outcomes)
+    best = None
+    for _ in range(3):
+        outcomes = [execute_job(job) for job in jobs]
+        leg = _aggregate_stage_seconds(outcomes)["route"]
+        best = leg if best is None or leg < best else best
+    return best, [outcome.routed_qasm for outcome in outcomes]
+
+
+def test_router_backend_suite(paper_scale, reference_scoring):
+    """The delta scorer must beat the full-recompute reference on warm route
+    time.
 
     The same routing-heavy suite (16 jobs at default scale) is compiled once
-    per backend; only the route stage swaps its scoring kernels, so routed
-    circuits must be byte-identical and the comparison isolates the kernels.
+    per scorer; only the scoring of candidate SWAPs changes, so routed
+    circuits must be byte-identical and the comparison isolates the scoring.
     Each leg is best-of-3 on aggregated route-stage seconds from the
     pipeline's own stage records (not wall clock, which would fold in the
     shared parse/layout/schedule cost).
     """
     from repro.arch.devices import get_device
 
-    _register_reference()
     clear_cache()
     for device in DEVICES:
         analyze(get_device(device))
 
+    jobs = _scoring_jobs(paper_scale)
     route_s: dict[str, float] = {}
     routed: dict[str, list[str]] = {}
-    for backend in LEGS:
-        jobs = _backend_jobs(backend, paper_scale)
-        warmup = [execute_job(job) for job in jobs]
-        assert all(outcome.ok for outcome in warmup)
-        best = None
-        outcomes = warmup
-        for _ in range(3):
-            outcomes = [execute_job(job) for job in jobs]
-            leg = _aggregate_stage_seconds(outcomes)["route"]
-            best = leg if best is None or leg < best else best
-        route_s[backend] = best
-        routed[backend] = [outcome.routed_qasm for outcome in outcomes]
-        for outcome in outcomes:
-            stages = outcome.summary["extra"]["stages"]
-            assert any(row.get("metrics", {}).get("backend") == backend
-                       for row in stages if row["stage"] == "route")
+    with reference_scoring():
+        route_s["reference"], routed["reference"] = _best_route_seconds(jobs)
+    route_s["delta"], routed["delta"] = _best_route_seconds(jobs)
 
-    for backend in LEGS[1:]:
-        assert routed[backend] == routed["reference"], (
-            f"{backend} must route identically to the reference; only the "
-            "speed may differ")
-    speedups = {backend: route_s["reference"] / route_s[backend]
-                for backend in LEGS[1:]}
-    print("\nbackend suite: route " + " vs ".join(
-        f"{backend} {route_s[backend]:.3f}s" for backend in LEGS)
-        + " (" + ", ".join(f"{backend} {speedup:.2f}x"
-                           for backend, speedup in speedups.items()) + ")")
+    assert routed["delta"] == routed["reference"], (
+        "the delta scorer must route identically to the reference; only the "
+        "speed may differ")
+    speedup = route_s["reference"] / route_s["delta"]
+    print(f"\nswap-scoring suite: route reference {route_s['reference']:.3f}s "
+          f"vs delta {route_s['delta']:.3f}s ({speedup:.2f}x)")
     # CI nightly floor; the recorded numbers should comfortably exceed it.
-    for backend, speedup in speedups.items():
-        assert speedup >= 1.3, (
-            f"{backend} backend only {speedup:.2f}x over the full-recompute "
-            f"reference on the warm route stage (floor 1.3x)")
+    assert speedup >= 1.3, (
+        f"delta scorer only {speedup:.2f}x over the full-recompute "
+        f"reference on the warm route stage (floor 1.3x)")
     record_perf("pipeline/backend_suite", {
-        "jobs": len(routed["python"]),
+        "jobs": len(jobs),
         "devices": list(DEVICES),
         "router": "codar",
-        **{f"{backend}_route_s": round(route_s[backend], 4)
-           for backend in LEGS},
-        **{f"{backend}_speedup": round(speedup, 3)
-           for backend, speedup in speedups.items()},
+        **{f"{leg}_route_s": round(route_s[leg], 4) for leg in LEGS},
+        "delta_speedup": round(speedup, 3),
         "identical_output": True,
         "paper_scale": paper_scale,
     }, path=BENCH_PATH)
 
 
-def test_router_kernel_microbench(paper_scale):
+def test_router_kernel_microbench(paper_scale, reference_scoring):
     """Raw swap-scoring kernels head-to-head on a full Sycamore candidate set.
 
     Strips away the routing loop entirely: one fixed scoring problem (every
     coupler of Sycamore-54 as a candidate, a 32-gate CF window plus 20
-    look-ahead gates) is scored repeatedly by each backend and by the
-    full-recompute reference.  This is the upper bound the backend suite's
-    end-to-end ratio approaches as circuits grow.
+    look-ahead gates) is scored repeatedly by the delta scorer and by the
+    full-recompute reference.  This is the upper bound the swap-scoring
+    suite's end-to-end ratio approaches as circuits grow.
     """
     import random
 
@@ -307,7 +270,6 @@ def test_router_kernel_microbench(paper_scale):
     from repro.core.gates import Gate
     from repro.mapping.layout import Layout
 
-    _register_reference()
     device = get_device("google_sycamore54")
     clear_cache()
     analyze(device)
@@ -329,43 +291,43 @@ def test_router_kernel_microbench(paper_scale):
     decay = [1.0 + rng.random() * 0.5 for _ in range(device.num_qubits)]
     iterations = 400 if paper_scale else 200
 
+    def timed(run) -> tuple[float, list]:
+        run()  # warm-up
+        start = time.perf_counter()
+        for _ in range(iterations):
+            scores = run()
+        return time.perf_counter() - start, list(scores)
+
     record = {"candidates": len(candidates), "iterations": iterations}
     kernels = {
-        "codar": lambda be: be.codar_swap_scores(
+        "codar": lambda: SCORER.codar_swap_scores(
             coupling, layout, candidates, targets,
             use_fine=True, lookahead_gates=lookahead),
-        "sabre": lambda be: be.sabre_scores(
+        "sabre": lambda: SCORER.sabre_scores(
             coupling, layout, candidates, front, extended, decay),
     }
     floors = {"codar": 3.0, "sabre": 5.0}
     for kernel, run in kernels.items():
         timings: dict[str, float] = {}
         results: dict[str, list] = {}
-        for backend in LEGS:
-            impl = get_backend(backend)
-            run(impl)  # warm-up (builds the numpy geometry cache)
-            start = time.perf_counter()
-            for _ in range(iterations):
-                scores = run(impl)
-            timings[backend] = time.perf_counter() - start
-            results[backend] = list(scores)
-        record[kernel] = {}
-        for backend in LEGS[1:]:
-            assert results[backend] == results["reference"], (
-                f"{kernel} kernels disagree between {backend} and the "
-                "reference")
-            speedup = timings["reference"] / timings[backend]
-            print(f"\n{kernel} kernel: reference "
-                  f"{1000 * timings['reference'] / iterations:.3f} ms/call vs "
-                  f"{backend} {1000 * timings[backend] / iterations:.3f} "
-                  f"ms/call ({speedup:.1f}x)")
-            assert speedup >= floors[kernel], (
-                f"{kernel} {backend} kernel only {speedup:.1f}x over the "
-                f"reference (floor {floors[kernel]}x)")
-            record[kernel][f"{backend}_speedup"] = round(speedup, 2)
-        for backend in LEGS:
-            record[kernel][f"{backend}_ms_per_call"] = round(
-                1000 * timings[backend] / iterations, 4)
+        with reference_scoring():
+            timings["reference"], results["reference"] = timed(run)
+        timings["delta"], results["delta"] = timed(run)
+        assert results["delta"] == results["reference"], (
+            f"{kernel} scores disagree between the delta scorer and the "
+            "reference")
+        speedup = timings["reference"] / timings["delta"]
+        print(f"\n{kernel} kernel: reference "
+              f"{1000 * timings['reference'] / iterations:.3f} ms/call vs "
+              f"delta {1000 * timings['delta'] / iterations:.3f} "
+              f"ms/call ({speedup:.1f}x)")
+        assert speedup >= floors[kernel], (
+            f"{kernel} delta kernel only {speedup:.1f}x over the "
+            f"reference (floor {floors[kernel]}x)")
+        record[kernel] = {"delta_speedup": round(speedup, 2),
+                          **{f"{leg}_ms_per_call": round(
+                              1000 * timings[leg] / iterations, 4)
+                             for leg in LEGS}}
     record_perf("pipeline/kernel_microbench", record, path=BENCH_PATH)
 
 

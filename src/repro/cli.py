@@ -50,9 +50,6 @@ Usage (``python -m repro.cli <command> ...``):
   List the registered device models and their coupling statistics.
 * ``routers``
   List the registered routers from the service registry.
-* ``backends``
-  List the registered router scoring backends (``--backend`` on
-  batch/submit/pipeline-run selects one per job).
 * ``speedup [--full] [--arch NAME ...]``
   Run the Fig. 8 speedup sweep and print the per-architecture averages.
 * ``fidelity``
@@ -159,8 +156,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 for router in router_specs:
                     jobs.append(make_job(circuit, spec, router,
                                          layout_strategy=args.layout,
-                                         seed=args.seed,
-                                         backend=args.backend))
+                                         seed=args.seed))
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -340,7 +336,7 @@ def _cmd_pipeline_run(args: argparse.Namespace) -> int:
         pipeline = Pipeline.from_spec(spec)
         circuit = parse_qasm_file(args.file)
         job = CompileJob.from_circuit(circuit, args.device, seed=args.seed,
-                                      pipeline=spec, backend=args.backend)
+                                      pipeline=spec)
     except (KeyError, ValueError, OSError, QasmError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -411,15 +407,6 @@ def _cmd_devices(_args: argparse.Namespace) -> int:
 def _cmd_routers(_args: argparse.Namespace) -> int:
     for name in ROUTERS.names():
         print(f"{name:<20s} {ROUTERS.describe(name)}")
-    return 0
-
-
-def _cmd_backends(_args: argparse.Namespace) -> int:
-    from repro.compiler.backends import DEFAULT_BACKEND, list_backends
-
-    for name, description in sorted(list_backends().items()):
-        marker = " (default)" if name == DEFAULT_BACKEND else ""
-        print(f"{name:<20s} {description}{marker}")
     return 0
 
 
@@ -615,8 +602,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     try:
         for circuit in circuits:
             job = make_job(circuit, args.device, args.router,
-                           layout_strategy=args.layout, seed=args.seed,
-                           backend=args.backend)
+                           layout_strategy=args.layout, seed=args.seed)
             if getattr(args, "async"):
                 reply = client.submit(job, priority=args.priority)
                 print(f"{job.circuit_name:<22s} {reply['status']:<8s} "
@@ -993,8 +979,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--layout", default="reverse_traversal",
                        help="initial-layout strategy "
                             "(degree/identity/random/reverse_traversal)")
-    batch.add_argument("--backend",
-                       help="router scoring backend (see `repro backends`)")
     batch.add_argument("--seed", type=int, help="seed for seeded layouts")
     batch.add_argument("--workers", type=int,
                        help="process-pool size (default: serial)")
@@ -1068,10 +1052,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="target device (accepts parametric names)")
     pipeline_run.add_argument("--seed", type=int,
                               help="seed for seed-sensitive stages")
-    pipeline_run.add_argument("--backend",
-                              help="router scoring backend for route stages "
-                                   "that do not pin their own "
-                                   "(see `repro backends`)")
     pipeline_run.add_argument("--cache-dir",
                               help="on-disk result cache directory")
     pipeline_run.add_argument("--json",
@@ -1093,10 +1073,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     routers = sub.add_parser("routers", help="list registered routers")
     routers.set_defaults(func=_cmd_routers)
-
-    backends = sub.add_parser("backends",
-                              help="list registered router scoring backends")
-    backends.set_defaults(func=_cmd_backends)
 
     serve = sub.add_parser("serve", help="run the online compilation server")
     serve.add_argument("--host", default="127.0.0.1")
@@ -1199,8 +1175,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--router", default="codar",
                         help=f"router spec; known: {ROUTERS.names()}")
     submit.add_argument("--layout", default="reverse_traversal")
-    submit.add_argument("--backend",
-                        help="router scoring backend (see `repro backends`)")
     submit.add_argument("--seed", type=int, help="seed for seeded layouts")
     submit.add_argument("--priority", type=int, default=0,
                         help="queue priority (lower runs first)")

@@ -62,7 +62,7 @@ from repro.obs.trace import (TRACE_HEADER, TraceContext, activate,
 from repro.server.http import MAX_WAIT_S
 from repro.server.metrics import iter_samples
 from repro.server.tenancy import TENANT_HEADER, normalize_tenant
-from repro.server.transport import JSONHandler, KeepAliveServer
+from repro.server.transport import JSONHandler, KeepAliveApp
 from repro.service.jobs import CompileJob, PortfolioJob
 
 #: Socket headroom added on top of a proxied blocking wait.
@@ -304,7 +304,7 @@ class _GatewayHandler(JSONHandler):
                    {"X-Repro-Shard": shard.name})
 
 
-class ClusterGateway:
+class ClusterGateway(KeepAliveApp):
     """HTTP gateway fronting N :class:`CompileServer` shards.
 
     Parameters
@@ -326,6 +326,8 @@ class ClusterGateway:
         overrides).  The monitor's metrics source is the merged shard
         scrape, so its windows/SLOs/alerts describe the whole fleet.
     """
+
+    role = "gateway"
 
     def __init__(self, shards, host: str = "127.0.0.1", port: int = 0, *,
                  mode: str = "rendezvous", replicas: int = 64,
@@ -354,25 +356,12 @@ class ClusterGateway:
         # across restarts too.
         self._raw_counters: dict[str, dict[str, float]] = {}  #: guarded by self._samples_lock
         self._counter_offsets: dict[str, dict[str, float]] = {}  #: guarded by self._samples_lock
-        self._httpd = KeepAliveServer((host, port), _GatewayHandler, self)
-        self._http_thread: threading.Thread | None = None
-        self._started_at: float | None = None
+        super().__init__(host, port, _GatewayHandler)
         self.monitor = Monitor(self._fleet_sample, monitor, name="gateway")
 
     # ------------------------------------------------------------------ #
-    @property
-    def address(self) -> tuple[str, int]:
-        host, port = self._httpd.server_address[:2]
-        return str(host), int(port)
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
-
     def health(self) -> dict:
-        uptime = (time.monotonic() - self._started_at
-                  if self._started_at is not None else 0.0)
+        uptime = self._uptime()
         shards = self.health_monitor.snapshot()
         return {
             "status": "ok",
@@ -727,51 +716,14 @@ class ClusterGateway:
         return "\n".join(lines) + "\n"
 
     # ------------------------------------------------------------------ #
-    def start(self) -> "ClusterGateway":
-        if self._http_thread is not None:
-            raise RuntimeError("gateway is already running")
+    def _start_background(self) -> None:
         self.health_monitor.start()
-        self._http_thread = threading.Thread(
-            target=self._httpd.serve_forever, kwargs={"poll_interval": 0.05},
-            daemon=True, name="repro-cluster-gateway")
-        self._http_thread.start()
-        self._started_at = time.monotonic()
-        self.monitor.start()
-        return self
 
-    def stop(self, timeout: float = 10.0) -> None:
-        """Stop serving; close idle client and shard connections.
-
-        Requests in flight still get their reply, sent with
-        ``Connection: close``.
-        """
-        self.monitor.stop()
+    def _stop_background(self, timeout: float) -> None:
+        """Stop probing; close the idle shard connections."""
         self.health_monitor.stop()
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._http_thread is not None:
-            self._http_thread.join(timeout)
-            self._http_thread = None
         for member in self.ring.members:
             member.pool.close()
-
-    def serve_forever(self) -> None:
-        """Foreground mode for the CLI: block until interrupted."""
-        if self._http_thread is None:
-            self.start()
-        try:
-            while True:
-                time.sleep(0.5)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self.stop()
-
-    def __enter__(self) -> "ClusterGateway":
-        return self.start()
-
-    def __exit__(self, *_exc) -> None:
-        self.stop()
 
 
 def _merged_percentile(merged: dict[str, float], histogram: str,

@@ -16,18 +16,14 @@ context-aware flow:
 * :mod:`repro.compiler.pipeline` — the :class:`Pipeline` runner, the preset
   registry and the content-addressed pipeline key that the service cache and
   the portfolio layer build on,
-* :mod:`repro.compiler.backends` — the pluggable router-backend registry
-  (scalar ``"python"`` reference kernels and the vectorized ``"numpy"``
-  fast path, selectable per job/candidate/stage),
+* :mod:`repro.compiler.backends` — the routers' swap scorer, which scores
+  each candidate SWAP by delta on the gates it moves,
 * :mod:`repro.compiler.parse_cache` — the process-wide content-addressed
   parsed-circuit cache in front of the parse stage.
 """
 
 from repro.compiler.analysis import (DeviceAnalysis, analyze, cache_stats,
                                      clear_cache, device_fingerprint)
-from repro.compiler.backends import (DEFAULT_BACKEND, backend_names,
-                                     get_backend, has_backend, list_backends,
-                                     register_backend)
 from repro.compiler.context import PipelineContext, StageRecord
 from repro.compiler.parse_cache import cache_stats as parse_cache_stats
 from repro.compiler.parse_cache import clear_cache as clear_parse_cache
@@ -47,12 +43,6 @@ __all__ = [
     "cache_stats",
     "clear_cache",
     "device_fingerprint",
-    "DEFAULT_BACKEND",
-    "backend_names",
-    "get_backend",
-    "has_backend",
-    "list_backends",
-    "register_backend",
     "parse_cached",
     "parse_cache_stats",
     "clear_parse_cache",

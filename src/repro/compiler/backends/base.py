@@ -1,28 +1,35 @@
-"""The router-backend interface: swappable scoring kernels for the hot loops.
+"""Swap scoring for the CODAR and SABRE routers, by delta.
 
-A :class:`RouterBackend` implements the numeric inner loops every router burns
-its time in — CODAR's candidate-SWAP priority, SABRE's front/extended-set
-cost, A*'s pair-distance bound and the shortest-path query — behind one
-uniform interface, so a router asks *what* to score and the backend decides
-*how*.  The ``python`` backend scores each candidate only on the gates the
-SWAP moves; the ``numpy`` backend replaces per-gate distance lookups with
-array gathers over the matrices
-:class:`~repro.compiler.analysis.DeviceAnalysis` already holds.  A future
-native/GPU backend drops into the same seam without touching any router.
+A SWAP on physical qubits ``(x, y)`` moves only the operands sitting on
+``x`` or ``y``, so it changes CODAR's Equations 1–2 and SABRE's distance sums
+only for the gates with an operand there.  Each scorer therefore lists, once
+per call, every physical qubit's gates as ``(partner qubit, current
+distance)`` pairs, reading distances from
+:meth:`~repro.arch.coupling.CouplingGraph.distance_table` without copying the
+layout.  The SWAP moves the operand on ``x`` to ``y``, so a gate in ``x``'s
+list changes its distance by ``dist[y][partner] - d``, and one in ``y``'s
+list by ``dist[x][partner] - d``; a gate on both qubits keeps its distance.
 
-The *selection* logic (which candidate wins, how ties break) lives here in
-the base class so every backend shares literally the same comparison code:
-backends may only accelerate the scoring, never change the answer.  The
-reference answer is the full-recompute scoring of
+The answers are bit-identical to the full-recompute reference functions
 :func:`~repro.mapping.codar.priority.swap_priority` and
-:func:`~repro.mapping.sabre.heuristic.sabre_score`;
-``tests/test_incremental_routing.py`` holds the ``python`` backend to it and
-``tests/test_backends.py`` holds ``numpy`` to ``python``.
+:func:`~repro.mapping.sabre.heuristic.sabre_score`, which stay as the oracle
+``tests/test_incremental_routing.py`` holds this module to:
+
+* integer terms (``H_basic``, ``H_fine``, SABRE's distance totals) are exact
+  in any order;
+* look-ahead terms are float products with ``lookahead_decay ** k`` built by
+  iterated multiplication, so the touched gates are summed in index order,
+  as the reference loop adds them (a gate on both qubits adds zero and is
+  skipped);
+* SABRE's cost applies the reference's float operations, in its order, to
+  the exactly adjusted integer totals.
+
+The module path and the class name are kept because perfbench's hooks count
+calls to ``RouterBackend.codar_best_swap`` and ``sabre_best_swap`` by them.
 """
 
 from __future__ import annotations
 
-import abc
 from typing import Sequence
 
 from repro.arch.coupling import CouplingGraph
@@ -30,19 +37,52 @@ from repro.core.gates import Gate
 from repro.mapping.codar.priority import SwapPriority
 from repro.mapping.layout import Layout
 
-Edge = "tuple[int, int]"
+
+def _partners(physical_of: list[int], gates: Sequence[Gate],
+              dist: list[list[int]]
+              ) -> tuple[dict[int, list[tuple[int, int]]], int]:
+    """Physical qubit -> ``(partner, distance)`` of each two-qubit gate on
+    it, and the gates' total distance."""
+    on_qubit: dict[int, list[tuple[int, int]]] = {}
+    total = 0
+    for gate in gates:
+        pa, pb = physical_of[gate.qubits[0]], physical_of[gate.qubits[1]]
+        d = dist[pa][pb]
+        on_qubit.setdefault(pa, []).append((pb, d))
+        on_qubit.setdefault(pb, []).append((pa, d))
+        total += d
+    return on_qubit, total
 
 
-class RouterBackend(abc.ABC):
-    """Scoring kernels shared by the CODAR / SABRE / A* routers."""
+def _distance_change(on_qubit: dict[int, list[tuple[int, int]]],
+                     dist: list[list[int]], x: int, y: int) -> int:
+    """Total distance after the SWAP of ``(x, y)`` minus before."""
+    change = 0
+    row = dist[y]
+    for partner, d in on_qubit.get(x, ()):
+        if partner != y:
+            change += row[partner] - d
+    row = dist[x]
+    for partner, d in on_qubit.get(y, ()):
+        if partner != x:
+            change += row[partner] - d
+    return change
 
-    #: Registered backend name (shown in job summaries and /metrics).
-    name: str = "backend"
+
+def _imbalance(coordinates: dict[int, tuple[int, int]], a: int, b: int) -> int:
+    """``-|VD - HD|`` of two qubits (0 when either has no coordinate)."""
+    ca, cb = coordinates.get(a), coordinates.get(b)
+    if ca is None or cb is None:
+        return 0
+    return -abs(abs(ca[0] - cb[0]) - abs(ca[1] - cb[1]))
+
+
+class RouterBackend:
+    """Scores each candidate SWAP on the gates it moves; picks the best."""
 
     # ------------------------------------------------------------------ #
     # CODAR (Section IV-D priority)
     # ------------------------------------------------------------------ #
-    @abc.abstractmethod
     def codar_swap_scores(self, coupling: CouplingGraph, layout: Layout,
                           candidates: Sequence[tuple[int, int]],
                           target_gates: Sequence[Gate], *,
@@ -51,6 +91,56 @@ class RouterBackend(abc.ABC):
                           lookahead_decay: float = 0.5
                           ) -> list[SwapPriority]:
         """One :class:`SwapPriority` per candidate edge, in candidate order."""
+        dist = coupling.distance_table()
+        physical_of = layout.physical_list()
+        targets_on, _ = _partners(physical_of, target_gates, dist)
+        # Look-ahead gates carry their index: their weighted terms are
+        # summed in index order.
+        ahead_on: dict[int, list[tuple[int, int, int]]] = {}
+        weights = []
+        weight = 1.0
+        for index, gate in enumerate(lookahead_gates):
+            pa, pb = physical_of[gate.qubits[0]], physical_of[gate.qubits[1]]
+            d = dist[pa][pb]
+            ahead_on.setdefault(pa, []).append((index, pb, d))
+            ahead_on.setdefault(pb, []).append((index, pa, d))
+            weights.append(weight)
+            weight *= lookahead_decay
+        coordinates = (coupling.coordinates
+                       if use_fine and coupling.has_coordinates else None)
+        scores = []
+        for x, y in candidates:
+            row_x, row_y = dist[x], dist[y]
+            basic = 0
+            fine = 0.0
+            for partner, d in targets_on.get(x, ()):
+                if partner == y:
+                    # On both qubits: the SWAP flips the gate in place.
+                    if coordinates is not None:
+                        fine += _imbalance(coordinates, x, y)
+                    continue
+                basic += d - row_y[partner]
+                if coordinates is not None:
+                    fine += _imbalance(coordinates, y, partner)
+            for partner, d in targets_on.get(y, ()):
+                if partner == x:
+                    continue
+                basic += d - row_x[partner]
+                if coordinates is not None:
+                    fine += _imbalance(coordinates, x, partner)
+            lookahead = 0.0
+            if ahead_on:
+                terms = [(index, d - row_y[partner])
+                         for index, partner, d in ahead_on.get(x, ())
+                         if partner != y]
+                terms += [(index, d - row_x[partner])
+                          for index, partner, d in ahead_on.get(y, ())
+                          if partner != x]
+                terms.sort()
+                for index, change in terms:
+                    lookahead += weights[index] * change
+            scores.append(SwapPriority(basic, fine, lookahead))
+        return scores
 
     def codar_best_swap(self, coupling: CouplingGraph, layout: Layout,
                         candidates: Sequence[tuple[int, int]],
@@ -77,7 +167,6 @@ class RouterBackend(abc.ABC):
     # ------------------------------------------------------------------ #
     # SABRE (Equation 13/14 cost)
     # ------------------------------------------------------------------ #
-    @abc.abstractmethod
     def sabre_scores(self, coupling: CouplingGraph, layout: Layout,
                      candidates: Sequence[tuple[int, int]],
                      front_gates: Sequence[Gate],
@@ -85,6 +174,25 @@ class RouterBackend(abc.ABC):
                      decay: Sequence[float],
                      extended_weight: float = 0.5) -> list[float]:
         """One cost per candidate edge (lower is better), in candidate order."""
+        dist = coupling.distance_table()
+        physical_of = layout.physical_list()
+        front_on, front_total = _partners(physical_of, front_gates, dist)
+        extended_on, extended_total = _partners(physical_of, extended_gates,
+                                                dist)
+        costs = []
+        for x, y in candidates:
+            front_term = 0.0
+            if front_gates:
+                front_term = float(front_total + _distance_change(
+                    front_on, dist, x, y)) / len(front_gates)
+            extended_term = 0.0
+            if extended_gates:
+                extended_term = (extended_weight * float(
+                    extended_total + _distance_change(
+                        extended_on, dist, x, y)) / len(extended_gates))
+            costs.append(max(decay[x], decay[y])
+                         * (front_term + extended_term))
+        return costs
 
     def sabre_best_swap(self, coupling: CouplingGraph, layout: Layout,
                         candidates: Sequence[tuple[int, int]],
@@ -106,18 +214,6 @@ class RouterBackend(abc.ABC):
             return None
         return best_edge, best_cost
 
-    # ------------------------------------------------------------------ #
-    # A* (pair-distance bound) and path queries
-    # ------------------------------------------------------------------ #
-    @abc.abstractmethod
-    def pairs_distance(self, coupling: CouplingGraph, layout: Layout,
-                       pairs: Sequence[tuple[int, int]]) -> int:
-        """``Σ (D(π(a), π(b)) − 1)`` over logical ``pairs`` under ``layout``."""
 
-    @abc.abstractmethod
-    def shortest_path(self, coupling: CouplingGraph, a: int, b: int
-                      ) -> list[int]:
-        """One shortest physical path from ``a`` to ``b`` (inclusive)."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(name={self.name!r})"
+#: The one scorer every router uses.
+SCORER = RouterBackend()

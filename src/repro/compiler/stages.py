@@ -201,16 +201,11 @@ class RouteStage(Pass):
     its registered name).  This stage carries the body of the old monolithic
     ``Router.run``: capacity/connectivity checks, the default layout
     fallback, timing, ASAP scheduling and result packaging.
-
-    ``backend`` selects the scoring backend (see
-    :mod:`repro.compiler.backends`) the router's inner loops run on.  It
-    joins ``params()`` — and therefore every pipeline/job key — **only when
-    set**, so pre-backend specs keep their historical keys byte-for-byte.
     """
 
     name = "route"
 
-    def __init__(self, router="codar", backend: "str | None" = None):
+    def __init__(self, router="codar"):
         from repro.mapping.base import Router
         from repro.service.registry import router_spec
 
@@ -225,19 +220,9 @@ class RouteStage(Pass):
         else:
             self._router = None
             self.router = router_spec(router)
-        if backend is not None:
-            from repro.compiler.backends import backend_names, has_backend
-
-            if not has_backend(backend):
-                raise ValueError(f"unknown backend {backend!r}; "
-                                 f"known: {backend_names()}")
-        self.backend = backend
 
     def params(self) -> dict:
-        params = {"router": self.router}
-        if self.backend is not None:
-            params["backend"] = self.backend
-        return params
+        return {"router": self.router}
 
     def _live_router(self):
         if self._router is None:
@@ -253,9 +238,6 @@ class RouteStage(Pass):
         circuit = context.require_circuit(self.name)
         device = context.device
         router = self._live_router()
-        if self.backend is not None:
-            router.backend = self.backend
-        effective_backend = getattr(router, "backend", None) or "python"
         if context.analysis is None:
             context.analysis = analyze(device)
         check_routable(circuit, device, context.analysis.connected)
@@ -273,7 +255,6 @@ class RouteStage(Pass):
         schedule = asap_schedule(routed, device.durations)
         if context.seed is not None:
             extra.setdefault("seed", context.seed)
-        extra.setdefault("backend", effective_backend)
         context.routing = RoutingResult(
             router_name=router.name,
             original=circuit,
@@ -291,8 +272,8 @@ class RouteStage(Pass):
         )
         context.circuit = routed
         context.schedule = schedule
-        return {"router": router.name, "backend": effective_backend,
-                "swaps": swap_count, "depth": context.routing.depth,
+        return {"router": router.name, "swaps": swap_count,
+                "depth": context.routing.depth,
                 "weighted_depth": schedule.makespan, "gates_out": len(routed)}
 
 

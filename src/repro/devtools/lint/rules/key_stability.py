@@ -3,9 +3,9 @@ set.
 
 ``CompileJob.key`` and ``Candidate.key`` are sha256 hashes over a canonical
 payload; every job and candidate ever cached or tuned is addressed by one.
-When a new optional field (``pipeline`` in PR 4, ``backend`` in PR 9) was
-added, the payload had to include it *only when set* — otherwise every
-existing cache entry and tuning bucket would be orphaned by a key change.
+When a new optional field (such as ``pipeline``) is added, the payload must
+include it *only when set* — otherwise every existing cache entry and
+tuning bucket would be orphaned by a key change.
 That pattern is the invariant this rule enforces.
 
 For every frozen-or-not ``@dataclass`` that defines a ``key``

@@ -25,8 +25,8 @@ from repro.devtools.lint.core import (FileContext, Finding, LintRule,
                                       register)
 
 #: Fallback when the real registry cannot be imported (e.g. the linter is
-#: vendored elsewhere); kept in sync by the integration test.
-_FALLBACK_LABELS = ("backend", "le", "router", "shard", "stage", "tenant")
+#: vendored elsewhere); ``tests/test_lint.py`` keeps it equal to the registry.
+_FALLBACK_LABELS = ("le", "router", "shard", "stage", "tenant")
 
 try:  # pragma: no cover - exercised implicitly by the integration test
     from repro.server.metrics import KNOWN_LABELS

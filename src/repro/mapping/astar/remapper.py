@@ -53,7 +53,6 @@ class AStarRouter(Router):
     def _route(self, circuit: Circuit, device: Device,
                layout: Layout) -> tuple[Circuit, Layout, int, dict]:
         coupling = device.coupling
-        kernels = self.kernels()
         layers = two_qubit_layers(circuit)
         routed = Circuit(device.num_qubits, circuit.num_clbits,
                          name=f"{circuit.name}@{device.name}")
@@ -72,7 +71,6 @@ class AStarRouter(Router):
                 lookahead_pairs=lookahead,
                 lookahead_weight=self.config.lookahead_weight,
                 max_expansions=self.config.max_expansions,
-                backend=kernels,
             )
             expanded_total += result.expanded
             layout = result.layout
@@ -87,7 +85,7 @@ class AStarRouter(Router):
                 # adjacency of a pair emitted later in the same layer.
                 unsolved_layers += 1
                 swap_count += self._emit_layer_incrementally(
-                    layer, layout, routed, coupling, backend=kernels)
+                    layer, layout, routed, coupling)
 
         extra = {"layers": len(layers), "expanded_states": expanded_total,
                  "budget_exhausted_layers": unsolved_layers}
@@ -117,8 +115,7 @@ class AStarRouter(Router):
 
     @staticmethod
     def _emit_layer_incrementally(layer: CircuitLayer, layout: Layout,
-                                  routed: Circuit, coupling,
-                                  backend=None) -> int:
+                                  routed: Circuit, coupling) -> int:
         """Fallback emission: route each two-qubit gate just before emitting it.
 
         Returns the number of SWAPs inserted.  Mutates ``layout`` in place.
@@ -130,8 +127,7 @@ class AStarRouter(Router):
                 continue
             if gate.num_qubits == 2 and not gate.is_barrier:
                 swaps = greedy_complete(coupling, layout,
-                                        [(gate.qubits[0], gate.qubits[1])],
-                                        backend=backend)
+                                        [(gate.qubits[0], gate.qubits[1])])
                 for edge in swaps:
                     routed.append(Gate("swap", edge, tag="routing"))
                 inserted += len(swaps)

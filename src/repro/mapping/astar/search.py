@@ -48,15 +48,8 @@ class SearchResult:
 
 
 def _pairs_distance(coupling: CouplingGraph, layout: Layout,
-                    pairs: Sequence[tuple[int, int]],
-                    backend=None) -> int:
-    """Total excess distance of the layer's pairs under ``layout``.
-
-    ``backend`` (a :class:`~repro.compiler.backends.base.RouterBackend`)
-    vectorizes the sum; ``None`` keeps the scalar loop.
-    """
-    if backend is not None:
-        return backend.pairs_distance(coupling, layout, pairs)
+                    pairs: Sequence[tuple[int, int]]) -> int:
+    """Total excess distance of the layer's pairs under ``layout``."""
     total = 0
     for a, b in pairs:
         total += coupling.distance(layout.physical(a), layout.physical(b)) - 1
@@ -83,8 +76,7 @@ def astar_mapping_search(coupling: CouplingGraph, layout: Layout,
                          pairs: Sequence[tuple[int, int]],
                          lookahead_pairs: Sequence[tuple[int, int]] = (),
                          lookahead_weight: float = 0.5,
-                         max_expansions: int = 2000,
-                         backend=None) -> SearchResult:
+                         max_expansions: int = 2000) -> SearchResult:
     """Find a SWAP sequence making every pair in ``pairs`` adjacent.
 
     Parameters
@@ -99,21 +91,16 @@ def astar_mapping_search(coupling: CouplingGraph, layout: Layout,
     max_expansions:
         Node budget.  ``0`` disables the search entirely (the caller falls
         back to greedy routing).
-    backend:
-        Optional :class:`~repro.compiler.backends.base.RouterBackend` whose
-        ``pairs_distance`` kernel evaluates the heuristic (``None`` keeps the
-        scalar loop; both produce identical integers).
     """
     start = layout.copy()
-    if not pairs or _pairs_distance(coupling, start, pairs, backend) == 0:
+    if not pairs or _pairs_distance(coupling, start, pairs) == 0:
         return SearchResult(swaps=[], layout=start, solved=True, expanded=0)
 
     def heuristic(state: Layout) -> float:
-        value = float(_pairs_distance(coupling, state, pairs, backend))
+        value = float(_pairs_distance(coupling, state, pairs))
         if lookahead_pairs:
             value += lookahead_weight * _pairs_distance(coupling, state,
-                                                        lookahead_pairs,
-                                                        backend)
+                                                        lookahead_pairs)
         return value
 
     counter = itertools.count()
@@ -129,7 +116,7 @@ def astar_mapping_search(coupling: CouplingGraph, layout: Layout,
 
     while heap and expanded < max_expansions:
         f, g, _, swaps, state = heapq.heappop(heap)
-        if _pairs_distance(coupling, state, pairs, backend) == 0:
+        if _pairs_distance(coupling, state, pairs) == 0:
             return SearchResult(swaps=swaps, layout=state, solved=True,
                                 expanded=expanded)
         expanded += 1
@@ -150,32 +137,26 @@ def astar_mapping_search(coupling: CouplingGraph, layout: Layout,
     # Budget exhausted (or heap drained without a goal, which only happens on
     # a disconnected coupling graph): hand back the best partial state.
     _, g, swaps, state = best_partial
-    solved = _pairs_distance(coupling, state, pairs, backend) == 0
+    solved = _pairs_distance(coupling, state, pairs) == 0
     return SearchResult(swaps=swaps, layout=state, solved=solved,
                         expanded=expanded)
 
 
 def greedy_complete(coupling: CouplingGraph, layout: Layout,
-                    pairs: Sequence[tuple[int, int]],
-                    backend=None) -> list[tuple[int, int]]:
+                    pairs: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     """Route any still-distant pairs with shortest-path SWAP chains.
 
     Used after a budget-exhausted search: walks each unsolved pair's shortest
     path, swapping the first operand towards the second until they are
     adjacent.  Mutates ``layout`` in place and returns the SWAPs applied.
     """
-    if backend is not None:
-        def path_of(pa: int, pb: int) -> list[int]:
-            return backend.shortest_path(coupling, pa, pb)
-    else:
-        path_of = coupling.shortest_path
     applied: list[tuple[int, int]] = []
     for a, b in pairs:
         while True:
             pa, pb = layout.physical(a), layout.physical(b)
             if coupling.are_adjacent(pa, pb):
                 break
-            path = path_of(pa, pb)
+            path = coupling.shortest_path(pa, pb)
             step = (path[0], path[1])
             layout.swap_physical(*step)
             applied.append((min(step), max(step)))

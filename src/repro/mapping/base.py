@@ -199,21 +199,16 @@ class Router(abc.ABC):
     #: Human-readable algorithm name used in reports.
     name: str = "router"
 
-    #: Scoring-backend name (see :mod:`repro.compiler.backends`); ``None``
-    #: resolves to the registry default (``"python"``).  Set per instance by
-    #: the route stage / executor when a job selects a backend.
-    backend: "str | None" = None
-
     def kernels(self):
-        """The resolved :class:`~repro.compiler.backends.base.RouterBackend`.
+        """The swap scorer (:data:`repro.compiler.backends.base.SCORER`).
 
         Imported lazily: the mapping package must not import
         ``repro.compiler`` at module level (the service registry imports the
         routers while ``repro.compiler`` is still initialising).
         """
-        from repro.compiler.backends import get_backend
+        from repro.compiler.backends.base import SCORER
 
-        return get_backend(self.backend)
+        return SCORER
 
     @abc.abstractmethod
     def _route(self, circuit: Circuit, device: Device,

@@ -49,10 +49,6 @@ class Layout:
         self._l_of_p = [0] * n
         for logical, physical in enumerate(self._p_of_l):
             self._l_of_p[physical] = logical
-        # Lazy numpy twin of (_p_of_l, _l_of_p); built on first as_arrays()
-        # and kept in sync by swap_physical so vectorized backends can gather
-        # over it without rebuilding per call.
-        self._arrays: "tuple | None" = None
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -99,30 +95,11 @@ class Layout:
     def copy(self) -> "Layout":
         return Layout(self._p_of_l)
 
-    def as_arrays(self) -> "tuple":
-        """``(physical_of_logical, logical_of_physical)`` as int64 numpy
-        vectors, cached on the layout and mutated in place by
-        :meth:`swap_physical` so they always mirror the list state.
-
-        Treat the returned arrays as read-only: they are the layout's own
-        working state, shared with every other caller.
-        """
-        if self._arrays is None:
-            import numpy as np
-
-            self._arrays = (np.array(self._p_of_l, dtype=np.int64),
-                            np.array(self._l_of_p, dtype=np.int64))
-        return self._arrays
-
     def swap_physical(self, phys_a: int, phys_b: int) -> None:
         """Apply a SWAP on two physical qubits (exchanging their logical content)."""
         log_a, log_b = self._l_of_p[phys_a], self._l_of_p[phys_b]
         self._l_of_p[phys_a], self._l_of_p[phys_b] = log_b, log_a
         self._p_of_l[log_a], self._p_of_l[log_b] = phys_b, phys_a
-        if self._arrays is not None:
-            p_of_l, l_of_p = self._arrays
-            p_of_l[log_a], p_of_l[log_b] = phys_b, phys_a
-            l_of_p[phys_a], l_of_p[phys_b] = log_b, log_a
 
     def swapped_physical(self, phys_a: int, phys_b: int) -> "Layout":
         """A copy with the SWAP applied (used when scoring candidate SWAPs)."""

@@ -54,10 +54,6 @@ class Candidate:
         staged pipeline instead of the bare router — ``router`` and
         ``layout_strategy`` are then ignored by execution and the pipeline's
         canonical stage list joins the candidate key.
-    backend:
-        Optional router scoring backend (see :mod:`repro.compiler.backends`).
-        Joins the candidate key **only when set**, so existing candidates keep
-        their historical keys and tuning statistics.
     """
 
     router: Mapping | str = "codar"
@@ -65,7 +61,6 @@ class Candidate:
     seed: int | None = None  #: key: always
     label: str = ""
     pipeline: "list | str | dict | None" = None
-    backend: "str | None" = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "router", ROUTERS.normalize(self.router))
@@ -73,12 +68,6 @@ class Candidate:
             raise ValueError(
                 f"unknown layout strategy {self.layout_strategy!r}; "
                 f"known: {LAYOUT_STRATEGIES}")
-        if self.backend is not None:
-            from repro.compiler.backends import backend_names, has_backend
-
-            if not has_backend(self.backend):
-                raise ValueError(f"unknown backend {self.backend!r}; "
-                                 f"known: {backend_names()}")
         if self.pipeline is not None:
             from repro.compiler.pipeline import Pipeline
 
@@ -125,8 +114,6 @@ class Candidate:
                 "layout_strategy": self.layout_strategy,
                 "seed": self.seed,
             }
-        if self.backend is not None:
-            payload["backend"] = self.backend
         return hashlib.sha256(json.dumps(payload, sort_keys=True)
                               .encode("utf-8")).hexdigest()
 
@@ -136,8 +123,6 @@ class Candidate:
                 "seed": self.seed, "label": self.label}
         if self.pipeline is not None:
             data["pipeline"] = self.pipeline
-        if self.backend is not None:
-            data["backend"] = self.backend
         return data
 
     @classmethod
@@ -145,8 +130,7 @@ class Candidate:
         return cls(router=data.get("router", "codar"),
                    layout_strategy=data.get("layout_strategy", "degree"),
                    seed=data.get("seed"), label=data.get("label", ""),
-                   pipeline=data.get("pipeline"),
-                   backend=data.get("backend"))
+                   pipeline=data.get("pipeline"))
 
     # ------------------------------------------------------------------ #
     def job_for(self, qasm: str, device: Mapping | str, *,
@@ -160,8 +144,7 @@ class Candidate:
         seed = self.seed if self.seed is not None else default_seed
         return CompileJob(qasm=qasm, device=device, router=self.router,
                           layout_strategy=self.layout_strategy, seed=seed,
-                          circuit_name=circuit_name, pipeline=self.pipeline,
-                          backend=self.backend)
+                          circuit_name=circuit_name, pipeline=self.pipeline)
 
     def with_seed(self, seed: int | None) -> "Candidate":
         """A copy pinned to ``seed`` (keeps an explicit seed if already set)."""
@@ -172,8 +155,7 @@ class Candidate:
                        or self.label.startswith("pipeline:")) else self.label
         return Candidate(router=self.router,
                          layout_strategy=self.layout_strategy, seed=seed,
-                         label=label, pipeline=self.pipeline,
-                         backend=self.backend)
+                         label=label, pipeline=self.pipeline)
 
 
 # --------------------------------------------------------------------------- #

@@ -55,7 +55,6 @@ already in flight still gets its reply, sent with ``Connection: close``.
 
 from __future__ import annotations
 
-import threading
 import time
 
 from repro.obs.logging import get_logger
@@ -67,7 +66,7 @@ from repro.server.queue import (JobQueue, QueueClosedError, QueueFullError,
                                 TenantQuotaError)
 from repro.server.scheduler import Scheduler
 from repro.server.tenancy import TENANT_HEADER, normalize_tenant
-from repro.server.transport import JSONHandler, KeepAliveServer
+from repro.server.transport import JSONHandler, KeepAliveApp
 from repro.server.transport import MAX_BODY_BYTES  # noqa: F401 — re-exported
 from repro.service.cache import ResultCache
 from repro.service.executor import CompilationService
@@ -243,7 +242,7 @@ class _Handler(JSONHandler):
                           "queue_depth": self.app.queue.depth})
 
 
-class CompileServer:
+class CompileServer(KeepAliveApp):
     """Queue + scheduler + HTTP API bundled into one online server.
 
     Parameters
@@ -279,6 +278,8 @@ class CompileServer:
         Forwarded to :class:`~repro.server.queue.JobQueue`: deficit-round-
         robin dequeue weights and per-tenant admission quotas.
     """
+
+    role = "server"
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  workers: int = 2, cache: ResultCache | None = None,
@@ -323,24 +324,7 @@ class CompileServer:
         self.monitor = Monitor(self.metrics.history_sample, monitor,
                                exemplar_source=self._slo_exemplar,
                                name="server")
-        self._httpd = KeepAliveServer((host, port), _Handler, self)
-        self._http_thread: threading.Thread | None = None
-        self._started_at: float | None = None
-
-    # ------------------------------------------------------------------ #
-    @property
-    def address(self) -> tuple[str, int]:
-        host, port = self._httpd.server_address[:2]
-        return str(host), int(port)
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def _uptime(self) -> float:
-        return (time.monotonic() - self._started_at
-                if self._started_at is not None else 0.0)
+        super().__init__(host, port, _Handler)
 
     def _slo_exemplar(self, spec) -> str | None:
         """Offending trace id for a firing latency SLO (monitor callback)."""
@@ -371,17 +355,8 @@ class CompileServer:
         }
 
     # ------------------------------------------------------------------ #
-    def start(self) -> "CompileServer":
-        if self._http_thread is not None:
-            raise RuntimeError("server is already running")
+    def _start_background(self) -> None:
         self.scheduler.start()
-        self._http_thread = threading.Thread(
-            target=self._httpd.serve_forever, kwargs={"poll_interval": 0.05},
-            daemon=True, name="repro-server-http")
-        self._http_thread.start()
-        self._started_at = time.monotonic()
-        self.monitor.start()
-        return self
 
     def stop(self, graceful: bool = True, timeout: float = 30.0) -> None:
         """Stop accepting requests, then wind the scheduler down.
@@ -390,28 +365,5 @@ class CompileServer:
         flight (a blocking wait included) still get their reply, sent with
         ``Connection: close``.
         """
-        self.monitor.stop()
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._http_thread is not None:
-            self._http_thread.join(timeout)
-            self._http_thread = None
+        super().stop(timeout)
         self.scheduler.stop(graceful=graceful, timeout=timeout)
-
-    def serve_forever(self) -> None:
-        """Foreground mode for the CLI: block until interrupted."""
-        if self._http_thread is None:
-            self.start()
-        try:
-            while True:
-                time.sleep(0.5)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self.stop()
-
-    def __enter__(self) -> "CompileServer":
-        return self.start()
-
-    def __exit__(self, *_exc) -> None:
-        self.stop()

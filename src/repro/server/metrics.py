@@ -153,7 +153,7 @@ def _histogram_sample(histogram: Histogram) -> dict:
 #: Every label name any repro component may attach to a Prometheus sample.
 #: The RL004 lint rule validates rendered exposition templates against this
 #: tuple, so adding a label is a deliberate, reviewed act rather than a typo.
-KNOWN_LABELS = ("backend", "le", "router", "shard", "stage", "tenant")
+KNOWN_LABELS = ("le", "router", "shard", "stage", "tenant")
 
 
 def _format_value(value: float) -> str:
@@ -211,8 +211,6 @@ class ServerMetrics:
         self._portfolio = {name: 0 for name in self.PORTFOLIO_COUNTERS}  #: guarded by self._lock
         #: Portfolio wins per router name (a labeled counter).
         self._wins: dict[str, int] = {}  #: guarded by self._lock
-        #: Executed jobs per router scoring backend (a labeled counter).
-        self._backend_jobs: dict[str, int] = {}  #: guarded by self._lock
         #: Per-pipeline-stage cumulative wall-clock and run counts (labeled
         #: counters fed by the compiler pipeline's stage timing records).
         self._stage_seconds: dict[str, float] = {}  #: guarded by self._lock
@@ -274,21 +272,6 @@ class ServerMetrics:
                 self._stage_seconds[name] = (self._stage_seconds.get(name, 0.0)
                                              + float(row.get("elapsed_s", 0.0)))
                 self._stage_runs[name] = self._stage_runs.get(name, 0) + 1
-
-    def observe_backend(self, backend: str) -> None:
-        """Record one executed job's router scoring backend.
-
-        ``backend`` comes from the routing summary's ``extra["backend"]``
-        (recorded by the route stage).  Cache replays should not be recorded
-        — the replay did not run any backend.
-        """
-        with self._lock:
-            self._backend_jobs[backend] = self._backend_jobs.get(backend, 0) + 1
-
-    def backend_jobs(self) -> dict[str, int]:
-        """Executed-job counts keyed by backend name (copy)."""
-        with self._lock:
-            return dict(self._backend_jobs)
 
     def stage_timings(self) -> dict[str, dict]:
         """Per-stage cumulative seconds and run counts (copy)."""
@@ -413,7 +396,6 @@ class ServerMetrics:
             data["service_seconds"] = self.service_seconds.as_dict()
             data["portfolio"] = dict(self._portfolio)
             data["portfolio"]["wins"] = dict(self._wins)
-            data["backends"] = dict(self._backend_jobs)
             data["stages"] = {name: {"runs": self._stage_runs[name],
                                      "seconds": round(
                                          self._stage_seconds[name], 6)}
@@ -470,13 +452,6 @@ class ServerMetrics:
             lines.append(f"# TYPE {metric} counter")
             for router in sorted(self._wins):
                 lines.append(f'{metric}{{router="{router}"}} {self._wins[router]}')
-            metric = f"{prefix}_backend_jobs_total"
-            lines.append(f"# HELP {metric} Executed jobs per router "
-                         "scoring backend.")
-            lines.append(f"# TYPE {metric} counter")
-            for backend in sorted(self._backend_jobs):
-                lines.append(f'{metric}{{backend="{backend}"}} '
-                             f'{self._backend_jobs[backend]}')
             metric = f"{prefix}_stage_seconds_total"
             lines.append(f"# HELP {metric} Cumulative pipeline-stage "
                          "execution seconds.")

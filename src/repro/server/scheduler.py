@@ -233,9 +233,6 @@ class Scheduler:
                           or outcome.summary.get("stages"))
                 if stages:
                     self.metrics.observe_stages(stages)
-                backend = (outcome.summary.get("extra") or {}).get("backend")
-                if backend:
-                    self.metrics.observe_backend(str(backend))
 
     def _traced_execute(self, ticket: JobTicket) -> CompileOutcome:
         """Run one ticket under its submitter's trace (if it has one).

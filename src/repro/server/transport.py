@@ -12,8 +12,9 @@ over HTTP/1.1.  This module holds both ends of that transport:
   shared by its threads; every :class:`~repro.cluster.ring.ShardMember`
   carries one, shared by the gateway's proxying, ``/metrics`` scrape, trace
   and alert fan-out and the health probes.
-* :class:`KeepAliveServer` and :class:`JSONHandler` — the
-  ``ThreadingHTTPServer`` and request-handler base under both
+* :class:`KeepAliveServer`, :class:`KeepAliveApp` and :class:`JSONHandler`
+  — the ``ThreadingHTTPServer``, the start/stop lifecycle and the
+  request-handler base under both
   :class:`~repro.server.http.CompileServer` and
   :class:`~repro.cluster.gateway.ClusterGateway`: JSON replies, the body
   limit, query parsing, per-request trace state and connection tracking.
@@ -48,6 +49,7 @@ import http.client
 import json
 import socket
 import threading
+import time
 import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import NamedTuple
@@ -213,6 +215,90 @@ class KeepAliveServer(ThreadingHTTPServer):
                 connection.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass  # the peer hung up first: nothing left to shut down
+
+
+class KeepAliveApp:
+    """Lifecycle of an app served by a :class:`KeepAliveServer` thread.
+
+    The base of :class:`~repro.server.http.CompileServer` and
+    :class:`~repro.cluster.gateway.ClusterGateway`.  A subclass binds its
+    listener by calling ``__init__`` with its handler class, holds a
+    ``monitor`` (started after the HTTP thread, stopped before the
+    listener) and starts and stops its own threads in the hooks
+    :meth:`_start_background` and :meth:`_stop_background`.
+    """
+
+    #: Names the app in its HTTP thread and its "already running" error.
+    role = "app"
+
+    def __init__(self, host: str, port: int, handler) -> None:
+        self._httpd = KeepAliveServer((host, port), handler, self)
+        self._http_thread: threading.Thread | None = None
+        self._started_at: float | None = None
+
+    @property
+    def address(self) -> tuple[str, int]:
+        host, port = self._httpd.server_address[:2]
+        return str(host), int(port)
+
+    @property
+    def url(self) -> str:
+        host, port = self.address
+        return f"http://{host}:{port}"
+
+    def _uptime(self) -> float:
+        return (time.monotonic() - self._started_at
+                if self._started_at is not None else 0.0)
+
+    def _start_background(self) -> None:
+        """Start the app's own threads; runs before the HTTP thread."""
+
+    def _stop_background(self, timeout: float) -> None:
+        """Stop the app's own threads; runs after the HTTP thread ended."""
+
+    def start(self):
+        if self._http_thread is not None:
+            raise RuntimeError(f"{self.role} is already running")
+        self._start_background()
+        self._http_thread = threading.Thread(
+            target=self._httpd.serve_forever, kwargs={"poll_interval": 0.05},
+            daemon=True, name=f"repro-{self.role}-http")
+        self._http_thread.start()
+        self._started_at = time.monotonic()
+        self.monitor.start()
+        return self
+
+    def stop(self, timeout: float = 10.0) -> None:
+        """Stop serving, then the app's own threads.
+
+        Idle keep-alive connections are shut down at once; requests in
+        flight still get their reply, sent with ``Connection: close``.
+        """
+        self.monitor.stop()
+        self._httpd.shutdown()
+        self._httpd.server_close()
+        if self._http_thread is not None:
+            self._http_thread.join(timeout)
+            self._http_thread = None
+        self._stop_background(timeout)
+
+    def serve_forever(self) -> None:
+        """Foreground mode for the CLI: block until interrupted."""
+        if self._http_thread is None:
+            self.start()
+        try:
+            while True:
+                time.sleep(0.5)
+        except KeyboardInterrupt:
+            pass
+        finally:
+            self.stop()
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *_exc) -> None:
+        self.stop()
 
 
 class JSONHandler(BaseHTTPRequestHandler):

@@ -25,12 +25,10 @@ from repro.service.registry import build_device
 
 def make_job(circuit: Circuit | str, device, router="codar", *,
              layout_strategy: str = "degree",
-             seed: int | None = None,
-             backend: str | None = None) -> CompileJob:
+             seed: int | None = None) -> CompileJob:
     """Describe one compilation declaratively (see :class:`CompileJob`)."""
     return CompileJob.from_circuit(circuit, device, router,
-                                   layout_strategy=layout_strategy, seed=seed,
-                                   backend=backend)
+                                   layout_strategy=layout_strategy, seed=seed)
 
 
 def compile_one(circuit: Circuit | str, device, router="codar", *,

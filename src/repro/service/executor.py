@@ -52,19 +52,10 @@ def execute_job(job, cache: ResultCache | None = None) -> CompileOutcome:
         from repro.service.registry import build_device, build_router
 
         device = build_device(job.device)
-        backend = getattr(job, "backend", None)
         if getattr(job, "pipeline", None):
             from repro.compiler.pipeline import Pipeline
-            from repro.compiler.stages import RouteStage
 
             pipeline = Pipeline.from_spec({"stages": job.pipeline})
-            if backend is not None:
-                # The job-level backend covers every route stage that did not
-                # pin its own (a stage-level param always wins — it is part of
-                # the pipeline's content-addressed identity).
-                for stage in pipeline.stages:
-                    if isinstance(stage, RouteStage) and stage.backend is None:
-                        stage.backend = backend
             result = pipeline.run(job.qasm, device, seed=job.effective_seed,
                                   circuit_name=job.circuit_name)
             return CompileOutcome(job_key=job.key, status="ok",
@@ -72,8 +63,6 @@ def execute_job(job, cache: ResultCache | None = None) -> CompileOutcome:
                                   routed_qasm=circuit_to_qasm(result.compiled),
                                   elapsed_s=time.perf_counter() - start)
         router = build_router(job.router)
-        if backend is not None:
-            router.backend = backend
         with trace_span("stage.parse"):
             circuit = parse_cached(job.qasm, name=job.circuit_name)
         with trace_span("stage.route", router=job.router["name"]):

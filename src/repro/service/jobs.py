@@ -38,12 +38,6 @@ class CompileJob:
     one keep their historical keys byte-for-byte.  When a pipeline is given
     the ``router``/``layout_strategy`` fields are ignored (the pipeline's own
     ``layout``/``route`` stages decide).
-
-    ``backend`` selects the router scoring backend (see
-    :mod:`repro.compiler.backends`).  Like ``pipeline`` it joins the job key
-    **only when set** — pre-backend jobs keep their historical keys — and for
-    pipeline jobs it applies to every route stage that does not pin its own
-    ``backend`` param.
     """
 
     #: Job-kind discriminator used by :func:`job_from_dict`.
@@ -56,7 +50,6 @@ class CompileJob:
     seed: int | None = None  #: key: always
     circuit_name: str = "circuit"
     pipeline: list | str | dict | None = None
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         self.device = device_spec(self.device)
@@ -65,20 +58,13 @@ class CompileJob:
             from repro.compiler.pipeline import canonical_stage_specs
 
             self.pipeline = canonical_stage_specs(self.pipeline)
-        if self.backend is not None:
-            from repro.compiler.backends import backend_names, has_backend
-
-            if not has_backend(self.backend):
-                raise ValueError(f"unknown backend {self.backend!r}; "
-                                 f"known: {backend_names()}")
 
     # ------------------------------------------------------------------ #
     @classmethod
     def from_circuit(cls, circuit: Circuit | str, device, router="codar", *,
                      layout_strategy: str = "degree",
                      seed: int | None = None,
-                     pipeline=None, backend: str | None = None
-                     ) -> "CompileJob":
+                     pipeline=None) -> "CompileJob":
         """Build a job from a :class:`Circuit` (or raw QASM text)."""
         if isinstance(circuit, Circuit):
             from repro.qasm.exporter import circuit_to_qasm
@@ -88,7 +74,7 @@ class CompileJob:
             qasm, name = str(circuit), "circuit"
         return cls(qasm=qasm, device=device, router=router,
                    layout_strategy=layout_strategy, seed=seed,
-                   circuit_name=name, pipeline=pipeline, backend=backend)
+                   circuit_name=name, pipeline=pipeline)
 
     # ------------------------------------------------------------------ #
     @property
@@ -112,10 +98,6 @@ class CompileJob:
             # router fields would neither coalesce nor share cache entries.
             payload["pipeline"] = self.pipeline
             del payload["router"], payload["layout_strategy"]
-        if self.backend is not None:
-            # Same byte-stability rule as ``pipeline``: only jobs that select
-            # a backend hash it, so legacy keys (and cache entries) survive.
-            payload["backend"] = self.backend
         return hashlib.sha256(json.dumps(payload, sort_keys=True)
                               .encode("utf-8")).hexdigest()
 
@@ -142,8 +124,6 @@ class CompileJob:
         }
         if self.pipeline is not None:
             data["pipeline"] = self.pipeline
-        if self.backend is not None:
-            data["backend"] = self.backend
         return data
 
     @classmethod
@@ -160,8 +140,7 @@ class CompileJob:
                    layout_strategy=data.get("layout_strategy", "degree"),
                    seed=data.get("seed"),
                    circuit_name=data.get("circuit_name", "circuit"),
-                   pipeline=data.get("pipeline"),
-                   backend=data.get("backend"))
+                   pipeline=data.get("pipeline"))
 
 
 @dataclass

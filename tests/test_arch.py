@@ -21,6 +21,7 @@ from repro.arch.durations import (
 from repro.arch.maqam import MaQAM, QubitLocks
 from repro.core.gates import Gate
 from repro.mapping.layout import Layout
+from repro.service.registry import build_device
 
 
 class TestCouplingGraph:
@@ -102,6 +103,29 @@ class TestCouplingGraph:
         graph = CouplingGraph.line(4).to_networkx()
         assert graph.number_of_nodes() == 4
         assert graph.number_of_edges() == 3
+
+    @pytest.mark.parametrize("device_name", ("grid_4x4", "ibm_q20_tokyo"))
+    def test_shortest_path_via_predecessor_matches_bfs(self, device_name):
+        # Two independent coupling instances: one answers with the per-call
+        # BFS, the other through the predecessor-matrix walk.  Paths must be
+        # node-for-node identical (the matrix BFS visits sorted neighbours,
+        # same as the per-call BFS).
+        bfs_coupling = build_device(device_name).coupling
+        walk_coupling = build_device(device_name).coupling
+        assert bfs_coupling is not walk_coupling
+        walk_coupling.predecessor_matrix()
+        n = bfs_coupling.num_qubits
+        for a in range(n):
+            for b in range(n):
+                assert (walk_coupling.shortest_path(a, b)
+                        == bfs_coupling.shortest_path(a, b)), (a, b)
+
+    def test_predecessor_matrix_invalidated_by_add_edge(self):
+        coupling = CouplingGraph(4, [(0, 1), (1, 2), (2, 3)])
+        assert coupling.shortest_path(0, 3) == [0, 1, 2, 3]
+        coupling.predecessor_matrix()
+        coupling.add_edge(0, 3)
+        assert coupling.shortest_path(0, 3) == [0, 3]
 
 
 class TestDurations:

@@ -12,8 +12,10 @@ from repro.core.circuit import Circuit
 from repro.mapping.base import RoutingResult
 from repro.mapping.codar.remapper import CodarRouter
 from repro.mapping.layout import Layout
+from repro.qasm.exporter import circuit_to_qasm
 from repro.service.executor import CompilationService, execute_job
 from repro.service.jobs import CompileJob
+from repro.service.registry import build_device
 from repro.workloads.generators import ghz, qft
 
 
@@ -481,3 +483,110 @@ class TestStageMetrics:
         text = metrics.to_prometheus()
         assert 'repro_server_stage_seconds_total{stage="route"} 0.25' in text
         assert 'repro_server_stage_runs_total{stage="route"} 1' in text
+
+
+# --------------------------------------------------------------------------- #
+# Analysis-cache LRU regression (eviction must follow recency, not insertion)
+# --------------------------------------------------------------------------- #
+class TestAnalysisCacheLRU:
+    def test_hits_refresh_eviction_order(self, monkeypatch):
+        from repro.compiler import analysis
+
+        monkeypatch.setattr(analysis, "_ANALYSIS_CACHE_LIMIT", 2)
+        analysis.clear_cache()
+        try:
+            d1, d2, d3 = (build_device("grid_2x2"), build_device("grid_2x3"),
+                          build_device("grid_3x3"))
+            analysis.analyze(d1)
+            analysis.analyze(d2)
+            # Touch d1: it is now the most recently used entry, so admitting
+            # d3 must evict d2 — the insertion-order bug evicted d1 here.
+            analysis.analyze(d1)
+            analysis.analyze(d3)
+            before = analysis.cache_stats()
+            analysis.analyze(build_device("grid_2x2"))
+            after = analysis.cache_stats()
+            assert after["hits"] == before["hits"] + 1
+            assert after["misses"] == before["misses"]
+            analysis.analyze(build_device("grid_2x3"))  # was evicted: a miss
+            assert analysis.cache_stats()["misses"] == after["misses"] + 1
+        finally:
+            analysis.clear_cache()
+
+
+# --------------------------------------------------------------------------- #
+# Content-addressed parse cache
+# --------------------------------------------------------------------------- #
+QASM = ('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\n'
+        'h q[0];\ncx q[0],q[1];\ncx q[1],q[2];\n')
+
+
+class TestParseCache:
+    @pytest.fixture(autouse=True)
+    def _fresh_cache(self):
+        from repro.compiler import parse_cache
+
+        parse_cache.clear_cache()
+        yield
+        parse_cache.clear_cache()
+
+    def test_hit_after_miss_and_stats(self):
+        from repro.compiler import parse_cache
+
+        circuit, hit = parse_cache.parse_cached_info(QASM, name="first")
+        assert not hit and circuit.name == "first"
+        again, hit = parse_cache.parse_cached_info(QASM, name="second")
+        assert hit and again.name == "second"
+        stats = parse_cache.cache_stats()
+        assert stats == {"hits": 1, "misses": 1, "evictions": 0, "entries": 1}
+
+    def test_returned_circuits_are_independent_copies(self):
+        from repro.compiler import parse_cache
+        from repro.core.gates import Gate
+
+        first = parse_cache.parse_cached(QASM)
+        first.append(Gate("x", (0,)))  # caller-side mutation
+        second = parse_cache.parse_cached(QASM)
+        assert len(second) == len(parse_cache.parse_cached(QASM))
+        assert len(first) == len(second) + 1
+
+    def test_eviction_is_lru_and_counted(self, monkeypatch):
+        from repro.compiler import parse_cache
+
+        monkeypatch.setattr(parse_cache, "_CACHE_LIMIT", 2)
+        texts = [QASM.replace("q[3]", f"q[{n}]") for n in (3, 4, 5)]
+        for text in texts:
+            parse_cache.parse_cached(text)
+        stats = parse_cache.cache_stats()
+        assert stats["evictions"] == 1 and stats["entries"] == 2
+        assert parse_cache.parse_cached_info(texts[0])[1] is False  # evicted
+        assert parse_cache.parse_cached_info(texts[2])[1] is True
+
+    def test_parse_errors_are_not_cached(self):
+        from repro.compiler import parse_cache
+        from repro.qasm import QasmError
+
+        for _ in range(2):
+            with pytest.raises(QasmError):
+                parse_cache.parse_cached("qreg q[2]; nonsense")
+        stats = parse_cache.cache_stats()
+        assert stats["entries"] == 0 and stats["misses"] == 0
+
+    def test_parse_stage_records_cache_hits(self):
+        from repro.compiler import Pipeline
+
+        device = build_device("grid_4x4")
+        pipeline = Pipeline.from_spec({"stages": ["parse", "layout", "route",
+                                                  "schedule"]})
+        first = pipeline.run(QASM, device, seed=1)
+        second = pipeline.run(QASM, device, seed=1)
+
+        def parse_metrics(result):
+            row = next(r for r in result.summary()["extra"]["stages"]
+                       if r["stage"] == "parse")
+            return row["metrics"]
+
+        assert parse_metrics(first)["cache_hit"] is False
+        assert parse_metrics(second)["cache_hit"] is True
+        assert (circuit_to_qasm(first.compiled)
+                == circuit_to_qasm(second.compiled))

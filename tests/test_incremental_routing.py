@@ -1,9 +1,11 @@
 """Differential tests for the incremental routing loops.
 
-* The ``python`` backend's delta scorers must equal the full-recompute
-  references :func:`~repro.mapping.codar.priority.swap_priority` and
+* The delta scorer (:data:`~repro.compiler.backends.base.SCORER`) must equal
+  the full-recompute references
+  :func:`~repro.mapping.codar.priority.swap_priority` and
   :func:`~repro.mapping.sabre.heuristic.sabre_score` exactly, floats
-  included, and pick the same SWAP under ties.
+  included, and pick the same SWAP under ties; every router must route the
+  same circuit with the references swapped in.
 * :class:`~repro.core.commutativity.CommutativeFrontWindow` must equal
   :func:`~repro.core.commutativity.commutative_front` over the remaining
   gates after every launch.
@@ -20,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.compiler.backends import get_backend
+from repro.compiler.backends.base import SCORER
 from repro.core.circuit import Circuit
 from repro.core.commutativity import (SHARED_VERDICTS, CommutativeFrontWindow,
                                       CommutativityChecker, VerdictTable,
@@ -33,15 +35,13 @@ from repro.mapping.sabre.heuristic import sabre_score
 from repro.qasm.exporter import circuit_to_qasm
 from repro.service.executor import execute_job
 from repro.service.jobs import CompileJob
-from repro.service.registry import build_device
+from repro.service.registry import build_device, build_router
 from repro.workloads.generators import qft, random_circuit
 
 #: grid_4x4 has lattice coordinates (H_fine is live); Tokyo has none.
 DEVICES = ("grid_4x4", "ibm_q20_tokyo")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
-
-python_backend = get_backend("python")
 
 
 def _layout(rng: random.Random, num_qubits: int) -> Layout:
@@ -97,7 +97,7 @@ class TestDeltaScorers:
                     expected = _reference_priorities(
                         coupling, layout, candidates, targets, use_fine,
                         lookahead, decay)
-                    got = python_backend.codar_swap_scores(
+                    got = SCORER.codar_swap_scores(
                         coupling, layout, candidates, targets,
                         use_fine=use_fine, lookahead_gates=lookahead,
                         lookahead_decay=decay)
@@ -113,13 +113,11 @@ class TestDeltaScorers:
         for targets, lookahead in (([], []), (some, []), ([], some)):
             expected = _reference_priorities(coupling, layout, candidates,
                                              targets, True, lookahead, 0.3)
-            assert python_backend.codar_swap_scores(
+            assert SCORER.codar_swap_scores(
                 coupling, layout, candidates, targets,
                 lookahead_gates=lookahead, lookahead_decay=0.3) == expected
-        assert python_backend.codar_swap_scores(coupling, layout, [],
-                                                some) == []
-        assert python_backend.codar_best_swap(coupling, layout, [],
-                                              some) is None
+        assert SCORER.codar_swap_scores(coupling, layout, [], some) == []
+        assert SCORER.codar_best_swap(coupling, layout, [], some) is None
 
     @pytest.mark.parametrize("device_name", DEVICES)
     @pytest.mark.parametrize("seed", (4, 5))
@@ -136,7 +134,7 @@ class TestDeltaScorers:
             candidates = _candidates(coupling)
             rng.shuffle(candidates)
             for use_fine in (True, False):
-                assert python_backend.codar_best_swap(
+                assert SCORER.codar_best_swap(
                     coupling, layout, candidates, targets, use_fine=use_fine,
                     lookahead_gates=lookahead) == best_swap(
                     candidates, coupling, layout, targets, use_fine=use_fine,
@@ -163,7 +161,7 @@ class TestDeltaScorers:
                                             front_set, extended_set, decay,
                                             weight)
                                 for a, b in candidates]
-                    assert python_backend.sabre_scores(
+                    assert SCORER.sabre_scores(
                         coupling, layout, candidates, front_set,
                         extended_set, decay, weight) == expected
                     # Ties: cheapest cost, then smallest edge.
@@ -172,9 +170,37 @@ class TestDeltaScorers:
                         (sabre_score(a, b, coupling, layout, front_set,
                                      extended_set, decay, weight), (a, b))
                         for a, b in candidates)
-                    assert python_backend.sabre_best_swap(
+                    assert SCORER.sabre_best_swap(
                         coupling, layout, candidates, front_set,
                         extended_set, decay, weight) == (best, cost)
+
+
+def _routed(router_name: str, circuit: Circuit, device,
+            strategy: str) -> tuple:
+    result = build_router(router_name).run(circuit.copy(), device,
+                                           layout_strategy=strategy, seed=7)
+    return (circuit_to_qasm(result.routed), result.swap_count, result.depth,
+            result.weighted_depth, result.final_layout.physical_list())
+
+
+class TestRoutedParity:
+    """Routing end to end with the delta scorer and with the full-recompute
+    references swapped in gives the same circuit."""
+
+    @pytest.mark.parametrize("router_name",
+                             ("codar", "sabre", "codar_noise_aware"))
+    @pytest.mark.parametrize("device_name", DEVICES)
+    def test_same_route(self, router_name, device_name, reference_scoring):
+        device = build_device(device_name)
+        for seed, strategy in ((21, "degree"), (22, "random")):
+            circuit = random_circuit(6, 60, seed=seed,
+                                     two_qubit_fraction=0.5)
+            delta = _routed(router_name, circuit, device, strategy)
+            with reference_scoring():
+                reference = _routed(router_name, circuit, device, strategy)
+            assert delta[1] > 0, "the circuit needs no SWAP: nothing scored"
+            assert delta == reference, (
+                f"{router_name}/{device_name}/{strategy} diverged")
 
 
 # --------------------------------------------------------------------------- #

@@ -75,6 +75,13 @@ class TestGoldenFixtures:
         assert "_bucket" in messages
         assert "customer" in messages
 
+    def test_rl004_fallback_labels_equal_the_registry(self):
+        from repro.devtools.lint.rules import metrics_conventions
+        from repro.server.metrics import KNOWN_LABELS
+
+        assert metrics_conventions._FALLBACK_LABELS == KNOWN_LABELS
+        assert metrics_conventions.KNOWN_LABELS == KNOWN_LABELS
+
     def test_rl005_flags_sleep_and_throwaway_event(self):
         messages = [f.message for f in lint_fixture("rl005_bad.py")]
         assert any("time.sleep" in m for m in messages)

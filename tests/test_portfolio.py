@@ -42,6 +42,22 @@ class TestCandidates:
         with pytest.raises(ValueError, match="layout strategy"):
             Candidate("codar", layout_strategy="nope")
 
+    def test_payload_naming_a_backend_is_keyed_and_routed_as_without(self):
+        # Payloads written when swap scoring had selectable implementations
+        # may still name one; the field is ignored.
+        from repro.qasm.exporter import circuit_to_qasm
+
+        plain = Candidate("sabre", layout_strategy="random", seed=2)
+        stale = Candidate.from_dict({**plain.to_dict(), "backend": "numpy"})
+        assert stale == plain and stale.key == plain.key
+        qasm = circuit_to_qasm(qft(5))
+        jobs = [candidate.job_for(qasm, "ibm_q20_tokyo")
+                for candidate in (plain, stale)]
+        assert jobs[0].key == jobs[1].key
+        outcomes = [execute_job(job) for job in jobs]
+        assert outcomes[0].ok
+        assert outcomes[0].routed_qasm == outcomes[1].routed_qasm
+
     def test_job_for_threads_spec_and_seed(self):
         candidate = Candidate("sabre", layout_strategy="random")
         job = candidate.job_for("OPENQASM 2.0;\nqreg q[2];\n",

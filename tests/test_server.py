@@ -306,6 +306,15 @@ class TestMetrics:
         assert "repro_server_job_service_seconds_p95" in text
         assert "# TYPE repro_server_jobs_submitted_total counter" in text
 
+    def test_parse_cache_exposition(self):
+        metrics = ServerMetrics()
+        text = metrics.to_prometheus()
+        assert "repro_server_parse_cache_hits_total" in text
+        assert "repro_server_parse_cache_entries" in text
+        snapshot = metrics.snapshot()
+        assert {"hits", "misses", "evictions",
+                "entries"} <= set(snapshot["parse_cache"])
+
     def test_snapshot_round_trips_to_json(self):
         import json
 
@@ -517,6 +526,19 @@ class TestHttpApi:
             client.submit({"qasm": "OPENQASM 2.0;", "device": "ibm_q20_tokyo",
                            "router": "qiskit"})
         assert excinfo.value.status == 400
+
+    def test_route_stage_backend_param_is_400(self, client):
+        # Route stages take no ``backend`` param; like any unknown stage
+        # param it is a bad payload, answered at once with the reason.
+        from repro.qasm.exporter import circuit_to_qasm
+
+        job = {"qasm": circuit_to_qasm(ghz(3)), "device": "ibm_q20_tokyo",
+               "pipeline": ["parse", {"name": "route", "params": {
+                   "router": "codar", "backend": "numpy"}}]}
+        with pytest.raises(ServerError) as excinfo:
+            client.submit(job, wait=True, timeout=10.0)
+        assert excinfo.value.status == 400
+        assert "backend" in excinfo.value.payload["error"]
 
     def test_oversized_body_is_413_and_closes_the_connection(self, server):
         import http.client

@@ -146,6 +146,16 @@ class TestCompileJob:
         assert make_job(qft(4), "ibm_q20_tokyo", "codar",
                         seed=42).effective_seed == 42
 
+    def test_payload_naming_a_backend_is_keyed_and_routed_as_without(self):
+        # Payloads written when swap scoring had selectable implementations
+        # may still name one; the field is ignored.
+        from repro.service.executor import execute_job
+
+        plain = make_job(qft(5), "ibm_q20_tokyo", "codar")
+        stale = CompileJob.from_dict({**plain.to_dict(), "backend": "numpy"})
+        assert stale == plain and stale.key == plain.key
+        assert _stable(execute_job(stale)) == _stable(execute_job(plain))
+
 
 class TestCompileOutcome:
     def test_elapsed_s_is_measured_and_serialised(self, tmp_path):
