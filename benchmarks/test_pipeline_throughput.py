@@ -337,66 +337,73 @@ def test_recorder_overhead_within_noise(paper_scale):
     The warm pipeline suite runs with a :class:`MetricsRecorder` sampling a
     live :class:`ServerMetrics` at 1 ms (500-5000x the production 5 s
     cadence) and without one; the sampled run must stay within noise of the
-    clean run.  Each side is best-of-3 so a scheduler hiccup doesn't flake
-    the guard, and the off and on legs alternate round by round so the
-    host's speed drift hits both sides alike.  A leg runs the suite
-    ``passes`` times: one pass takes about 12 ms, two or three of the
-    interpreter's 5 ms thread switches, which left the recorder thread a
-    single sample in some legs.
+    clean run.  Each side is best-of-3 rounds so a scheduler hiccup doesn't
+    flake the guard.  In a round the off and on legs alternate suite pass
+    by suite pass, the recorder sampling only during the on passes, until
+    each leg has run for ``min_leg_s``; a leg is scored in seconds per
+    pass.  A pass's time swings by a quarter or more within a second on a
+    shared host, so legs that alternated whole (a fixed four passes, about
+    70 ms, or 0.25 s each) read above 1.25x in a few runs out of forty.
     """
     from repro.arch.devices import get_device
     from repro.obs.timeseries import MetricsRecorder
     from repro.server.metrics import ServerMetrics
 
     jobs = _jobs(paper_scale)
-    passes = 4
+    min_leg_s = 0.25
     clear_cache()
     for device in DEVICES:
         analyze(get_device(device))
 
-    def run_suite(metrics: ServerMetrics) -> float:
+    def run_pass(metrics: ServerMetrics) -> float:
         start = time.perf_counter()
-        for _ in range(passes):
-            for job in jobs:
-                outcome = execute_job(job)
-                assert outcome.ok
-                metrics.observe_job(0.0, outcome.elapsed_s or 0.001,
-                                    ok=True, cache_hit=False)
+        for job in jobs:
+            outcome = execute_job(job)
+            assert outcome.ok
+            metrics.observe_job(0.0, outcome.elapsed_s or 0.001,
+                                ok=True, cache_hit=False)
         return time.perf_counter() - start
 
-    def run_recorded() -> float:
-        metrics = ServerMetrics()
-        recorder = MetricsRecorder(metrics.history_sample,
+    def run_round() -> tuple[float, float]:
+        """Seconds per pass of the off leg and of the on leg."""
+        off_metrics, on_metrics = ServerMetrics(), ServerMetrics()
+        recorder = MetricsRecorder(on_metrics.history_sample,
                                    interval_s=0.001, max_samples=16384)
-        recorder.start()
-        try:
-            elapsed = run_suite(metrics)
-        finally:
-            recorder.stop()
+        off_s = on_s = 0.0
+        passes = 0
+        while off_s < min_leg_s or on_s < min_leg_s:
+            off_s += run_pass(off_metrics)
+            recorder.start()
+            try:
+                on_s += run_pass(on_metrics)
+            finally:
+                recorder.stop()
+            passes += 1
         assert recorder.sample_errors == 0
         assert len(recorder) >= 2  # it really was sampling concurrently
-        return elapsed
+        return off_s / passes, on_s / passes
 
-    run_suite(ServerMetrics())  # warm-up pass, discarded
+    run_pass(ServerMetrics())  # warm-up pass, discarded
 
     off_times, on_times = [], []
     for _ in range(3):
-        off_times.append(run_suite(ServerMetrics()))
-        on_times.append(run_recorded())
+        off_pass_s, on_pass_s = run_round()
+        off_times.append(off_pass_s)
+        on_times.append(on_pass_s)
     off_s, on_s = min(off_times), min(on_times)
 
     overhead = on_s / off_s if off_s > 0 else float("inf")
-    print(f"\nrecorder overhead: {passes} x {len(jobs)} jobs off {off_s:.3f}s "
-          f"vs on {on_s:.3f}s ({overhead:.3f}x at 1ms sampling)")
+    print(f"\nrecorder overhead: {len(jobs)} jobs per pass, off {off_s:.4f}s "
+          f"vs on {on_s:.4f}s per pass ({overhead:.3f}x at 1ms sampling)")
     assert on_s <= off_s * 1.25, (
         f"recorder added {overhead:.3f}x to the warm suite "
-        f"({off_s:.3f}s -> {on_s:.3f}s); bound is 1.25x")
+        f"({off_s:.4f}s -> {on_s:.4f}s per pass); bound is 1.25x")
     record_perf("pipeline/recorder_overhead", {
         "jobs": len(jobs),
-        "passes": passes,
+        "min_leg_s": min_leg_s,
         "sample_interval_s": 0.001,
-        "off_s": round(off_s, 4),
-        "on_s": round(on_s, 4),
+        "off_s_per_pass": round(off_s, 4),
+        "on_s_per_pass": round(on_s, 4),
         "overhead_x": round(overhead, 3),
         "paper_scale": paper_scale,
     }, path=BENCH_PATH)

@@ -30,6 +30,27 @@ def _reference_codar_scores(self, coupling, layout, candidates, target_gates,
             for a, b in candidates]
 
 
+def _reference_codar_best_swap(self, coupling, layout, candidates,
+                               target_gates, *, use_fine=True,
+                               lookahead_gates=(), lookahead_decay=0.5):
+    """The argmax over every candidate's full ``swap_priority``, ties broken
+    by edge order."""
+    scores = _reference_codar_scores(self, coupling, layout, candidates,
+                                     target_gates, use_fine=use_fine,
+                                     lookahead_gates=lookahead_gates,
+                                     lookahead_decay=lookahead_decay)
+    best_edge = None
+    best_priority = None
+    for edge, priority in zip(candidates, scores):
+        if (best_priority is None
+                or priority > best_priority
+                or (priority == best_priority and edge < best_edge)):
+            best_edge, best_priority = edge, priority
+    if best_edge is None:
+        return None
+    return best_edge, best_priority
+
+
 def _reference_sabre_scores(self, coupling, layout, candidates, front_gates,
                             extended_gates, decay, extended_weight=0.5):
     """One full-recompute ``sabre_score`` per candidate."""
@@ -44,7 +65,9 @@ def _reference_sabre_scores(self, coupling, layout, candidates, front_gates,
 def reference_scoring(monkeypatch):
     """A context manager: inside it, every router (and ``SCORER``) scores
     candidate SWAPs with the full-recompute references ``swap_priority`` and
-    ``sabre_score``; the best-swap selection code stays the same."""
+    ``sabre_score``.  CODAR's SWAP is the argmax over every candidate's full
+    priority, where the delta scorer ranks on ``H_basic`` first; SABRE's
+    selection code stays the same."""
     from repro.compiler.backends.base import RouterBackend
 
     @contextlib.contextmanager
@@ -52,6 +75,8 @@ def reference_scoring(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(RouterBackend, "codar_swap_scores",
                           _reference_codar_scores)
+            patch.setattr(RouterBackend, "codar_best_swap",
+                          _reference_codar_best_swap)
             patch.setattr(RouterBackend, "sabre_scores",
                           _reference_sabre_scores)
             yield

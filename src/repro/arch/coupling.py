@@ -50,6 +50,8 @@ class CouplingGraph:
         self._distance: np.ndarray | None = None
         self._distance_rows: list[list[int]] | None = None
         self._predecessor: np.ndarray | None = None
+        self._neighbors: list[frozenset[int]] | None = None
+        self._incident: list[tuple[tuple[int, int], ...]] | None = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -67,6 +69,8 @@ class CouplingGraph:
         self._distance = None
         self._distance_rows = None
         self._predecessor = None
+        self._neighbors = None
+        self._incident = None
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -81,7 +85,22 @@ class CouplingGraph:
         return len(self._edges)
 
     def neighbors(self, qubit: int) -> frozenset[int]:
-        return frozenset(self._adjacency[qubit])
+        if self._neighbors is None:
+            self._neighbors = [frozenset(s) for s in self._adjacency]
+        return self._neighbors[qubit]
+
+    def incident_edges(self) -> list[tuple[tuple[int, int], ...]]:
+        """Per qubit, its couplings as sorted ``(min, max)`` pairs, cached.
+
+        ``incident_edges()[q]`` is what the routers' candidate-SWAP sets are
+        built from: the edges are already in the form the scorers key on, so
+        no pair is rebuilt per lookup.  Treat it as read-only.
+        """
+        if self._incident is None:
+            self._incident = [
+                tuple(sorted((min(q, other), max(q, other)) for other in s))
+                for q, s in enumerate(self._adjacency)]
+        return self._incident
 
     def degree(self, qubit: int) -> int:
         return len(self._adjacency[qubit])

@@ -42,6 +42,13 @@ class QubitLocks:
     def t_end(self, qubit: int) -> float:
         return self._t_end[qubit]
 
+    def t_end_view(self) -> list[float]:
+        """Every qubit's busy-until time, as the locks' own list read live.
+
+        It follows every later :meth:`lock`.  Treat it as read-only.
+        """
+        return self._t_end
+
     def is_free(self, qubit: int, now: float) -> bool:
         return self._t_end[qubit] <= now
 
@@ -96,7 +103,8 @@ class MaQAM:
 
     def physical_qubits(self, gate: Gate) -> tuple[int, ...]:
         """Physical operands of a logical gate under the current layout."""
-        return tuple(self.layout.physical(q) for q in gate.qubits)
+        return tuple(map(self.layout.physical_view().__getitem__,
+                         gate.qubits))
 
     def gate_is_lock_free(self, gate: Gate) -> bool:
         """All physical operands of the (logical) gate are free now."""
@@ -104,11 +112,18 @@ class MaQAM:
 
     def gate_is_executable(self, gate: Gate) -> bool:
         """Lock-free and, for two-qubit gates, mapped onto a coupled pair."""
-        physical = self.physical_qubits(gate)
-        if not self.locks.all_free(physical, self.now):
-            return False
-        if len(physical) == 2:
-            return self.coupling.are_adjacent(*physical)
+        qubits = gate.qubits
+        physical_of = self.layout.physical_view()
+        t_end = self.locks.t_end_view()
+        now = self.now
+        if len(qubits) == 2:
+            a = physical_of[qubits[0]]
+            b = physical_of[qubits[1]]
+            return (t_end[a] <= now and t_end[b] <= now
+                    and b in self.device.coupling.neighbors(a))
+        for q in qubits:
+            if t_end[physical_of[q]] > now:
+                return False
         return True
 
     def launch(self, gate_name: str, physical_qubits: tuple[int, ...]) -> float:

@@ -210,29 +210,17 @@ class CommutativityChecker:
 
     def __init__(self, exact_fallback: bool = True):
         self._exact_fallback = exact_fallback
+        self._kinds: dict[tuple, int] = {}
         self._memo: dict[tuple, bool] = {}
 
-    def _key(self, a: Gate, b: Gate) -> tuple:
-        # Canonicalise the qubit overlap pattern so distinct qubit indices with
-        # the same sharing structure hit the same cache entry: ``a``'s qubits
-        # are labelled 0..k-1 and each of ``b``'s gets its position in ``a``
-        # or the next fresh label.
-        qa = a.qubits
-        qb = b.qubits
-        if len(qb) == 1:
-            labels = (qa.index(qb[0]) if qb[0] in qa else len(qa),)
-        else:
-            fresh = len(qa)
-            overlap = []
-            for q in qb:
-                if q in qa:
-                    overlap.append(qa.index(q))
-                else:
-                    overlap.append(fresh)
-                    fresh += 1
-            labels = tuple(overlap)
-        return (a.name, len(qa), a.params, b.name, labels, b.params,
-                self._exact_fallback)
+    def kind(self, gate: Gate) -> int:
+        """A small id for the gate's name, arity and parameters, interned
+        per checker: gates of one kind get one id."""
+        key = (gate.name, len(gate.qubits), gate.params)
+        kind = self._kinds.get(key)
+        if kind is None:
+            kind = self._kinds[key] = len(self._kinds)
+        return kind
 
     def commute(self, a: Gate, b: Gate) -> bool:
         if not _shares_qubits(a, b) and not (a.is_barrier or b.is_barrier):
@@ -241,19 +229,53 @@ class CommutativityChecker:
 
     def overlapping_commute(self, a: Gate, b: Gate) -> bool:
         """:meth:`commute` for two gates known to share a qubit."""
-        key = self._key(a, b)
+        return self.kinds_commute(a, self.kind(a), b, self.kind(b))
+
+    def kinds_commute(self, a: Gate, kind_a: int, b: Gate,
+                      kind_b: int) -> bool:
+        """:meth:`overlapping_commute`, given both gates' :meth:`kind`.
+
+        The memo key is the two kind ids and the overlap labels; a verdict
+        derived afresh is shared under the structural key, which names the
+        kinds instead of numbering them.
+        """
+        labels = _overlap_labels(a.qubits, b.qubits)
+        key = (kind_a, kind_b, labels)
         verdict = self._memo.get(key)
         if verdict is None:
-            shared = _is_standard(a) and _is_standard(b)
-            if shared:
-                verdict = SHARED_VERDICTS.get(key)
-            if verdict is None:
-                verdict = gates_commute(a, b,
-                                        exact_fallback=self._exact_fallback)
-                if shared:
-                    SHARED_VERDICTS.put(key, verdict)
+            verdict = self._derive(a, b, labels)
             self._memo[key] = verdict
         return verdict
+
+    def _derive(self, a: Gate, b: Gate, labels: tuple[int, ...]) -> bool:
+        shared = _is_standard(a) and _is_standard(b)
+        key = (a.name, len(a.qubits), a.params, b.name, labels, b.params,
+               self._exact_fallback)
+        verdict = SHARED_VERDICTS.get(key) if shared else None
+        if verdict is None:
+            verdict = gates_commute(a, b, exact_fallback=self._exact_fallback)
+            if shared:
+                SHARED_VERDICTS.put(key, verdict)
+        return verdict
+
+
+def _overlap_labels(qa: tuple[int, ...], qb: tuple[int, ...]
+                    ) -> tuple[int, ...]:
+    """The qubit overlap pattern of two gates, so distinct qubit indices
+    with the same sharing structure share a verdict: ``qa`` is labelled
+    0..k-1 and each of ``qb`` gets its position in ``qa`` or the next fresh
+    label."""
+    if len(qb) == 1:
+        return (qa.index(qb[0]) if qb[0] in qa else len(qa),)
+    fresh = len(qa)
+    overlap = []
+    for q in qb:
+        if q in qa:
+            overlap.append(qa.index(q))
+        else:
+            overlap.append(fresh)
+            fresh += 1
+    return tuple(overlap)
 
 
 def commutative_front(gates: Sequence[Gate],
@@ -320,10 +342,12 @@ def commutative_front(gates: Sequence[Gate],
 class _Slot:
     """One window gate and its Definition 1 bookkeeping."""
 
-    __slots__ = ("gate", "blockers", "blocks")
+    __slots__ = ("gate", "kind", "blockers", "blocks")
 
-    def __init__(self, gate: Gate):
+    def __init__(self, gate: Gate, kind: int):
         self.gate = gate
+        #: The gate's :meth:`CommutativityChecker.kind`.
+        self.kind = kind
         #: Earlier window gates that share a qubit and do not commute with it.
         self.blockers = 0
         #: The later window gates whose ``blockers`` count this one.
@@ -386,6 +410,31 @@ class CommutativeFrontWindow:
         for index in range(self._next, len(self._gates)):
             yield self._gates[index]
 
+    def two_qubit_gates(self, count: int,
+                        skip: Sequence[int] = ()) -> list[Gate]:
+        """The first ``count`` two-qubit gates of the remaining sequence, in
+        program order, leaving out the window positions in ``skip``.
+
+        Reads the window, then the gates beyond it.
+        """
+        gates: list[Gate] = []
+        if count <= 0:
+            return gates
+        skipped = set(skip)
+        for position, slot in enumerate(self._slots):
+            if len(slot.gate.qubits) == 2 and position not in skipped:
+                gates.append(slot.gate)
+                if len(gates) >= count:
+                    return gates
+        source = self._gates
+        for index in range(self._next, len(source)):
+            gate = source[index]
+            if len(gate.qubits) == 2:
+                gates.append(gate)
+                if len(gates) >= count:
+                    break
+        return gates
+
     def front(self) -> list[int]:
         """Positions of the front gates, in program order."""
         if not self._commutation:
@@ -413,24 +462,28 @@ class CommutativeFrontWindow:
     def _fill(self) -> None:
         gates = self._gates
         while len(self._slots) < self._size and self._next < len(gates):
-            slot = _Slot(gates[self._next])
+            gate = gates[self._next]
             self._next += 1
             if self._commutation:
+                slot = _Slot(gate, self._checker.kind(gate))
                 self._count_blockers(slot)
+            else:
+                slot = _Slot(gate, -1)
             for q in slot.gate.qubits:
                 self._on_qubit.setdefault(q, []).append(slot)
             self._slots.append(slot)
 
     def _count_blockers(self, slot: _Slot) -> None:
         gate = slot.gate
-        commute = self._checker.overlapping_commute
+        kind = slot.kind
+        commute = self._checker.kinds_commute
         seen: set[_Slot] = set()
         for q in gate.qubits:
             for earlier in self._on_qubit.get(q, ()):
                 if earlier in seen:
                     continue
                 seen.add(earlier)
-                if not commute(earlier.gate, gate):
+                if not commute(earlier.gate, earlier.kind, gate, kind):
                     slot.blockers += 1
                     earlier.blocks.append(slot)
 

@@ -294,11 +294,12 @@ class LoadTest:
             time.sleep(0.2)
 
     def run(self, rates, duration: float = 10.0) -> dict:
-        """Step through offered rates; report the sustained throughput.
+        """Step through offered rates; report the highest one the server met.
 
-        "Sustained" = the highest *achieved* jobs/s among steps whose
-        server-side wait and service p95 both held the target — the classic
-        open-loop capacity sweep.
+        ``sustained_jobs_per_s`` is the highest *achieved* jobs/s among the
+        steps whose server-side wait and service p95 both held the target:
+        the highest offered rate the sweep met.  It is not the server's
+        capacity; when the sweep's top rate is met, the knee lies above it.
         """
         steps = [self.run_step(float(rate), duration) for rate in rates]
         meeting = [step for step in steps if step["met_target"]]

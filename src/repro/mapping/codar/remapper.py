@@ -16,7 +16,14 @@ three steps of Fig. 4:
    lock-free candidate SWAPs on edges incident to their physical operands and
    greedily insert the highest-priority SWAP while any candidate has positive
    ``H_basic`` (Section IV-D), removing candidates whose qubits the inserted
-   SWAP just locked.
+   SWAP just locked.  The priority is lexicographic, so each selection
+   computes ``H_basic`` for every candidate and ``H_fine`` and the
+   look-ahead tie-breaker only for the candidates tied at the top.
+
+Operand positions and qubit locks are read from the layout's and the locks'
+live lists (:meth:`MaQAM.gate_is_executable` decides executability), the
+candidate edges from the coupling graph's cached incident-edge table, and
+the look-ahead gates from the CF window's slots and the gates beyond it.
 
 If a cycle makes no progress while every qubit is free — the "deadlock" case
 of the paper — the best SWAP is inserted regardless of its sign.  The clock
@@ -35,7 +42,6 @@ mechanism independently:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.arch.devices import Device
 from repro.arch.maqam import MaQAM
@@ -85,6 +91,7 @@ class CodarRouter(Router):
                layout: Layout) -> tuple[Circuit, Layout, int, dict]:
         machine = MaQAM.create(device, layout)
         coupling = device.coupling
+        physical_of = layout.physical_view()
 
         # Barriers are scheduling hints for other backends; CODAR's own
         # timeline supersedes them, so they are dropped before routing.
@@ -96,14 +103,18 @@ class CodarRouter(Router):
             commutation=self.config.use_commutativity)
         routed = Circuit(device.num_qubits, circuit.num_clbits,
                          name=f"{circuit.name}@{device.name}")
+        # Relocated gates act on in-range physical qubits and keep their
+        # classical bits, so they skip Circuit.append's checks.
+        routed_gates = routed.gates
         swap_count = 0
         cycles = 0
         deadlocks = 0
 
         # The front only changes when gates launch, so cycles that merely
-        # insert SWAPs or advance the clock reuse it, and the look-ahead
-        # gates derived from it.
-        front = remaining.front()
+        # insert SWAPs or advance the clock reuse it, its two-qubit gates
+        # and the look-ahead gates derived from it.
+        front = [(idx, remaining[idx]) for idx in remaining.front()]
+        cf_two_qubit = [gate for _, gate in front if len(gate.qubits) == 2]
         lookahead: list[Gate] | None = None
 
         while remaining:
@@ -111,13 +122,12 @@ class CodarRouter(Router):
             launched_indices: list[int] = []
 
             # --- Step 2: launch every directly executable CF gate. -----------
-            for idx in front:
-                gate = remaining[idx]
+            for idx, gate in front:
                 if not machine.gate_is_executable(gate):
                     continue
                 physical = machine.physical_qubits(gate)
                 machine.launch(gate.name, physical)
-                routed.append(gate.relocated(physical))
+                routed_gates.append(gate.relocated(physical))
                 launched_indices.append(idx)
             if launched_indices:
                 remaining.remove(launched_indices)
@@ -125,7 +135,9 @@ class CodarRouter(Router):
                     break
                 # Launching gates may promote new gates into the CF set; expose
                 # them to the SWAP heuristic of this same cycle.
-                front = remaining.front()
+                front = [(idx, remaining[idx]) for idx in remaining.front()]
+                cf_two_qubit = [gate for _, gate in front
+                                if len(gate.qubits) == 2]
                 lookahead = None
 
             # --- Step 3: greedy SWAP insertion for blocked CF CNOTs. ----------
@@ -133,17 +145,18 @@ class CodarRouter(Router):
             # blocks, but the priority (Equation 1) is evaluated over *all*
             # two-qubit CF gates: a SWAP that pulls apart an already-adjacent
             # pair waiting on a qubit lock must pay for it.
-            cf_two_qubit = [remaining[idx] for idx in front
-                            if remaining[idx].num_qubits == 2]
-            unresolved = [
-                gate for gate in cf_two_qubit
-                if not coupling.are_adjacent(*machine.physical_qubits(gate))
-            ]
+            unresolved = []
+            for gate in cf_two_qubit:
+                a, b = gate.qubits
+                if physical_of[b] not in coupling.neighbors(physical_of[a]):
+                    unresolved.append(gate)
             progressed = bool(launched_indices)
             if unresolved:
                 candidates = self._candidate_swaps(machine, unresolved)
                 if lookahead is None:
-                    lookahead = self._lookahead_gates(remaining, front)
+                    lookahead = remaining.two_qubit_gates(
+                        self.config.lookahead_size,
+                        skip=[idx for idx, _ in front])
                 inserted = self._insert_swaps(machine, routed, candidates,
                                               cf_two_qubit,
                                               require_positive=True,
@@ -183,37 +196,25 @@ class CodarRouter(Router):
     def _candidate_swaps(self, machine: MaQAM, unresolved: list[Gate],
                          ignore_locks: bool = False) -> list[tuple[int, int]]:
         """Lock-free physical edges incident to the operands of blocked CNOTs."""
-        coupling = machine.coupling
-        now = machine.now
-        locks = machine.locks
-        respect_locks = self.config.use_qubit_locks and not ignore_locks
+        incident = machine.coupling.incident_edges()
+        physical_of = machine.layout.physical_view()
         seen: set[tuple[int, int]] = set()
+        if ignore_locks or not self.config.use_qubit_locks:
+            for gate in unresolved:
+                for logical in gate.qubits:
+                    seen.update(incident[physical_of[logical]])
+            return sorted(seen)
+        t_end = machine.locks.t_end_view()
+        now = machine.now
         for gate in unresolved:
             for logical in gate.qubits:
-                anchor = machine.layout.physical(logical)
-                if respect_locks and not locks.is_free(anchor, now):
+                anchor = physical_of[logical]
+                if t_end[anchor] > now:
                     continue
-                for neighbour in coupling.neighbors(anchor):
-                    if respect_locks and not locks.is_free(neighbour, now):
-                        continue
-                    edge = (min(anchor, neighbour), max(anchor, neighbour))
-                    seen.add(edge)
+                for edge in incident[anchor]:
+                    if t_end[edge[0]] <= now and t_end[edge[1]] <= now:
+                        seen.add(edge)
         return sorted(seen)
-
-    def _lookahead_gates(self, remaining: Iterable[Gate],
-                         front: list[int]) -> list[Gate]:
-        """Two-qubit gates just beyond the CF set, used only for tie-breaking."""
-        if self.config.lookahead_size <= 0:
-            return []
-        in_front = set(front)
-        gates: list[Gate] = []
-        for index, gate in enumerate(remaining):
-            if index in in_front or gate.num_qubits != 2:
-                continue
-            gates.append(gate)
-            if len(gates) >= self.config.lookahead_size:
-                break
-        return gates
 
     def _insert_swaps(self, machine: MaQAM, routed: Circuit,
                       candidates: list[tuple[int, int]], unresolved: list[Gate],

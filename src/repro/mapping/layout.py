@@ -92,6 +92,15 @@ class Layout:
         """``physical_of`` as a list (copy)."""
         return list(self._p_of_l)
 
+    def physical_view(self) -> list[int]:
+        """``physical_of`` as the layout's own list, read live.
+
+        It follows every later :meth:`swap_physical`, so a routing loop
+        reads operand positions from it directly instead of calling
+        :meth:`physical` per operand.  Treat it as read-only.
+        """
+        return self._p_of_l
+
     def copy(self) -> "Layout":
         return Layout(self._p_of_l)
 

@@ -14,6 +14,15 @@ The implementation follows the ASPLOS 2019 description:
 4. decay factors increase on the swapped qubits and are reset whenever a gate
    executes or after a fixed number of consecutive SWAPs.
 
+Executing a gate moves no qubit, so after an execution only the gates it
+promoted into the front are tested; a SWAP is chosen only when every front
+gate is a blocked two-qubit gate, and the gates that fit after it execute
+in front order.  Operands are read from per-route qubit tuples and the
+layout's live list.  The routing loop reports each decision (a gate
+executed, a SWAP applied) to its caller: :meth:`SabreRouter._route` builds
+the routed circuit from them, and :func:`reverse_traversal_layout` drains
+them and keeps only the layout.
+
 The router is duration-unaware by design — that is the baseline behaviour the
 paper measures against.  Weighted depth is computed afterwards by the shared
 ASAP scheduler, so SABRE still benefits from whatever parallelism its output
@@ -28,6 +37,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.arch.devices import Device
 from repro.core.circuit import Circuit
@@ -63,81 +73,112 @@ class SabreRouter(Router):
     # ------------------------------------------------------------------ #
     def _route(self, circuit: Circuit, device: Device,
                layout: Layout) -> tuple[Circuit, Layout, int, dict]:
+        working = circuit.filter_gates(lambda gate: not gate.is_barrier)
+        gates = working.gates
+        physical_of = layout.physical_view()
+        routed = Circuit(device.num_qubits, circuit.num_clbits,
+                         name=f"{circuit.name}@{device.name}")
+        # Relocated gates act on in-range physical qubits and keep their
+        # classical bits, so they skip Circuit.append's checks.
+        routed_gates = routed.gates
+        swap_count = 0
+        for index, edge in self._steps(working, device, layout):
+            if edge is None:
+                gate = gates[index]
+                routed_gates.append(gate.relocated(
+                    tuple(map(physical_of.__getitem__, gate.qubits))))
+            else:
+                routed_gates.append(Gate("swap", edge, tag="routing"))
+                swap_count += 1
+        extra = {"extended_set_size": self.config.extended_set_size}
+        return routed, layout, swap_count, extra
+
+    def _steps(self, circuit: Circuit, device: Device, layout: Layout
+               ) -> Iterator[tuple[int, tuple[int, int] | None]]:
+        """Route a barrier-free ``circuit`` from ``layout``, reporting each
+        decision as it is made.
+
+        Yields ``(index, None)`` when gate ``index`` executes, on the
+        physical qubits ``layout`` holds its operands on at that moment, and
+        ``(-1, edge)`` once the SWAP on ``edge`` has been applied to
+        ``layout``.  A caller that reads only the final layout drains it.
+        """
         config = self.config
         coupling = device.coupling
         kernels = self.kernels()
-        gates = [g for g in circuit.gates if not g.is_barrier]
-        working = Circuit.from_gates(circuit.num_qubits, gates, name=circuit.name)
-        dag = CircuitDag(working)
-
+        gates = circuit.gates
+        dag = CircuitDag(circuit)
+        successors = dag.successors
         remaining_preds = [len(p) for p in dag.predecessors]
-        front: deque[int] = deque(i for i in range(dag.num_gates) if remaining_preds[i] == 0)
-        routed = Circuit(device.num_qubits, circuit.num_clbits,
-                         name=f"{circuit.name}@{device.name}")
-        decay = [1.0] * device.num_qubits
-        swap_count = 0
-        swaps_since_reset = 0
-        # The front and extended sets change only when a gate executes, so
-        # consecutive SWAPs score against the same two gate lists.
-        front_gates: list[Gate] | None = None
-        extended_gates: list[Gate] = []
-
-        def execute(index: int) -> None:
-            gate = dag.gate(index)
-            routed.append(gate.relocated(
-                tuple(layout.physical(q) for q in gate.qubits)))
-
-        while front:
-            # --- execute every gate of the front layer that fits the coupling.
-            executable = []
-            for index in list(front):
-                gate = dag.gate(index)
-                if gate.num_qubits != 2 or coupling.are_adjacent(
-                        layout.physical(gate.qubits[0]), layout.physical(gate.qubits[1])):
-                    executable.append(index)
-            if executable:
-                for index in executable:
-                    front.remove(index)
-                    execute(index)
-                    for successor in dag.successors[index]:
+        operands = [gate.qubits for gate in gates]
+        two_qubit = [len(qubits) == 2 for qubits in operands]
+        physical_of = layout.physical_view()
+        neighbors = [coupling.neighbors(q) for q in range(device.num_qubits)]
+        incident = coupling.incident_edges()
+        # The front in order: ``ready`` gates still to test, then ``blocked``
+        # two-qubit gates whose operands are not adjacent.
+        ready = [i for i, count in enumerate(remaining_preds) if not count]
+        blocked: list[int] = []
+        while True:
+            # --- execute every front gate that fits the coupling.  Executing
+            # moves no qubit, so only the gates it promotes need a test.
+            while ready:
+                promoted = []
+                for index in ready:
+                    if two_qubit[index]:
+                        a, b = operands[index]
+                        if physical_of[b] not in neighbors[physical_of[a]]:
+                            blocked.append(index)
+                            continue
+                    yield index, None
+                    for successor in successors[index]:
                         remaining_preds[successor] -= 1
-                        if remaining_preds[successor] == 0:
-                            front.append(successor)
-                decay = [1.0] * device.num_qubits
-                swaps_since_reset = 0
-                front_gates = None
-                continue
+                        if not remaining_preds[successor]:
+                            promoted.append(successor)
+                ready = promoted
+            if not blocked:
+                return
 
-            # --- all front gates blocked: pick the cheapest SWAP.
-            if front_gates is None:
-                front_gates = [dag.gate(i) for i in front]
-                extended_gates = self._extended_set(dag, front,
-                                                    remaining_preds)
-            candidates = self._candidate_swaps(front_gates, coupling, layout)
-            if not candidates:  # pragma: no cover - needs a disconnected device
-                raise RuntimeError(
-                    f"SABRE cannot route {circuit.name!r}: no candidate SWAPs "
-                    "(is the coupling graph connected?)")
-            best_edge, _cost = kernels.sabre_best_swap(
-                coupling, layout, candidates, front_gates, extended_gates,
-                decay, config.extended_set_weight)
-            phys_a, phys_b = best_edge
-            layout.swap_physical(phys_a, phys_b)
-            routed.append(Gate("swap", (phys_a, phys_b), tag="routing"))
-            swap_count += 1
-            decay[phys_a] += config.decay_delta
-            decay[phys_b] += config.decay_delta
-            swaps_since_reset += 1
-            if swaps_since_reset >= config.decay_reset_interval:
-                decay = [1.0] * device.num_qubits
-                swaps_since_reset = 0
-
-        extra = {"extended_set_size": config.extended_set_size}
-        return routed, layout, swap_count, extra
+            # --- all front gates blocked: insert the cheapest SWAPs until one
+            # fits.  The front and extended sets stay the same meanwhile.
+            front_gates = [gates[i] for i in blocked]
+            extended_gates = self._extended_set(blocked, successors, gates,
+                                                two_qubit)
+            decay = [1.0] * device.num_qubits
+            swaps_since_reset = 0
+            while not ready:
+                seen: set[tuple[int, int]] = set()
+                for index in blocked:
+                    a, b = operands[index]
+                    seen.update(incident[physical_of[a]])
+                    seen.update(incident[physical_of[b]])
+                if not seen:  # pragma: no cover - needs a disconnected device
+                    raise RuntimeError(
+                        f"SABRE cannot route {circuit.name!r}: no candidate "
+                        "SWAPs (is the coupling graph connected?)")
+                best_edge, _cost = kernels.sabre_best_swap(
+                    coupling, layout, sorted(seen), front_gates,
+                    extended_gates, decay, config.extended_set_weight)
+                phys_a, phys_b = best_edge
+                layout.swap_physical(phys_a, phys_b)
+                yield -1, best_edge
+                decay[phys_a] += config.decay_delta
+                decay[phys_b] += config.decay_delta
+                swaps_since_reset += 1
+                if swaps_since_reset >= config.decay_reset_interval:
+                    decay = [1.0] * device.num_qubits
+                    swaps_since_reset = 0
+                # The gates that fit now go back to the front's test, in
+                # front order; only those on the two moved qubits can.
+                ready = [i for i in blocked
+                         if physical_of[operands[i][1]]
+                         in neighbors[physical_of[operands[i][0]]]]
+                if ready:
+                    blocked = [i for i in blocked if i not in ready]
 
     # ------------------------------------------------------------------ #
-    def _extended_set(self, dag: CircuitDag, front: deque[int],
-                      remaining_preds: list[int]) -> list[Gate]:
+    def _extended_set(self, front: list[int], successors: list[list[int]],
+                      gates: list[Gate], two_qubit: list[bool]) -> list[Gate]:
         """Two-qubit successors of the front layer, up to the configured size.
 
         A breadth-first walk from the front, which is not itself part of the
@@ -145,36 +186,27 @@ class SabreRouter(Router):
         however many of its predecessors the walk visits.
         """
         limit = self.config.extended_set_size
-        successors = dag.successors
         extended: list[Gate] = []
-        queued: set[int] = set(front)
-        queue = deque(front)
-        skip = len(queue)
-        while queue and len(extended) < limit:
-            index = queue.popleft()
-            if skip:
-                skip -= 1
-            else:
-                gate = dag.gate(index)
-                if gate.num_qubits == 2:
-                    extended.append(gate)
+        if limit <= 0:
+            return extended
+        queued = set(front)
+        order: list[int] = []
+        for index in front:
             for successor in successors[index]:
                 if successor not in queued:
                     queued.add(successor)
-                    queue.append(successor)
+                    order.append(successor)
+        # ``order`` grows while it is walked: the list is the BFS queue.
+        for index in order:
+            if two_qubit[index]:
+                extended.append(gates[index])
+                if len(extended) >= limit:
+                    break
+            for successor in successors[index]:
+                if successor not in queued:
+                    queued.add(successor)
+                    order.append(successor)
         return extended
-
-    @staticmethod
-    def _candidate_swaps(front_gates: list[Gate], coupling, layout: Layout
-                         ) -> list[tuple[int, int]]:
-        """Edges incident to the physical operands of the blocked front gates."""
-        seen: set[tuple[int, int]] = set()
-        for gate in front_gates:
-            for logical in gate.qubits:
-                anchor = layout.physical(logical)
-                for neighbour in coupling.neighbors(anchor):
-                    seen.add((min(anchor, neighbour), max(anchor, neighbour)))
-        return sorted(seen)
 
 
 def reverse_traversal_layout(circuit: Circuit, device: Device,
@@ -188,8 +220,9 @@ def reverse_traversal_layout(circuit: Circuit, device: Device,
     returned after the last backward pass reflects the interaction structure
     near the *start* of the circuit, which is what the forward run wants.
 
-    Only the final layouts are read, so each pass calls the router's
-    ``_route`` directly: no routed circuit is scheduled, measured or
+    Only the final layouts are read, so each pass drains the router's
+    decision loop ``_steps`` directly: no gate is relocated, no SWAP gate
+    or routed circuit is built, and nothing is scheduled, measured or
     packaged.  The checks ``Router.run`` would make first still apply: a
     circuit wider than the device, or two-qubit gates on a device whose
     coupling graph is disconnected, raise :class:`ValueError` (the latter
@@ -208,6 +241,6 @@ def reverse_traversal_layout(circuit: Circuit, device: Device,
     forward = circuit.without_measurements()
     backward = forward.reversed_order()
     for _ in range(rounds):
-        _, layout, _, _ = router._route(forward, device, layout)
-        _, layout, _, _ = router._route(backward, device, layout)
+        for circuit_pass in (forward, backward):
+            deque(router._steps(circuit_pass, device, layout), maxlen=0)
     return layout

@@ -31,9 +31,14 @@ The rules:
   fresh connection propagates, so the client's retry and the gateway's
   failover paths see exactly what they saw before pooling.
 * A reply carrying ``Connection: close`` is never pooled.
-* **No Nagle.**  The handlers write a reply's headers and body in two
-  writes; with Nagle's algorithm on, the second write waits for the peer's
-  delayed ACK on every reused connection.  Handlers set
+* **One write per message.**  A handler buffers its reply and sends the
+  header block and the body together when it flushes (a body larger than
+  the buffer follows in a second write); a pooled connection collects what
+  ``http.client`` sends for one request, header block and body, and writes
+  it at once.  Each message thus costs one syscall and, when small, one
+  TCP segment.
+* **No Nagle.**  Should a message still leave in two writes, the second
+  must not wait for the peer's delayed ACK.  Handlers set
   ``disable_nagle_algorithm``, and ``http.client`` sets ``TCP_NODELAY`` on
   every socket it connects.
 * **Stopping closes idle connections.**  ``server_close()`` (called by
@@ -64,6 +69,9 @@ from repro.server.tenancy import TENANT_HEADER
 MAX_IDLE_CONNECTIONS = 32
 #: Cap on request bodies; the largest suite QASM is ~100 kB.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+#: Reply buffer of one server connection: a reply up to this size, header
+#: block included, leaves in one write.
+REPLY_BUFFER_BYTES = 64 * 1024
 
 #: How a reused connection fails when the server closed it while idle
 #: (``RemoteDisconnected`` is a ``ConnectionResetError``).
@@ -150,7 +158,33 @@ class ConnectionPool:
     def _connection(self) -> http.client.HTTPConnection:
         if self._address is None:
             raise ValueError(f"not an http:// base URL: {self.base_url!r}")
-        return http.client.HTTPConnection(*self._address)
+        return _OneWriteConnection(*self._address)
+
+
+class _OneWriteConnection(http.client.HTTPConnection):
+    """An ``HTTPConnection`` that sends each request in one write.
+
+    ``http.client`` hands a request's header block and its body to
+    :meth:`send` separately; what one :meth:`request` sends is collected
+    and written once it has all been produced.
+    """
+
+    _held: list[bytes] | None = None
+
+    def request(self, *args, **kwargs) -> None:
+        self._held = []
+        try:
+            super().request(*args, **kwargs)
+            data = b"".join(self._held)
+        finally:
+            self._held = None
+        super().send(data)
+
+    def send(self, data) -> None:
+        if self._held is None:
+            super().send(data)
+        else:
+            self._held.append(data)
 
 
 def _close_all(connections: list[http.client.HTTPConnection]) -> None:
@@ -311,6 +345,9 @@ class JSONHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
+    # A buffered ``wfile``: a reply's header block and body leave together
+    # when ``_send`` (or the stdlib, after an error reply) flushes.
+    wbufsize = REPLY_BUFFER_BYTES
     _log = _LOG
     _trace = None
     _span = None
@@ -340,6 +377,12 @@ class JSONHandler(BaseHTTPRequestHandler):
         self._span = None
         return super().parse_request()
 
+    def handle_expect_100(self) -> bool:
+        # The interim reply must leave before the client sends its body.
+        accepted = super().handle_expect_100()
+        self.wfile.flush()
+        return accepted
+
     # ------------------------------------------------------------------ #
     def _send(self, status: int, body: bytes, content_type: str,
               headers: dict[str, str] | None = None) -> None:
@@ -360,6 +403,7 @@ class JSONHandler(BaseHTTPRequestHandler):
             self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
+        self.wfile.flush()
 
     def _reply(self, status: int, payload: dict | str, *,
                content_type: str = "application/json") -> None:

@@ -38,7 +38,8 @@ from repro.service.jobs import CompileJob
 from repro.service.registry import build_device, build_router
 from repro.workloads.generators import qft, random_circuit
 
-#: grid_4x4 has lattice coordinates (H_fine is live); Tokyo has none.
+#: Both carry lattice coordinates, so H_fine is live on each; Tokyo's 4x5
+#: grid adds diagonal couplings.
 DEVICES = ("grid_4x4", "ibm_q20_tokyo")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
@@ -139,6 +140,49 @@ class TestDeltaScorers:
                     lookahead_gates=lookahead) == best_swap(
                     candidates, coupling, layout, targets, use_fine=use_fine,
                     lookahead_gates=lookahead)
+
+    @pytest.mark.parametrize("device_name", DEVICES)
+    @pytest.mark.parametrize("seed", (9, 10))
+    def test_codar_best_swap_equals_the_full_argmax(self, device_name, seed,
+                                                    reference_scoring):
+        """Ranking on H_basic first, then H_fine and the look-ahead for the
+        candidates tied at the top only, picks the SWAP and the priority
+        the argmax over every candidate's full priority picks."""
+        coupling = build_device(device_name).coupling
+        rng = random.Random(seed)
+        n = coupling.num_qubits
+        tied_tops = set()
+        for _trial in range(30):
+            layout = _layout(rng, n)
+            candidates = _candidates(coupling)
+            rng.shuffle(candidates)
+            if rng.random() < 0.5:
+                # Gates on coupled qubits: no SWAP shortens them, so the top
+                # H_basic is 0 and every untouched candidate ties there.
+                targets = [_on_edge(layout, rng.choice(candidates))
+                           for _ in range(rng.randint(1, 4))]
+            else:
+                targets = _cx_gates(rng, n, rng.randint(1, 6))
+            lookahead = _cx_gates(rng, n, rng.randint(0, 12))
+            basics = [priority.basic for priority in SCORER.codar_swap_scores(
+                coupling, layout, candidates, targets)]
+            top = max(basics)
+            if basics.count(top) > 1:
+                tied_tops.add(top > 0)
+            for use_fine in (True, False):
+                for decay in (0.5, 0.3):
+                    options = {"use_fine": use_fine,
+                               "lookahead_gates": lookahead,
+                               "lookahead_decay": decay}
+                    got = SCORER.codar_best_swap(
+                        coupling, layout, candidates, targets, **options)
+                    with reference_scoring():
+                        expected = SCORER.codar_best_swap(
+                            coupling, layout, candidates, targets, **options)
+                    assert got == expected
+        assert tied_tops == {True, False}, (
+            "the draw must tie candidates at a positive and at a "
+            "non-positive top H_basic")
 
     @pytest.mark.parametrize("device_name", DEVICES)
     @pytest.mark.parametrize("seed", (6, 7, 8))

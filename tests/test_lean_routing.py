@@ -221,12 +221,14 @@ def test_extended_set_equals_the_duplicate_queueing_walk(seed, limit):
     circuit = random_circuit(rng.randint(3, 9), 150, seed=seed,
                              two_qubit_fraction=rng.choice((0.3, 0.6, 0.9)))
     dag = CircuitDag(circuit)
+    two_qubit = [gate.num_qubits == 2 for gate in circuit.gates]
     router = SabreRouter(SabreConfig(extended_set_size=limit))
     remaining = [len(p) for p in dag.predecessors]
     front = deque(i for i in range(dag.num_gates) if remaining[i] == 0)
     while front:
         expected = _extended_set_queueing_duplicates(dag, front, limit)
-        assert router._extended_set(dag, front, remaining) == expected
+        assert router._extended_set(list(front), dag.successors,
+                                    circuit.gates, two_qubit) == expected
         # Execute a random part of the front, as routing would.
         for index in rng.sample(list(front), rng.randint(1, len(front))):
             front.remove(index)

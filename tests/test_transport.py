@@ -1,9 +1,12 @@
-"""Keep-alive transport: pooled connections, stale resends, stop(), no Nagle.
+"""Keep-alive transport: pooled connections, stale resends, stop(), no Nagle,
+one write per message.
 
 Real :class:`~repro.server.http.CompileServer` shards and a real
 :class:`~repro.cluster.gateway.ClusterGateway` run on ephemeral ports in the
 test process.  Connections a server accepts are counted by wrapping its
-``process_request``, so "one connection" is observed on the server side.
+``process_request``, so "one connection" is observed on the server side;
+socket writes are counted by wrapping ``socket.socket.send`` and
+``sendall``.
 """
 
 import http.client
@@ -12,6 +15,7 @@ import socket
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -150,6 +154,56 @@ def test_nagle_is_off_on_pooled_and_accepted_sockets(server):
     option = (socket.IPPROTO_TCP, socket.TCP_NODELAY)
     assert pooled.sock.getsockopt(*option)
     assert accepted[0].getsockopt(*option)
+
+
+def _socket_writes(patch) -> list[tuple[int, int]]:
+    """``(socket id, byte count)`` of every socket write from now on."""
+    writes = []
+    for name in ("send", "sendall"):
+        original = getattr(socket.socket, name)
+
+        def counting(sock, data, *args, _original=original):
+            writes.append((id(sock), len(data)))
+            return _original(sock, data, *args)
+
+        patch.setattr(socket.socket, name, counting)
+    return writes
+
+
+@pytest.mark.parametrize("method", ["GET", "POST"])
+def test_every_message_is_one_write(front, monkeypatch, method):
+    """A small request and its reply each leave in one write, on every hop:
+    each socket that carries the request writes exactly once."""
+    client = CompileClient(front.url)
+    if method == "GET":
+        request = client.health
+    else:
+        def request():
+            return client.submit(_job(0))
+    request()  # open the pooled connections on every hop
+    with monkeypatch.context() as patch:
+        writes = _socket_writes(patch)
+        request()
+    per_socket = Counter(sock for sock, _ in writes)
+    assert len(per_socket) >= 2, writes
+    assert set(per_socket.values()) == {1}, writes
+
+
+def test_expect_100_continue_is_answered_before_the_body(server):
+    """Replies are buffered, so the interim ``100 Continue`` must be
+    flushed on its own: the client waits for it before sending its body."""
+    body = json.dumps({"job": _job(0).to_dict()}).encode("utf-8")
+    head = (f"POST /jobs HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            f"Expect: 100-continue\r\n\r\n").encode("ascii")
+    with socket.create_connection(server.address, timeout=5) as sock:
+        sock.sendall(head)
+        assert sock.recv(64).startswith(b"HTTP/1.1 100 ")
+        sock.sendall(body)
+        reply = sock.makefile("rb")
+        assert reply.readline().startswith(b"HTTP/1.1 20")
+        reply.close()
 
 
 # --------------------------------------------------------------------------- #
