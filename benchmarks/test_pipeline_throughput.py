@@ -367,7 +367,7 @@ def test_recorder_overhead_within_noise(paper_scale):
     def run_round() -> tuple[float, float]:
         """Seconds per pass of the off leg and of the on leg."""
         off_metrics, on_metrics = ServerMetrics(), ServerMetrics()
-        recorder = MetricsRecorder(on_metrics.history_sample,
+        recorder = MetricsRecorder(on_metrics.sample,
                                    interval_s=0.001, max_samples=16384)
         off_s = on_s = 0.0
         passes = 0

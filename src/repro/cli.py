@@ -2,9 +2,10 @@
 
 Usage (``python -m repro.cli <command> ...``):
 
-* ``route FILE --device ibm_q20_tokyo [--router codar|sabre|astar|trivial]``
-  Parse an OpenQASM 2.0 file, compile it for the device and print the routed
-  QASM plus the metrics the paper reports (weighted depth, SWAP count).
+* ``route FILE --device ibm_q20_tokyo [--router SPEC]``
+  Parse an OpenQASM 2.0 file, compile it for the device with a router from
+  the service registry and print the routed QASM plus the metrics the paper
+  reports (weighted depth, SWAP count).
 * ``batch [FILES ...] [--suite] --device D [--device D2] --router R ...``
   Submit a batch of circuits (QASM files and/or a benchmark-suite slice) to
   the compilation service: every (circuit, device, router) combination runs
@@ -85,11 +86,6 @@ from repro.experiments.layouts import LayoutSensitivityExperiment
 from repro.experiments.scaling import RuntimeScalingExperiment
 from repro.experiments.sensitivity import DurationSensitivityExperiment
 from repro.experiments.speedup import SpeedupExperiment
-from repro.mapping.astar.remapper import AStarRouter
-from repro.mapping.codar.noise_aware import NoiseAwareCodarRouter
-from repro.mapping.codar.remapper import CodarRouter
-from repro.mapping.sabre.remapper import SabreRouter
-from repro.mapping.trivial import TrivialRouter
 from repro.passes.pipeline import transpile
 from repro.qasm import QasmError, circuit_to_qasm, parse_qasm_file
 from repro.service.api import compile_batch, make_job
@@ -97,19 +93,14 @@ from repro.service.cache import ResultCache
 from repro.service.registry import ROUTERS, device_spec
 from repro.workloads.suite import benchmark_suite
 
-_ROUTERS = {
-    "codar": CodarRouter,
-    "codar-noise-aware": NoiseAwareCodarRouter,
-    "sabre": SabreRouter,
-    "astar": AStarRouter,
-    "trivial": TrivialRouter,
-}
-
-
 def _cmd_route(args: argparse.Namespace) -> int:
+    try:
+        router = ROUTERS.build(args.router)
+    except KeyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     circuit = parse_qasm_file(args.file)
     device = get_device(args.device)
-    router = _ROUTERS[args.router]()
     result = transpile(circuit, device, router=router, verify=not args.no_verify)
     summary = result.summary()
     print(f"# circuit        : {summary['circuit']} "
@@ -432,9 +423,31 @@ def _monitor_config(args: argparse.Namespace) -> dict | bool:
     if args.no_monitor:
         return False
     monitor: dict = {"interval_s": args.monitor_interval}
-    if getattr(args, "tenant_slos", False):
+    if args.tenant_slos:
         monitor["tenant_slos"] = True
     return monitor
+
+
+def _tenant_options(args: argparse.Namespace) -> dict:
+    """The tenant flags as CompileServer / LocalShardFleet keywords
+    (``ValueError`` on a malformed ``NAME=VALUE``)."""
+    return {"tenant_weights": _parse_tenant_map(args.tenant_weight, float,
+                                                "--tenant-weight"),
+            "tenant_quotas": _parse_tenant_map(args.tenant_quota, int,
+                                               "--tenant-quota"),
+            "default_tenant_quota": args.default_tenant_quota}
+
+
+def _serve_until_stopped(server) -> None:
+    """``server.serve_forever()``; SIGTERM drains gracefully, like Ctrl-C."""
+    def _sigterm(_signum, _frame):
+        raise KeyboardInterrupt
+
+    try:
+        signal.signal(signal.SIGTERM, _sigterm)
+    except ValueError:  # pragma: no cover — not the main thread
+        pass
+    server.serve_forever()
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -447,10 +460,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     cache = (ResultCache(args.cache_dir, max_entries=1024)
              if args.cache_dir else None)
     try:
-        tenant_weights = _parse_tenant_map(args.tenant_weight, float,
-                                           "--tenant-weight")
-        tenant_quotas = _parse_tenant_map(args.tenant_quota, int,
-                                          "--tenant-quota")
+        tenants = _tenant_options(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -462,10 +472,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                            slow_request_s=args.slow_request_s,
                            profile_slow_s=args.profile_slow_s,
                            trace_max_spans=args.trace_spans,
-                           monitor=_monitor_config(args),
-                           tenant_weights=tenant_weights,
-                           tenant_quotas=tenant_quotas,
-                           default_tenant_quota=args.default_tenant_quota)
+                           monitor=_monitor_config(args), **tenants)
     server.start()
     print(f"# serving on {server.url} "
           f"({args.server_workers} workers, "
@@ -473,18 +480,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"cache={'disk:' + args.cache_dir if args.cache_dir else 'memory'})",
           file=sys.stderr)
     print("# endpoints: POST /jobs, GET /jobs/<key>, GET /results/<key>, "
-          "GET /metrics[/history], GET /slo, GET /alerts, GET /healthz, "
-          "GET /traces[/<id>]", file=sys.stderr)
-
-    def _sigterm(_signum, _frame):  # SIGTERM drains gracefully, like Ctrl-C
-        raise KeyboardInterrupt
-
+          "GET /metrics[/history|/sample], GET /slo, GET /alerts, "
+          "GET /healthz, GET /traces[/<id>]", file=sys.stderr)
     try:
-        signal.signal(signal.SIGTERM, _sigterm)
-    except ValueError:  # pragma: no cover — not the main thread
-        pass
-    try:
-        server.serve_forever()
+        _serve_until_stopped(server)
     finally:
         print("# server stopped", file=sys.stderr)
     return 0
@@ -498,10 +497,7 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
         configure(level="debug")
     monitor = _monitor_config(args)
     try:
-        tenant_weights = _parse_tenant_map(args.tenant_weight, float,
-                                           "--tenant-weight")
-        tenant_quotas = _parse_tenant_map(args.tenant_quota, int,
-                                          "--tenant-quota")
+        tenants = _tenant_options(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -509,10 +505,7 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
                             workers=args.server_workers,
                             max_depth=args.max_depth,
                             job_timeout=args.job_timeout,
-                            monitor=monitor,
-                            tenant_weights=tenant_weights,
-                            tenant_quotas=tenant_quotas,
-                            default_tenant_quota=args.default_tenant_quota)
+                            monitor=monitor, **tenants)
     try:
         urls = fleet.start()
     except (OSError, TimeoutError) as exc:
@@ -536,18 +529,10 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
           f"{args.mode} placement, {args.server_workers} workers/shard)",
           file=sys.stderr)
     print("# endpoints: POST /jobs, POST /portfolio, GET /jobs/<key>, "
-          "GET /results/<key>, GET /metrics[/history], GET /slo, "
+          "GET /results/<key>, GET /metrics[/history|/sample], GET /slo, "
           "GET /alerts, GET /healthz, GET /traces[/<id>]", file=sys.stderr)
-
-    def _sigterm(_signum, _frame):  # SIGTERM drains gracefully, like Ctrl-C
-        raise KeyboardInterrupt
-
     try:
-        signal.signal(signal.SIGTERM, _sigterm)
-    except ValueError:  # pragma: no cover — not the main thread
-        pass
-    try:
-        gateway.serve_forever()
+        _serve_until_stopped(gateway)
     finally:
         fleet.stop()
         print("# cluster stopped", file=sys.stderr)
@@ -938,6 +923,40 @@ def _add_study_options(parser: argparse.ArgumentParser, max_qubits: int) -> None
                         help="largest benchmark (in qubits) included in the sweep")
 
 
+def _add_serving_options(parser: argparse.ArgumentParser) -> None:
+    """The flags ``serve`` and ``cluster serve`` share; under ``cluster
+    serve`` they configure every shard (and the gateway's monitor)."""
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--server-workers", type=int, default=2,
+                        help="scheduler worker threads (per shard)")
+    parser.add_argument("--max-depth", type=int, default=256,
+                        help="queue admission bound (per shard; full queue "
+                             "=> HTTP 429)")
+    parser.add_argument("--job-timeout", type=float,
+                        help="per-job wall-clock bound in seconds")
+    parser.add_argument("--verbose", action="store_true",
+                        help="debug-level structured logs (JSON lines) on "
+                             "stderr, incl. every HTTP request")
+    parser.add_argument("--no-monitor", action="store_true",
+                        help="disable the metrics recorder / SLO / alerting "
+                             "layer (/metrics/history, /slo, /alerts)")
+    parser.add_argument("--monitor-interval", type=float, default=5.0,
+                        help="monitor sampling period in seconds")
+    parser.add_argument("--tenant-weight", action="append", metavar="NAME=W",
+                        help="weighted-fair dequeue share for a tenant "
+                             "(repeatable; unlisted tenants weigh 1)")
+    parser.add_argument("--tenant-quota", action="append", metavar="NAME=N",
+                        help="max queued jobs for a tenant, per shard "
+                             "(repeatable; breach => HTTP 429 for that "
+                             "tenant only)")
+    parser.add_argument("--default-tenant-quota", type=int,
+                        help="queued-jobs quota for tenants without an "
+                             "explicit --tenant-quota")
+    parser.add_argument("--tenant-slos", action="store_true",
+                        help="instantiate the SLO set per tenant as tenants "
+                             "appear in the traffic")
+
+
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.devtools.lint.cli import run_from_args
 
@@ -956,7 +975,8 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("file", help="OpenQASM 2.0 input file")
     route.add_argument("--device", default="ibm_q20_tokyo",
                        choices=list_devices(), help="target device model")
-    route.add_argument("--router", default="codar", choices=sorted(_ROUTERS))
+    route.add_argument("--router", default="codar",
+                       help=f"router spec; known: {ROUTERS.names()}")
     route.add_argument("--output", help="write routed QASM here instead of stdout")
     route.add_argument("--no-verify", action="store_true",
                        help="skip coupling/equivalence verification")
@@ -1075,20 +1095,10 @@ def build_parser() -> argparse.ArgumentParser:
     routers.set_defaults(func=_cmd_routers)
 
     serve = sub.add_parser("serve", help="run the online compilation server")
-    serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8642,
                        help="bind port (0 picks an ephemeral port)")
-    serve.add_argument("--server-workers", type=int, default=2,
-                       help="scheduler worker threads")
     serve.add_argument("--cache-dir",
                        help="on-disk result cache (default: in-memory LRU)")
-    serve.add_argument("--max-depth", type=int, default=256,
-                       help="queue admission bound (full queue => HTTP 429)")
-    serve.add_argument("--job-timeout", type=float,
-                       help="per-job wall-clock bound in seconds")
-    serve.add_argument("--verbose", action="store_true",
-                       help="debug-level structured logs (JSON lines) on "
-                            "stderr, incl. every HTTP request")
     serve.add_argument("--slow-request-s", type=float, default=5.0,
                        help="log a slow_request warning past this many "
                             "seconds")
@@ -1097,23 +1107,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "slower than this (off by default)")
     serve.add_argument("--trace-spans", type=int,
                        help="span ring-buffer capacity (default 4096)")
-    serve.add_argument("--no-monitor", action="store_true",
-                       help="disable the metrics recorder / SLO / alerting "
-                            "layer (/metrics/history, /slo, /alerts)")
-    serve.add_argument("--monitor-interval", type=float, default=5.0,
-                       help="monitor sampling period in seconds")
-    serve.add_argument("--tenant-weight", action="append", metavar="NAME=W",
-                       help="weighted-fair dequeue share for a tenant "
-                            "(repeatable; unlisted tenants weigh 1)")
-    serve.add_argument("--tenant-quota", action="append", metavar="NAME=N",
-                       help="max queued jobs for a tenant (repeatable; "
-                            "breach => HTTP 429 for that tenant only)")
-    serve.add_argument("--default-tenant-quota", type=int,
-                       help="queued-jobs quota for tenants without an "
-                            "explicit --tenant-quota")
-    serve.add_argument("--tenant-slos", action="store_true",
-                       help="instantiate the SLO set per tenant as tenants "
-                            "appear in the traffic")
+    _add_serving_options(serve)
     serve.set_defaults(func=_cmd_serve)
 
     cluster = sub.add_parser(
@@ -1123,41 +1117,14 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="spawn N local shard processes behind a gateway")
     cluster_serve.add_argument("--shards", type=int, default=2,
                                help="shard (compile-server) process count")
-    cluster_serve.add_argument("--host", default="127.0.0.1")
     cluster_serve.add_argument("--port", type=int, default=8700,
                                help="gateway bind port (0 = ephemeral)")
-    cluster_serve.add_argument("--server-workers", type=int, default=2,
-                               help="scheduler worker threads per shard")
-    cluster_serve.add_argument("--max-depth", type=int, default=256,
-                               help="per-shard queue admission bound")
-    cluster_serve.add_argument("--job-timeout", type=float,
-                               help="per-job wall-clock bound in seconds")
     cluster_serve.add_argument("--mode", default="rendezvous",
                                choices=("rendezvous", "ring"),
                                help="key→shard placement mode")
     cluster_serve.add_argument("--health-interval", type=float, default=1.0,
                                help="seconds between shard health probes")
-    cluster_serve.add_argument("--verbose", action="store_true",
-                               help="log every gateway request to stderr")
-    cluster_serve.add_argument("--no-monitor", action="store_true",
-                               help="disable monitoring on the gateway and "
-                                    "every shard")
-    cluster_serve.add_argument("--monitor-interval", type=float, default=5.0,
-                               help="monitor sampling period in seconds")
-    cluster_serve.add_argument("--tenant-weight", action="append",
-                               metavar="NAME=W",
-                               help="weighted-fair dequeue share per tenant "
-                                    "on every shard (repeatable)")
-    cluster_serve.add_argument("--tenant-quota", action="append",
-                               metavar="NAME=N",
-                               help="per-shard queued-jobs quota for a "
-                                    "tenant (repeatable)")
-    cluster_serve.add_argument("--default-tenant-quota", type=int,
-                               help="per-shard quota for tenants without an "
-                                    "explicit --tenant-quota")
-    cluster_serve.add_argument("--tenant-slos", action="store_true",
-                               help="instantiate SLOs per tenant on the "
-                                    "gateway and every shard")
+    _add_serving_options(cluster_serve)
     cluster_serve.set_defaults(func=_cmd_cluster_serve)
     cluster_status = cluster_sub.add_parser(
         "status", help="gateway health: shard liveness and routing counters")

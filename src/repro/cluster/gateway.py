@@ -16,15 +16,20 @@ nothing else changes:
 * ``GET /jobs/<key>`` / ``GET /results/<key>`` — proxied to the owning shard;
   a 404 falls through to the remaining members in preference order, so a
   ticket that failed over to a neighbour is still found.
-* ``GET /metrics`` — cluster-level Prometheus exposition: the gateway's own
-  ``repro_cluster_shard_*`` counters plus every shard's counters and
-  histograms summed sample-by-sample (the fixed-bucket design makes shard
-  histograms mergeable by adding cumulative bucket counts; p50/p95 are
-  recomputed from the merged buckets).
+* ``GET /metrics/sample`` — the fleet's cumulative metrics sample as JSON:
+  every shard's ``GET /metrics/sample`` summed value by value (histogram
+  buckets by bound — every shard uses the same fixed bounds), with per-shard
+  utilization gauges averaged and the fleet topology added.  A dead shard
+  contributes its last-known sample, and a restarted shard's earlier values
+  are banked, so merged counters never go back.
+* ``GET /metrics`` — cluster-level Prometheus exposition for external
+  scrapers: the gateway's own ``repro_cluster_*`` counters, then the shard
+  sum rendered by :func:`~repro.server.metrics.render_prometheus` under the
+  ``repro_cluster`` prefix (p50/p95 from the merged buckets).
 * ``GET /metrics/history`` / ``GET /slo`` / ``GET /alerts`` — the fleet
   monitoring layer: the gateway runs its own
-  :class:`~repro.obs.monitor.Monitor` whose metrics source is the merged
-  shard scrape, so rolling windows, SLO budgets and burn-rate alerts are
+  :class:`~repro.obs.monitor.Monitor` whose metrics source is the fleet
+  sample, so rolling windows, SLO budgets and burn-rate alerts are
   computed over *fleet-level* cumulative series (merged counters difference
   exactly like a single shard's).  ``/alerts`` additionally fans out to
   every shard and merges their alert payloads, so shard-local alerts (which
@@ -53,22 +58,19 @@ from repro.cluster.ring import ShardMember, ShardRing
 from repro.obs.logging import get_logger
 from repro.obs.monitor import Monitor, MonitorConfig
 from repro.obs.store import get_store
-from repro.obs.timeseries import sample_from_prometheus
 from repro.obs.trace import (TRACE_HEADER, TraceContext, activate,
                              current_trace, record_span, span)
 # The gateway enforces the backend's exact edge limits (the body cap through
 # the shared handler base); importing them keeps the two layers in lockstep
 # when either bound changes.
 from repro.server.http import MAX_WAIT_S
-from repro.server.metrics import iter_samples
+from repro.server.metrics import render_prometheus
 from repro.server.tenancy import TENANT_HEADER, normalize_tenant
 from repro.server.transport import JSONHandler, KeepAliveApp
 from repro.service.jobs import CompileJob, PortfolioJob
 
 #: Socket headroom added on top of a proxied blocking wait.
 PROXY_MARGIN_S = 30.0
-#: Histograms recomputed (p50/p95) from merged shard buckets.
-_HISTOGRAMS = ("job_wait_seconds", "job_service_seconds")
 
 _LOG = get_logger("cluster.gateway")
 
@@ -80,27 +82,29 @@ class NoShardAvailableError(RuntimeError):
     """Every shard in the ring was unreachable for a forwarded request."""
 
 
-def _is_monotone_sample(name: str) -> bool:
-    """Whether a Prometheus sample name is monotone (counter-like).
+def _add(left, right):
+    """Sum two samples value by value; histogram buckets add up by bound."""
+    if isinstance(left, dict):
+        total = dict(left)
+        for key, value in right.items():
+            total[key] = _add(total[key], value) if key in total else value
+        return total
+    if isinstance(left, list):
+        buckets = dict(map(tuple, left))
+        for bound, cumulative in right:
+            buckets[bound] = buckets.get(bound, 0) + cumulative
+        return sorted(buckets.items())
+    return left + right
 
-    Judged on the base name before any label block so tenant-labelled
-    counters and histogram series are covered; gauges (depths, utilization,
-    percentiles) are not.
-    """
-    base = name.partition("{")[0]
-    return base.endswith(("_total", "_sum", "_count", "_bucket"))
 
-
-def _format_value(value: float) -> str:
-    # Unlike server.metrics._format_value (which renders live Python values
-    # and must keep e.g. bucket bounds as "1.0"), merged samples are *parsed*
-    # floats: counters re-render as integers so the aggregate exposition
-    # matches what a single shard would emit.
-    if value == float("inf"):
-        return "+Inf"
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
+def _fell(old, new) -> bool:
+    """Whether any value of ``old`` is missing or lower in ``new``."""
+    if isinstance(old, dict):
+        new = new if isinstance(new, dict) else {}
+        return any(_fell(value, new.get(key)) for key, value in old.items())
+    if isinstance(old, list):
+        return _fell(dict(map(tuple, old)), dict(map(tuple, new or ())))
+    return old > (new or 0)
 
 
 class GatewayMetrics:
@@ -205,6 +209,8 @@ class _GatewayHandler(JSONHandler):
         elif path == "/metrics":
             self._reply(200, self.app.aggregated_metrics(),
                         content_type="text/plain; version=0.0.4")
+        elif path == "/metrics/sample":
+            self._reply(200, self.app.fleet_sample())
         elif path == "/metrics/history":
             self._get_monitor("history")
         elif path == "/slo":
@@ -342,22 +348,18 @@ class ClusterGateway(KeepAliveApp):
             self.ring, interval=health_interval, timeout=probe_timeout,
             fail_threshold=fail_threshold, ok_threshold=ok_threshold)
         self.metrics = GatewayMetrics()
-        # Last successfully-scraped samples per shard: an unreachable or
-        # ejected shard keeps contributing its last-known counters so the
-        # merged totals never go backwards (a Prometheus counter-reset dip
+        # Per shard: the last sample it served, and the banked non-gauge
+        # values of its earlier incarnations (see ``_absorb_sample``).  An
+        # unreachable shard keeps contributing its last sample plus the bank,
+        # so merged counters never go back (a Prometheus counter-reset dip
         # would make rate()/increase() misfire exactly during an outage).
-        self._samples_lock = threading.Lock()
-        self._last_samples: dict[str, list[tuple[str, float]]] = {}  #: guarded by self._samples_lock
-        # Counter-reset compensation per shard: when a restarted shard
-        # reports a monotone sample *below* its last raw reading, the old
-        # reading is banked as an offset so the shard's merged contribution
-        # (raw + offset) keeps counting from where it left off.  Works
-        # per full labelled name, so tenant-labelled counters stay monotone
-        # across restarts too.
-        self._raw_counters: dict[str, dict[str, float]] = {}  #: guarded by self._samples_lock
-        self._counter_offsets: dict[str, dict[str, float]] = {}  #: guarded by self._samples_lock
+        # One scrape runs at a time: a sample absorbed after a newer one
+        # would look like a restart and bank the newer counts twice.
+        self._scrape_lock = threading.Lock()
+        self._last_samples: dict[str, dict] = {}  #: guarded by self._scrape_lock
+        self._banked: dict[str, dict] = {}  #: guarded by self._scrape_lock
         super().__init__(host, port, _GatewayHandler)
-        self.monitor = Monitor(self._fleet_sample, monitor, name="gateway")
+        self.monitor = Monitor(self.fleet_sample, monitor, name="gateway")
 
     # ------------------------------------------------------------------ #
     def health(self) -> dict:
@@ -556,83 +558,77 @@ class ClusterGateway(KeepAliveApp):
                 reply.headers.get("Content-Type", "application/json"))
 
     # ------------------------------------------------------------------ #
-    def _scrape_merged(self) -> tuple[dict[str, float], int, int]:
-        """Scrape every shard's ``/metrics`` and sum samples by name.
+    def _scrape_merged(self) -> tuple[dict, int, int]:
+        """Fetch every shard's ``GET /metrics/sample`` and sum the samples.
 
         Returns ``(merged, polled, contributing)``: ``polled`` shards
-        answered this scrape, ``contributing`` shards added samples at all
-        (a dead shard contributes its last-known samples, and a restarted
-        shard's monotone samples are offset by its pre-restart values, so
-        cluster counters never go backwards across shard outages).
+        answered this scrape, ``contributing`` shards added a sample at all
+        (a dead shard contributes its last-known sample, and a restarted
+        shard's earlier values stay banked, so cluster counters never go
+        backwards across shard outages).
         """
-        merged: dict[str, float] = {}
+        merged: dict = {}
         polled = 0
         contributing = 0
-        for member in self.ring.members:
-            samples: list[tuple[str, float]] | None = None
-            try:
-                # Poll with the (short) health-probe timeout: a wedged shard
-                # must not stall the whole cluster's Prometheus scrape.
-                _, text, _ = self._request(
-                    member, "GET", "/metrics",
-                    timeout=self.health_monitor.timeout)
-            except _TRANSPORT_ERRORS:
-                if member.alive:
-                    self.health_monitor.report_failure(member)
-            else:
-                polled += 1
-                samples = [(name, value) for name, value
-                           in iter_samples(text.decode("utf-8",
-                                                       errors="replace"))
-                           if not name.endswith(("_p50", "_p95"))]
-                with self._samples_lock:
-                    samples = self._absorb_scrape(member.name, samples)
-            if samples is None:
-                with self._samples_lock:
-                    samples = self._last_samples.get(member.name, [])
-            if samples:
-                contributing += 1
-            for name, value in samples:
-                merged[name] = merged.get(name, 0.0) + value
+        with self._scrape_lock:
+            for member in self.ring.members:
+                sample = self._fetch_sample(member)
+                if sample is not None:
+                    polled += 1
+                    self._absorb_sample(member.name, sample)
+                last = self._last_samples.get(member.name)
+                if last is not None:
+                    contributing += 1
+                    merged = _add(merged, _add(
+                        last, self._banked.get(member.name, {})))
         return merged, polled, contributing
 
-    def _absorb_scrape(self, shard: str, samples: list[tuple[str, float]]
-                       ) -> list[tuple[str, float]]:
-        """Fold one fresh scrape into the per-shard caches (lock held).
+    def _fetch_sample(self, member: ShardMember) -> dict | None:
+        """One shard's ``GET /metrics/sample``, or ``None`` without one."""
+        try:
+            # Poll with the (short) health-probe timeout: a wedged shard
+            # must not stall the whole cluster's scrape.
+            status, body, _ = self._request(
+                member, "GET", "/metrics/sample",
+                timeout=self.health_monitor.timeout)
+            return json.loads(body) if status == 200 else None
+        except _TRANSPORT_ERRORS:
+            if member.alive:
+                self.health_monitor.report_failure(member)
+        except ValueError:
+            _LOG.debug("sample_unparsable", shard=member.name)
+        return None
 
-        Monotone samples (``_total`` / ``_sum`` / ``_count`` / ``_bucket``,
-        matched on the base name before any label block) that regressed
-        below the shard's last raw reading signal a restart: the lost
-        progress is banked as an offset and every later reading is shifted
-        by it, keeping the merged series non-decreasing.  Gauges pass
-        through untouched — a restarted shard's queue depth really is small.
+    def _absorb_sample(self, shard: str, sample: dict) -> None:
+        """Keep one fresh shard sample (lock held).
+
+        A non-gauge value below the shard's previous sample means the shard
+        restarted: the previous sample's non-gauge values are banked and
+        added to every later sample of that shard, keeping its merged
+        contribution non-decreasing.  Gauges are never offset — a restarted
+        shard's queue depth really is small.
         """
-        raw = self._raw_counters.setdefault(shard, {})
-        offsets = self._counter_offsets.setdefault(shard, {})
-        adjusted: list[tuple[str, float]] = []
-        for name, value in samples:
-            if _is_monotone_sample(name):
-                last = raw.get(name)
-                if last is not None and value < last:
-                    offsets[name] = offsets.get(name, 0.0) + last
-                raw[name] = value
-                value += offsets.get(name, 0.0)
-            adjusted.append((name, value))
-        self._last_samples[shard] = adjusted
-        return adjusted
+        last = self._last_samples.get(shard)
+        if last is not None:
+            counts = {key: value for key, value in last.items()
+                      if key != "gauges"}
+            if _fell(counts, sample):
+                self._banked[shard] = _add(self._banked.get(shard, {}),
+                                           counts)
+        self._last_samples[shard] = sample
 
-    def _fleet_sample(self) -> dict:
-        """The gateway monitor's metrics source: one fleet-level sample.
+    def fleet_sample(self) -> dict:
+        """The fleet's cumulative sample (``GET /metrics/sample``).
 
-        Merged shard counters/histograms are still *cumulative* series (sums
-        of per-shard cumulative values), so the recorder differences them
-        exactly as it would a single shard's.  Per-shard utilization gauges
-        (sums of fractions) are averaged over the contributing shards; fleet
-        topology and the gateway's own counters ride along.
+        Also the gateway monitor's metrics source.  The shard sum is still
+        *cumulative* (sums of per-shard cumulative values), so the recorder
+        differences it exactly as it would a single shard's.  Per-shard
+        utilization gauges (sums of fractions) are averaged over the
+        contributing shards; fleet topology and the gateway's own counters
+        ride along.
         """
         merged, polled, contributing = self._scrape_merged()
-        sample = sample_from_prometheus(merged, prefix="repro_server")
-        gauges = sample["gauges"]
+        gauges = dict(merged.get("gauges", {}))
         for name in ("worker_utilization", "queue_saturation",
                      "trace_span_ring_utilization"):
             if name in gauges:
@@ -641,9 +637,10 @@ class ClusterGateway(KeepAliveApp):
         gauges["shards_alive"] = float(len(self.ring.alive_members()))
         gauges["shards_polled"] = float(polled)
         snapshot = self.metrics.snapshot()
-        sample["counters"]["gateway_failovers"] = float(snapshot["failovers"])
-        sample["counters"]["gateway_unrouted"] = float(snapshot["unrouted"])
-        return sample
+        counters = dict(merged.get("counters", {}))
+        counters["gateway_failovers"] = float(snapshot["failovers"])
+        counters["gateway_unrouted"] = float(snapshot["unrouted"])
+        return {**merged, "counters": counters, "gauges": gauges}
 
     def merged_alerts(self, limit: int | None = None) -> dict:
         """Fleet ``GET /alerts``: gateway-level alerts + every shard's.
@@ -689,31 +686,19 @@ class ClusterGateway(KeepAliveApp):
 
     # ------------------------------------------------------------------ #
     def aggregated_metrics(self, prefix: str = "repro_cluster") -> str:
-        """Cluster-wide Prometheus text: gateway counters + merged shards.
+        """Cluster-wide Prometheus text: gateway counters + the shard sum.
 
-        Every shard sample (counters, labelled counters, histogram buckets /
-        sums / counts, gauges) is summed by its full labelled name — valid
-        because every shard uses the same fixed histogram bucket bounds —
-        then re-exported under the ``repro_cluster`` prefix.  Histogram
-        p50/p95 gauges are recomputed from the merged cumulative buckets
-        instead of being (meaninglessly) summed.  A shard that cannot be
-        scraped (dead or ejected) contributes its last-known samples, so
-        cluster counters stay monotone across shard outages.
+        The merged shard sample (see :meth:`_scrape_merged`) is rendered by
+        the servers' own :func:`~repro.server.metrics.render_prometheus`
+        under ``prefix``: counters, gauges and histogram buckets are sums
+        over the shards, and histogram p50/p95 are recomputed from the
+        merged buckets instead of being (meaninglessly) summed.
         """
         merged, polled, _ = self._scrape_merged()
         lines = self.metrics.to_prometheus(self.ring, prefix)
         lines.append(f"# TYPE {prefix}_shards_polled gauge")
         lines.append(f"{prefix}_shards_polled {polled}")
-        for name in sorted(merged):
-            out = name.replace("repro_server_", f"{prefix}_", 1)
-            lines.append(f"{out} {_format_value(merged[name])}")
-        for histogram in _HISTOGRAMS:
-            for label, fraction in (("p50", 0.50), ("p95", 0.95)):
-                value = _merged_percentile(merged, histogram, fraction)
-                metric = f"{prefix}_{histogram}_{label}"
-                lines.append(f"# TYPE {metric} gauge")
-                lines.append(f"{metric} {_format_value(value)}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines) + "\n" + render_prometheus(merged, prefix)
 
     # ------------------------------------------------------------------ #
     def _start_background(self) -> None:
@@ -725,32 +710,3 @@ class ClusterGateway(KeepAliveApp):
         for member in self.ring.members:
             member.pool.close()
 
-
-def _merged_percentile(merged: dict[str, float], histogram: str,
-                       fraction: float) -> float:
-    """Percentile upper bound from merged cumulative bucket samples."""
-    bucket_prefix = f"repro_server_{histogram}_bucket{{le=\""
-    buckets: list[tuple[float, float]] = []
-    for name, value in merged.items():
-        if name.startswith(bucket_prefix):
-            bound = name[len(bucket_prefix):].rstrip("\"}")
-            buckets.append((float("inf") if bound == "+Inf" else float(bound),
-                            value))
-    buckets.sort()
-    count = merged.get(f"repro_server_{histogram}_count", 0.0)
-    if count <= 0 or not buckets:
-        return 0.0
-    finite_covered = max((cumulative for bound, cumulative in buckets
-                          if bound != float("inf")), default=0.0)
-    if finite_covered <= 0:
-        # Every merged observation overflowed the last finite bound: report
-        # the merged mean (sum/count), mirroring Histogram.percentile.
-        return merged.get(f"repro_server_{histogram}_sum", 0.0) / count
-    target = fraction * count
-    last_finite = 0.0
-    for bound, cumulative in buckets:
-        if bound != float("inf"):
-            last_finite = bound
-            if cumulative >= target:
-                return bound
-    return last_finite

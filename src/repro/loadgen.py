@@ -12,11 +12,12 @@ queues actually grow.
 :class:`LoadTest` drives a :class:`~repro.server.http.CompileServer` or a
 :class:`~repro.cluster.gateway.ClusterGateway` through the plain HTTP API
 with a configurable multi-tenant mix, then reads the result from the
-server's *own* tenant-labelled windowed histograms (scrape ``/metrics``
-before and after, difference the cumulative series with the same machinery
-the monitor uses).  The reported number is therefore the server's view of
-its latency distribution, not a client-side proxy, and per-tenant rows come
-for free from the tenant labels.
+server's *own* per-tenant histograms: it fetches the cumulative metrics
+sample (``GET /metrics/sample``, the same JSON from a server or a gateway)
+before and after, and differences the two with the same machinery the
+monitor uses.  The reported number is therefore the server's view of its
+latency distribution, not a client-side proxy, and per-tenant rows come for
+free from the sample's tenants.
 
 The ``repro loadtest`` CLI and ``benchmarks/test_loadtest_throughput.py``
 wrap this module; both write the sustained-throughput record to
@@ -30,10 +31,8 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.obs.timeseries import (MetricsSnapshot, _diff_window,
-                                  sample_from_prometheus)
+from repro.obs.timeseries import MetricsSnapshot, _diff_window
 from repro.server.client import CompileClient
-from repro.server.metrics import iter_samples
 from repro.server.tenancy import DEFAULT_TENANT, normalize_tenant
 from repro.service.jobs import CompileJob
 from repro.workloads import generators, qasm_corpus
@@ -150,9 +149,8 @@ class LoadTest:
     Parameters
     ----------
     url:
-        A live :class:`CompileServer` or :class:`ClusterGateway` base URL.
-        The Prometheus prefix is auto-detected from ``/healthz`` (gateways
-        export ``repro_cluster_*``, single servers ``repro_server_*``).
+        A live :class:`CompileServer` or :class:`ClusterGateway` base URL;
+        both serve the same metrics sample.
     tenants:
         Weight map (or :class:`TenantMix`) for the submission mix.
     workload:
@@ -186,23 +184,14 @@ class LoadTest:
             tenant: CompileClient(self.url, retries=0, tenant=tenant,
                                   timeout=client_timeout)
             for tenant in self.mix.tenants}
-        # Health and metrics polls share one pooled connection.
+        # Metrics polls share one pooled connection.
         self._control = CompileClient(self.url, retries=2)
-        self._prefix = self._detect_prefix()
-
-    def _detect_prefix(self) -> str:
-        health = self._control.health()
-        return ("repro_cluster" if health.get("role") == "gateway"
-                else "repro_server")
 
     # ------------------------------------------------------------------ #
     def _snapshot(self) -> MetricsSnapshot:
         """The target's cumulative metrics, as the monitor would see them."""
-        text = self._control.metrics_text()
-        samples = dict(iter_samples(text))
-        return MetricsSnapshot.capture(
-            time.monotonic(),
-            sample_from_prometheus(samples, prefix=self._prefix))
+        return MetricsSnapshot.capture(time.monotonic(),
+                                       self._control.metrics_sample())
 
     def run_step(self, rate: float, duration: float) -> dict:
         """Offer ``rate`` jobs/s for ``duration`` seconds; measure from the
@@ -277,9 +266,9 @@ class LoadTest:
     def _drain(self, deadline_s: float) -> None:
         """Wait (bounded) until queue depth and in-flight gauges hit zero.
 
-        The gauges come from the same scrape path as the measurement, so
-        this works identically against one server (its own gauges) and a
-        gateway (fleet-summed gauges).
+        The gauges come from the same sample as the measurement, so this
+        works identically against one server (its own gauges) and a gateway
+        (fleet-summed gauges).
         """
         deadline = time.monotonic() + deadline_s
         while time.monotonic() < deadline:
@@ -307,7 +296,6 @@ class LoadTest:
                         default=0.0)
         return {
             "url": self.url,
-            "prefix": self._prefix,
             "arrival": self.arrival,
             "p95_target_s": self.p95_target_s,
             "tenant_mix": dict(self.mix.weights),

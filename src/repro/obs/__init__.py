@@ -44,7 +44,7 @@ from repro.obs.slo import SLOSpec, evaluate_slo, evaluate_window
 from repro.obs.store import SpanStore, configure_store, get_store
 from repro.obs.timeseries import (DEFAULT_WINDOWS, MetricsRecorder,
                                   MetricsSnapshot, percentile_from_cumulative,
-                                  sample_from_prometheus, window_label)
+                                  window_label)
 from repro.obs.trace import (TRACE_HEADER, Span, TraceContext, activate,
                              current_trace, new_span_id, new_trace_id,
                              record_span, span)
@@ -85,7 +85,6 @@ __all__ = [
     "evaluate_window",
     "percentile_from_cumulative",
     "render_dashboard",
-    "sample_from_prometheus",
     "sparkline",
     "window_label",
 ]

@@ -4,9 +4,10 @@ A :class:`Monitor` owns a :class:`~repro.obs.timeseries.MetricsRecorder`
 and an :class:`~repro.obs.alerts.AlertManager` and drives both from one
 background tick: sample the metrics source, evaluate every SLO over the
 rolling windows, advance the alert state machines.  CompileServer and
-ClusterGateway each embed one (the gateway's source is the fleet-merged
-scrape), and the ``/metrics/history`` / ``/slo`` / ``/alerts`` endpoints
-are thin renderings of its payload methods.
+ClusterGateway each embed one: a server's source is its own cumulative
+metrics sample, the gateway's the fleet sample it sums from the shards'
+``GET /metrics/sample``.  The ``/metrics/history`` / ``/slo`` / ``/alerts``
+endpoints are thin renderings of its payload methods.
 
 Configuration travels as a :class:`MonitorConfig`, which round-trips
 through plain dicts so it can cross the process boundary into cluster

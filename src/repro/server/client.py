@@ -276,6 +276,12 @@ class CompileClient:
         _, payload = self._request("GET", "/metrics")
         return payload  # type: ignore[return-value]
 
+    def metrics_sample(self) -> dict:
+        """``GET /metrics/sample`` — the cumulative metrics sample as JSON
+        (see :meth:`~repro.server.metrics.ServerMetrics.sample`)."""
+        _, payload = self._request("GET", "/metrics/sample")
+        return payload  # type: ignore[return-value]
+
     def metrics(self) -> dict[str, float]:
         """Parsed sample lines from ``/metrics`` (no labels ⇒ plain name)."""
         from repro.server.metrics import iter_samples

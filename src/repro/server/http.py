@@ -19,10 +19,15 @@ Endpoints (all JSON unless noted):
 * ``GET /jobs/<key>`` — ticket status snapshot; ``404`` for unknown keys.
 * ``GET /results/<key>`` — ``{key, cache_hit, outcome}`` when finished
   (recent ticket or result cache), ``202`` while in flight, ``404`` unknown.
-* ``GET /metrics`` — Prometheus text exposition (``text/plain``), including
+* ``GET /metrics`` — Prometheus text exposition (``text/plain``) for
+  external scrapers: this server's metrics sample rendered by
+  :func:`~repro.server.metrics.render_prometheus`, including
   per-pipeline-stage cumulative timings
   (``repro_server_stage_seconds_total{stage=...}``) and process-health
   gauges (uptime, RSS, threads, span-ring occupancy).
+* ``GET /metrics/sample`` — the same metrics as one cumulative JSON sample
+  (:meth:`~repro.server.metrics.ServerMetrics.sample`): what the cluster
+  gateway merges and the load generator reads.
 * ``GET /metrics/history`` — the monitor's rolling-window views and
   sparkline series (``?seconds=N`` trims the series); ``503`` when the
   monitor is disabled.
@@ -91,6 +96,8 @@ class _Handler(JSONHandler):
         elif path == "/metrics":
             self._reply(200, self.app.metrics.to_prometheus(),
                         content_type="text/plain; version=0.0.4")
+        elif path == "/metrics/sample":
+            self._reply(200, self.app.metrics.sample())
         elif path == "/metrics/history":
             self._get_monitor("history")
         elif path == "/slo":
@@ -321,7 +328,7 @@ class CompileServer(KeepAliveApp):
         self.metrics.register_gauge(
             "trace_span_ring_utilization",
             lambda: round(len(get_store()) / get_store().max_spans, 4))
-        self.monitor = Monitor(self.metrics.history_sample, monitor,
+        self.monitor = Monitor(self.metrics.sample, monitor,
                                exemplar_source=self._slo_exemplar,
                                name="server")
         super().__init__(host, port, _Handler)

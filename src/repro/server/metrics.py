@@ -1,10 +1,16 @@
 """Server metrics: counters, gauges and latency histograms.
 
-Everything is stdlib and lock-protected, and renders two ways:
+Everything is stdlib and lock-protected.  :meth:`ServerMetrics.sample` takes
+one cumulative sample of every metric in a single locked pass, and that
+sample is the only metrics format the serving processes exchange:
 
-* :meth:`ServerMetrics.to_prometheus` — the Prometheus text exposition format
-  served at ``GET /metrics`` (counters as ``_total``, histograms as
-  ``_bucket``/``_sum``/``_count`` plus precomputed ``_p50``/``_p95`` gauges),
+* ``GET /metrics/sample`` serves it as JSON; the cluster gateway sums the
+  shards' samples, and the monitors and the load generator read samples;
+* :func:`render_prometheus` renders a sample in the Prometheus text
+  exposition format served at ``GET /metrics`` (counters as ``_total``,
+  histograms as ``_bucket``/``_sum``/``_count`` plus precomputed
+  ``_p50``/``_p95`` gauges) for external scrapers and dashboards — a server
+  renders its own sample, the gateway the fleet sum;
 * :meth:`ServerMetrics.snapshot` — a JSON-friendly dict embedded in
   ``GET /healthz`` and the CLI's ``repro status``.
 
@@ -19,6 +25,8 @@ import sys
 import threading
 from bisect import bisect_left
 from typing import Callable, Iterable, Mapping, Sequence
+
+from repro.obs.timeseries import percentile_from_cumulative
 
 #: Log-spaced seconds from 0.5 ms to ~2 min; compile jobs and queue waits
 #: both land comfortably inside this range.
@@ -79,26 +87,16 @@ class Histogram:
     def percentile(self, fraction: float) -> float:
         """Upper-bound estimate of the ``fraction`` quantile (0 < f <= 1).
 
-        Returns the smallest bucket bound whose cumulative count covers the
-        requested fraction; observations past the last bound report the last
-        finite bound (an under-estimate, flagged by ``+Inf`` bucket counts).
-        When *every* observation overflowed into the +Inf bucket the finite
-        bounds say nothing at all, so the mean (``sum/count``) is reported
-        instead of a top bound that could be arbitrarily far below reality.
+        The smallest bucket bound whose cumulative count covers the fraction,
+        by :func:`~repro.obs.timeseries.percentile_from_cumulative`:
+        observations past the last bound report the last finite bound (an
+        under-estimate, flagged by ``+Inf`` bucket counts), and when *every*
+        observation overflowed the mean (``sum/count``) is reported instead.
         """
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
-        if self.count == 0:
-            return 0.0
-        if self._counts[-1] == self.count:
-            return self.sum / self.count
-        target = fraction * self.count
-        cumulative = 0
-        for bound, bucket_count in zip(self.bounds, self._counts):
-            cumulative += bucket_count
-            if cumulative >= target:
-                return bound
-        return self.bounds[-1]
+        return percentile_from_cumulative(self.cumulative_buckets()[:-1],
+                                          self.count, fraction, self.sum)
 
     @property
     def mean(self) -> float:
@@ -139,15 +137,14 @@ class _TenantStats:
         self.service_seconds = Histogram()
 
 
-def _histogram_sample(histogram: Histogram) -> dict:
-    """A histogram as the recorder's sample shape (finite buckets only)."""
-    return {
-        "buckets": [(bound, cumulative) for bound, cumulative
-                    in histogram.cumulative_buckets()
-                    if bound != float("inf")],
-        "sum": histogram.sum,
-        "count": histogram.count,
-    }
+def _histogram_samples(owner) -> dict:
+    """``owner``'s wait and service histograms as sample entries: finite
+    cumulative buckets (the ``+Inf`` bucket is ``count``), sum and count."""
+    return {name: {"buckets": histogram.cumulative_buckets()[:-1],
+                   "sum": histogram.sum, "count": histogram.count}
+            for name, histogram in (("wait_seconds", owner.wait_seconds),
+                                    ("service_seconds",
+                                     owner.service_seconds))}
 
 
 #: Every label name any repro component may attach to a Prometheus sample.
@@ -165,9 +162,11 @@ def _format_value(value: float) -> str:
 def iter_samples(text: str):
     """Yield ``(name_with_labels, value)`` from Prometheus text exposition.
 
-    The shared parser behind :meth:`~repro.server.client.CompileClient.metrics`
-    and the cluster gateway's shard-sample merging: comment/HELP/TYPE lines
-    and unparsable values are skipped, labels stay part of the name.
+    The parser behind :meth:`~repro.server.client.CompileClient.metrics`,
+    for scripts and tests that read a ``/metrics`` page the way an external
+    scraper does; our own processes exchange :meth:`ServerMetrics.sample`
+    as JSON instead.  Comment/HELP/TYPE lines and unparsable values are
+    skipped, labels stay part of the name.
     """
     for line in text.splitlines():
         line = line.strip()
@@ -178,6 +177,106 @@ def iter_samples(text: str):
             yield name, float(value)
         except ValueError:
             continue
+
+
+_HISTOGRAM_HELP = {
+    "wait_seconds": "Queue wait before a worker picked the job up",
+    "service_seconds": "Execution time on a worker",
+}
+
+
+def render_prometheus(sample: Mapping, prefix: str = "repro_server") -> str:
+    """Render one cumulative sample as Prometheus text exposition.
+
+    A pure function of a :meth:`ServerMetrics.sample` (or a sum of them):
+    a server renders its own sample under ``repro_server``, the cluster
+    gateway the fleet sum under ``repro_cluster``.  Histograms gain their
+    ``+Inf`` bucket from ``count`` and ``_p50``/``_p95`` gauges from the
+    cumulative buckets; per-tenant histograms get no percentile gauges.
+    """
+    lines: list[str] = []
+    for name, value in sample.get("parse_cache", {}).items():
+        metric = f"{prefix}_parse_cache_{name}_total"
+        lines.append(f"# HELP {metric} Parse-cache {name} since "
+                     "process start.")
+        lines.append(f"# TYPE {metric} counter")
+        lines.append(f"{metric} {value}")
+    counters = sample.get("counters", {})
+    for name, value in counters.items():
+        metric = f"{prefix}_jobs_{name}_total"
+        lines.append(f"# HELP {metric} Jobs {name} since server start.")
+        lines.append(f"# TYPE {metric} counter")
+        lines.append(f"{metric} {value}")
+    tenants = sample.get("tenants", {})
+    for name in counters:
+        metric = f"{prefix}_tenant_jobs_{name}_total"
+        lines.append(f"# HELP {metric} Jobs {name} per tenant.")
+        lines.append(f"# TYPE {metric} counter")
+        for tenant in sorted(tenants):
+            lines.append(f'{metric}{{tenant="{tenant}"}} '
+                         f'{tenants[tenant]["counters"][name]}')
+    for name, value in sample.get("portfolio", {}).items():
+        metric = f"{prefix}_portfolio_{name}_total"
+        lines.append(f"# HELP {metric} Portfolio {name.replace('_', ' ')} "
+                     "since server start.")
+        lines.append(f"# TYPE {metric} counter")
+        lines.append(f"{metric} {value}")
+    wins = sample.get("portfolio_wins", {})
+    metric = f"{prefix}_portfolio_wins_total"
+    lines.append(f"# HELP {metric} Portfolio wins per router.")
+    lines.append(f"# TYPE {metric} counter")
+    for router in sorted(wins):
+        lines.append(f'{metric}{{router="{router}"}} {wins[router]}')
+    stages = sample.get("stages", {})
+    metric = f"{prefix}_stage_seconds_total"
+    lines.append(f"# HELP {metric} Cumulative pipeline-stage "
+                 "execution seconds.")
+    lines.append(f"# TYPE {metric} counter")
+    for name in sorted(stages):
+        lines.append(f'{metric}{{stage="{name}"}} '
+                     f'{_format_value(stages[name]["seconds"])}')
+    metric = f"{prefix}_stage_runs_total"
+    lines.append(f"# HELP {metric} Pipeline-stage executions.")
+    lines.append(f"# TYPE {metric} counter")
+    for name in sorted(stages):
+        lines.append(f'{metric}{{stage="{name}"}} {stages[name]["runs"]}')
+    for name, value in sample.get("gauges", {}).items():
+        metric = f"{prefix}_{name}"
+        lines.append(f"# HELP {metric} Current {name.replace('_', ' ')}.")
+        lines.append(f"# TYPE {metric} gauge")
+        lines.append(f"{metric} {_format_value(value)}")
+    histograms = sample.get("histograms", {})
+    for name, data in histograms.items():
+        metric = f"{prefix}_job_{name}"
+        lines.append(f"# HELP {metric} {_HISTOGRAM_HELP[name]}.")
+        lines.append(f"# TYPE {metric} histogram")
+        for bound, cumulative in data["buckets"]:
+            lines.append(f'{metric}_bucket{{le="{_format_value(bound)}"}}'
+                         f" {cumulative}")
+        lines.append(f'{metric}_bucket{{le="+Inf"}} {data["count"]}')
+        lines.append(f"{metric}_sum {_format_value(data['sum'])}")
+        lines.append(f"{metric}_count {data['count']}")
+        for label, fraction in (("p50", 0.50), ("p95", 0.95)):
+            value = percentile_from_cumulative(
+                data["buckets"], data["count"], fraction, data["sum"])
+            lines.append(f"# TYPE {metric}_{label} gauge")
+            lines.append(f"{metric}_{label} {_format_value(value)}")
+    for name in histograms:
+        metric = f"{prefix}_tenant_job_{name}"
+        lines.append(f"# HELP {metric} Per-tenant job latency.")
+        lines.append(f"# TYPE {metric} histogram")
+        for tenant in sorted(tenants):
+            data = tenants[tenant]["histograms"][name]
+            for bound, cumulative in data["buckets"]:
+                lines.append(f'{metric}_bucket{{tenant="{tenant}",'
+                             f'le="{_format_value(bound)}"}} {cumulative}')
+            lines.append(f'{metric}_bucket{{tenant="{tenant}",le="+Inf"}} '
+                         f'{data["count"]}')
+            lines.append(f'{metric}_sum{{tenant="{tenant}"}} '
+                         f'{_format_value(data["sum"])}')
+            lines.append(f'{metric}_count{{tenant="{tenant}"}} '
+                         f'{data["count"]}')
+    return "\n".join(lines) + "\n"
 
 
 class ServerMetrics:
@@ -356,37 +455,42 @@ class ServerMetrics:
             return histogram.exemplar_above(threshold_s)
 
     # ------------------------------------------------------------------ #
-    def history_sample(self) -> dict:
-        """One cumulative sample for the metrics recorder.
+    def sample(self) -> dict:
+        """One cumulative sample of everything ``GET /metrics`` shows.
 
-        The :class:`~repro.obs.timeseries.MetricsRecorder` source contract:
-        counters, gauge values and histogram cumulative buckets (finite
-        bounds only — overflow is reconstructible from ``count``), captured
-        in a single locked pass so the sample is internally consistent.
-        Tenant sub-samples ride along under ``"tenants"`` with the same
-        counters/histograms shape, feeding per-tenant rolling windows.
+        The one metrics format the serving processes exchange: served as
+        JSON at ``GET /metrics/sample``, summed over shards by the cluster
+        gateway, differenced into windows by the
+        :class:`~repro.obs.timeseries.MetricsRecorder` and rendered to
+        Prometheus text by :func:`render_prometheus`.  Taken in one locked
+        pass, so it is internally consistent.  Every value outside
+        ``gauges`` only grows.  Histograms keep finite cumulative buckets
+        (the ``+Inf`` bucket is ``count``); ``tenants`` repeats the
+        counters/histograms shape per tenant label.
         """
+        from repro.compiler.parse_cache import cache_stats as parse_cache_stats
+
+        parse_cache = parse_cache_stats()  # own lock; fetched outside ours
         with self._lock:
-            counters = dict(self._counters)
             gauges = {name: supplier() for name, supplier
                       in self._gauges.items()}
-            histograms = {
-                "wait_seconds": _histogram_sample(self.wait_seconds),
-                "service_seconds": _histogram_sample(self.service_seconds),
+            gauges["parse_cache_entries"] = parse_cache["entries"]
+            return {
+                "counters": dict(self._counters),
+                "gauges": gauges,
+                "histograms": _histogram_samples(self),
+                "tenants": {tenant: {"counters": dict(stats.counters),
+                                     "histograms": _histogram_samples(stats)}
+                            for tenant, stats in self._tenants.items()},
+                "parse_cache": {name: parse_cache[name]
+                                for name in ("hits", "misses", "evictions")},
+                "portfolio": dict(self._portfolio),
+                "portfolio_wins": dict(self._wins),
+                "stages": {name: {"seconds": round(self._stage_seconds[name],
+                                                   6),
+                                  "runs": self._stage_runs[name]}
+                           for name in self._stage_runs},
             }
-            tenants = {
-                tenant: {
-                    "counters": dict(stats.counters),
-                    "histograms": {
-                        "wait_seconds": _histogram_sample(stats.wait_seconds),
-                        "service_seconds": _histogram_sample(
-                            stats.service_seconds),
-                    },
-                }
-                for tenant, stats in self._tenants.items()
-            }
-        return {"counters": counters, "gauges": gauges,
-                "histograms": histograms, "tenants": tenants}
 
     # ------------------------------------------------------------------ #
     def snapshot(self) -> dict:
@@ -411,105 +515,8 @@ class ServerMetrics:
         return data
 
     def to_prometheus(self, prefix: str = "repro_server") -> str:
-        """Render every metric in the Prometheus text exposition format."""
-        from repro.compiler.parse_cache import cache_stats as parse_cache_stats
-
-        parse_cache = parse_cache_stats()  # own lock; fetched outside ours
-        lines: list[str] = []
-        for name in ("hits", "misses", "evictions"):
-            metric = f"{prefix}_parse_cache_{name}_total"
-            lines.append(f"# HELP {metric} Parse-cache {name} since "
-                         "process start.")
-            lines.append(f"# TYPE {metric} counter")
-            lines.append(f"{metric} {parse_cache[name]}")
-        metric = f"{prefix}_parse_cache_entries"
-        lines.append(f"# HELP {metric} Circuits currently held by the "
-                     "parse cache.")
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {parse_cache['entries']}")
-        with self._lock:
-            for name in self.COUNTERS:
-                metric = f"{prefix}_jobs_{name}_total"
-                lines.append(f"# HELP {metric} Jobs {name} since server start.")
-                lines.append(f"# TYPE {metric} counter")
-                lines.append(f"{metric} {self._counters[name]}")
-            tenants = sorted(self._tenants)
-            for name in self.TENANT_COUNTERS:
-                metric = f"{prefix}_tenant_jobs_{name}_total"
-                lines.append(f"# HELP {metric} Jobs {name} per tenant.")
-                lines.append(f"# TYPE {metric} counter")
-                for tenant in tenants:
-                    lines.append(f'{metric}{{tenant="{tenant}"}} '
-                                 f'{self._tenants[tenant].counters[name]}')
-            for name in self.PORTFOLIO_COUNTERS:
-                metric = f"{prefix}_portfolio_{name}_total"
-                lines.append(f"# HELP {metric} Portfolio {name.replace('_', ' ')} "
-                             "since server start.")
-                lines.append(f"# TYPE {metric} counter")
-                lines.append(f"{metric} {self._portfolio[name]}")
-            metric = f"{prefix}_portfolio_wins_total"
-            lines.append(f"# HELP {metric} Portfolio wins per router.")
-            lines.append(f"# TYPE {metric} counter")
-            for router in sorted(self._wins):
-                lines.append(f'{metric}{{router="{router}"}} {self._wins[router]}')
-            metric = f"{prefix}_stage_seconds_total"
-            lines.append(f"# HELP {metric} Cumulative pipeline-stage "
-                         "execution seconds.")
-            lines.append(f"# TYPE {metric} counter")
-            for name in sorted(self._stage_seconds):
-                lines.append(f'{metric}{{stage="{name}"}} '
-                             f'{_format_value(round(self._stage_seconds[name], 6))}')
-            metric = f"{prefix}_stage_runs_total"
-            lines.append(f"# HELP {metric} Pipeline-stage executions.")
-            lines.append(f"# TYPE {metric} counter")
-            for name in sorted(self._stage_runs):
-                lines.append(f'{metric}{{stage="{name}"}} '
-                             f'{self._stage_runs[name]}')
-            gauges = {name: supplier() for name, supplier
-                      in self._gauges.items()}
-            histograms = (("job_wait_seconds", self.wait_seconds,
-                           "Queue wait before a worker picked the job up"),
-                          ("job_service_seconds", self.service_seconds,
-                           "Execution time on a worker"))
-            for name, value in gauges.items():
-                metric = f"{prefix}_{name}"
-                lines.append(f"# HELP {metric} Current {name.replace('_', ' ')}.")
-                lines.append(f"# TYPE {metric} gauge")
-                lines.append(f"{metric} {_format_value(value)}")
-            for name, histogram, help_text in histograms:
-                metric = f"{prefix}_{name}"
-                lines.append(f"# HELP {metric} {help_text}.")
-                lines.append(f"# TYPE {metric} histogram")
-                for bound, cumulative in histogram.cumulative_buckets():
-                    lines.append(f'{metric}_bucket{{le="{_format_value(bound)}"}}'
-                                 f" {cumulative}")
-                lines.append(f"{metric}_sum {_format_value(histogram.sum)}")
-                lines.append(f"{metric}_count {histogram.count}")
-                for label, fraction in (("p50", 0.50), ("p95", 0.95)):
-                    lines.append(f"# TYPE {metric}_{label} gauge")
-                    lines.append(f"{metric}_{label} "
-                                 f"{_format_value(histogram.percentile(fraction))}")
-            # Per-tenant histograms: no per-tenant percentile gauges here —
-            # percentiles don't merge, so the gateway recomputes them from the
-            # labelled buckets.  Label order (tenant, le) is part of the wire
-            # contract relied on by ``sample_from_prometheus``.
-            for name, attr in (("tenant_job_wait_seconds", "wait_seconds"),
-                               ("tenant_job_service_seconds",
-                                "service_seconds")):
-                metric = f"{prefix}_{name}"
-                lines.append(f"# HELP {metric} Per-tenant job latency.")
-                lines.append(f"# TYPE {metric} histogram")
-                for tenant in tenants:
-                    histogram = getattr(self._tenants[tenant], attr)
-                    for bound, cumulative in histogram.cumulative_buckets():
-                        lines.append(
-                            f'{metric}_bucket{{tenant="{tenant}",'
-                            f'le="{_format_value(bound)}"}} {cumulative}')
-                    lines.append(f'{metric}_sum{{tenant="{tenant}"}} '
-                                 f'{_format_value(histogram.sum)}')
-                    lines.append(f'{metric}_count{{tenant="{tenant}"}} '
-                                 f'{histogram.count}')
-        return "\n".join(lines) + "\n"
+        """Every metric as Prometheus text: this server's rendered sample."""
+        return render_prometheus(self.sample(), prefix)
 
 
 # --------------------------------------------------------------------------- #

@@ -16,10 +16,11 @@ import pytest
 
 from repro.cluster import (ClusterGateway, HealthMonitor, LocalShardFleet,
                            ShardMember, ShardRing)
-from repro.cluster.gateway import iter_samples
+from repro.obs.timeseries import percentile_from_cumulative
 from repro.server import CompileClient, CompileServer, ServerError
+from repro.server.metrics import iter_samples
 from repro.service import make_job
-from repro.service.jobs import PortfolioJob
+from repro.service.jobs import CompileJob, PortfolioJob
 from repro.workloads.generators import ghz
 
 DEVICE = "ibm_q20_tokyo"
@@ -356,6 +357,71 @@ class TestAggregatedMetrics:
                               f'{{shard="shard{i}"}}', 0) for i in range(2)]
         assert sum(routed) >= 6
 
+    def test_shard_series_are_the_sum_of_the_shards_own_pages(
+            self, shards, gateway):
+        """Two tenants, a ``default``-pipeline job (stage timings) and a
+        portfolio job (router wins): every shard counter, labelled counter,
+        bucket, sum and count on the gateway's page is the sum over the
+        shards' own ``/metrics``; p50/p95 come from the merged buckets."""
+        alice = CompileClient(gateway.url, tenant="alice")
+        bob = CompileClient(gateway.url, tenant="bob")
+        for seed in range(4):
+            assert alice.compile(_job(3, seed=seed), timeout=60.0).ok
+        for seed in range(2):
+            assert bob.compile(_job(4, seed=seed), timeout=60.0).ok
+        staged = CompileJob.from_circuit(ghz(3), DEVICE, pipeline="default")
+        assert alice.compile(staged, timeout=60.0).ok
+        raced = PortfolioJob.from_circuit(ghz(3), DEVICE,
+                                          candidates=["codar", "sabre"])
+        assert bob.portfolio(raced, timeout=120.0).ok
+
+        def cumulative(samples: dict) -> dict:
+            return {name: value for name, value in samples.items()
+                    if name.partition("{")[0].endswith(
+                        ("_total", "_bucket", "_sum", "_count"))}
+
+        # A shard records a job's metrics just after its waiter wakes, so
+        # read until the shards' pages hold still around the gateway's.
+        deadline = time.monotonic() + 30.0
+        while True:
+            pages = [cumulative(CompileClient(shard.url).metrics())
+                     for shard in shards]
+            text = CompileClient(gateway.url).metrics_text()
+            again = [cumulative(CompileClient(shard.url).metrics())
+                     for shard in shards]
+            if pages == again or time.monotonic() > deadline:
+                break
+            time.sleep(0.05)  # sleep-ok: bounded poll for late metric updates
+        assert pages == again
+        cluster = dict(iter_samples(text))
+        names = set().union(*pages)
+        assert any('tenant="alice"' in name for name in names)
+        assert any('tenant="bob"' in name for name in names)
+        assert any("stage_seconds_total" in name for name in names)
+        assert any("portfolio_wins_total" in name for name in names)
+        for name in names:
+            merged = name.replace("repro_server_", "repro_cluster_", 1)
+            assert cluster[merged] == sum(page.get(name, 0) for page in pages)
+        for histogram in ("job_wait_seconds", "job_service_seconds"):
+            head = f'repro_cluster_{histogram}_bucket{{le="'
+            buckets = sorted((float(name[len(head):-2]), value)
+                             for name, value in cluster.items()
+                             if name.startswith(head)
+                             and not name.endswith('"+Inf"}'))
+            count = cluster[f"repro_cluster_{histogram}_count"]
+            total = cluster[f"repro_cluster_{histogram}_sum"]
+            assert count == 8
+            for label, fraction in (("p50", 0.50), ("p95", 0.95)):
+                assert cluster[f"repro_cluster_{histogram}_{label}"] == \
+                    percentile_from_cumulative(buckets, count, fraction, total)
+        # The shard series carry their own # TYPE lines.
+        typed = {line.split()[2]: line.split()[3]
+                 for line in text.splitlines() if line.startswith("# TYPE")}
+        for name in cluster:
+            base = name.partition("{")[0]
+            family = base.rsplit("_", 1)[0]
+            assert base in typed or typed.get(family) == "histogram", name
+
     def test_metrics_survive_a_dead_shard(self, shards, gateway, client):
         assert client.compile(_job(3)).ok
         shards[1].stop(graceful=False)
@@ -495,31 +561,32 @@ class TestClusterCli:
         src = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "cluster", "serve",
-             "--shards", "2", "--port", "0"],
-            stderr=subprocess.PIPE, text=True, env=env)
-        try:
-            url, lines = None, []
-            deadline = time.monotonic() + 60.0
-            while time.monotonic() < deadline:
-                line = proc.stderr.readline()
-                lines.append(line)
-                match = re.search(r"gateway on (http://\S+)", line)
-                if match:
-                    url = match.group(1)
-                    break
-            assert url, lines
-            status = subprocess.run(
-                [sys.executable, "-m", "repro.cli", "cluster", "status",
-                 "--url", url],
-                capture_output=True, text=True, env=env, timeout=60)
-            assert status.returncode == 0, status.stderr
-            assert "2/2 alive" in status.stdout
-            assert "shard0" in status.stdout and "shard1" in status.stdout
-        finally:
-            proc.send_signal(signal.SIGTERM)
-            assert proc.wait(30) == 0
+        # The context manager closes the stderr pipe on the way out.
+        with subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "cluster", "serve",
+                 "--shards", "2", "--port", "0"],
+                stderr=subprocess.PIPE, text=True, env=env) as proc:
+            try:
+                url, lines = None, []
+                deadline = time.monotonic() + 60.0
+                while time.monotonic() < deadline:
+                    line = proc.stderr.readline()
+                    lines.append(line)
+                    match = re.search(r"gateway on (http://\S+)", line)
+                    if match:
+                        url = match.group(1)
+                        break
+                assert url, lines
+                status = subprocess.run(
+                    [sys.executable, "-m", "repro.cli", "cluster", "status",
+                     "--url", url],
+                    capture_output=True, text=True, env=env, timeout=60)
+                assert status.returncode == 0, status.stderr
+                assert "2/2 alive" in status.stdout
+                assert "shard0" in status.stdout and "shard1" in status.stdout
+            finally:
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(30) == 0
 
     def test_cluster_status_against_a_dead_gateway(self):
         from repro.cli import main

@@ -2,10 +2,12 @@
 pools and a short end-to-end loadtest step against a live server."""
 
 import json
+import time
 
 import pytest
 from test_transport import _accepted
 
+from repro.cluster import ClusterGateway
 from repro.loadgen import LoadTest, TenantMix, WorkloadPool, arrival_times
 from repro.server import CompileServer
 
@@ -79,7 +81,6 @@ class TestLoadTestEndToEnd:
         with CompileServer(port=0, workers=2, monitor=False) as server:
             test = LoadTest(server.url, {"alice": 2, "bob": 1},
                             p95_target_s=5.0, seed=0)
-            assert test._prefix == "repro_server"
             step = test.run_step(rate=8.0, duration=1.5)
             assert step["submitted"] > 0
             assert step["achieved_jobs_per_s"] > 0
@@ -91,6 +92,33 @@ class TestLoadTestEndToEnd:
             assert step["met_target"] is True
             report = json.loads(json.dumps(step))  # JSON-serialisable
             assert report["p95_target_s"] == 5.0
+
+    def test_step_through_a_gateway_reads_the_fleet_sample(self):
+        with CompileServer(port=0, workers=2, monitor=False) as one, \
+                CompileServer(port=0, workers=2, monitor=False) as two, \
+                ClusterGateway([one.url, two.url], health_interval=30.0,
+                               monitor=False) as gateway:
+            shards = (one, two)
+            test = LoadTest(gateway.url, {"alice": 2, "bob": 1},
+                            p95_target_s=5.0, seed=3)
+            before = test._snapshot()
+            step = test.run_step(rate=8.0, duration=1.5)
+            assert set(step["tenants"]) == {"alice", "bob"}
+            assert step["submit_errors"] == 0
+            assert step["achieved_jobs_per_s"] > 0
+            # Distinct jobs: every submission completes once on its shard.
+            # The step drains on the in-flight gauge, which drops just
+            # before a shard counts the completion.
+            deadline = time.monotonic() + 30.0
+            while (sum(shard.metrics.counter("completed") for shard in shards)
+                   < step["submitted"] and time.monotonic() < deadline):
+                time.sleep(0.05)  # sleep-ok: bounded poll for the last counter
+            completed = sum(shard.metrics.counter("completed")
+                            for shard in shards)
+            assert completed == step["submitted"]
+            after = test._snapshot()
+            assert (after.counters["completed"]
+                    - before.counters["completed"]) == completed
 
     def test_health_and_metrics_polls_share_one_connection(self):
         with CompileServer(port=0, workers=1, monitor=False) as server:
@@ -104,7 +132,6 @@ class TestLoadTestEndToEnd:
         with CompileServer(port=0, workers=2, monitor=False) as server:
             test = LoadTest(server.url, p95_target_s=5.0, seed=1)
             report = test.run(rates=(6.0,), duration=1.0)
-            assert report["prefix"] == "repro_server"
             assert len(report["steps"]) == 1
             assert report["sustained_jobs_per_s"] >= 0.0
             assert report["tenant_mix"] == {"default": 1.0}

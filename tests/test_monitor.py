@@ -20,10 +20,10 @@ from repro.obs.monitor import (DEFAULT_SLOS, Monitor, MonitorConfig,
                                default_rules)
 from repro.obs.slo import SLOSpec, evaluate_slo, evaluate_window
 from repro.obs.timeseries import (MetricsRecorder, percentile_from_cumulative,
-                                  sample_from_prometheus, window_label)
+                                  window_label)
 from repro.server import CompileClient, CompileServer
 from repro.server.client import ServerError
-from repro.server.metrics import ServerMetrics
+from repro.server.metrics import ServerMetrics, iter_samples, render_prometheus
 from repro.service import make_job
 from repro.workloads.generators import ghz
 
@@ -206,22 +206,39 @@ class TestMetricsRecorder:
         assert set(views) == {"10s", "30s"}
 
 
-class TestSampleFromPrometheus:
-    def test_round_trip_from_server_metrics(self):
+class TestMetricsSample:
+    def test_server_text_renders_its_sample(self):
         metrics = ServerMetrics()
-        metrics.observe_job(0.01, 0.5, ok=True, cache_hit=False)
-        metrics.observe_job(0.02, 3.0, ok=False, cache_hit=False)
-        from repro.server.metrics import iter_samples
-        samples = dict(iter_samples(metrics.to_prometheus()))
-        sample = sample_from_prometheus(samples)
-        direct = metrics.history_sample()
-        assert sample["counters"]["completed"] == 2
-        assert sample["counters"]["failed"] == 1
-        assert (sample["histograms"]["service_seconds"]["count"]
-                == direct["histograms"]["service_seconds"]["count"])
-        assert (sample["histograms"]["service_seconds"]["buckets"]
-                == [(bound, float(cum)) for bound, cum
-                    in direct["histograms"]["service_seconds"]["buckets"]])
+        metrics.observe_job(0.01, 0.5, ok=True, cache_hit=False,
+                            tenant="alice")
+        metrics.observe_job(0.02, 3.0, ok=False, cache_hit=False,
+                            tenant="bob")
+        metrics.observe_stages([{"stage": "route", "elapsed_s": 0.25}])
+        metrics.observe_portfolio({"winner_router": "codar",
+                                   "stats": {"executed": 2}})
+        metrics.register_gauge("queue_depth", lambda: 4)
+        sample = metrics.sample()
+        text = metrics.to_prometheus()
+        assert text == render_prometheus(sample)
+        # The JSON a shard serves renders to the same samples.
+        served = json.loads(json.dumps(sample, sort_keys=True))
+        samples = dict(iter_samples(text))
+        assert dict(iter_samples(render_prometheus(served))) == samples
+        assert samples["repro_server_jobs_completed_total"] == 2
+        assert samples["repro_server_jobs_failed_total"] == 1
+        assert samples["repro_server_queue_depth"] == 4
+        assert samples['repro_server_tenant_jobs_failed_total'
+                       '{tenant="bob"}'] == 1
+        assert samples['repro_server_stage_runs_total{stage="route"}'] == 1
+        assert samples['repro_server_portfolio_wins_total'
+                       '{router="codar"}'] == 1
+        service = sample["histograms"]["service_seconds"]
+        assert samples["repro_server_job_service_seconds_count"] == 2
+        for bound, cumulative in service["buckets"]:
+            assert samples['repro_server_job_service_seconds_bucket'
+                           f'{{le="{bound!r}"}}'] == cumulative
+        assert (samples["repro_server_job_service_seconds_p95"]
+                == metrics.service_seconds.percentile(0.95) == 5.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -436,7 +453,7 @@ class TestMonitor:
         metrics = ServerMetrics()
         clock = FakeClock()
         monitor = Monitor(
-            metrics.history_sample,
+            metrics.sample,
             {"interval_s": 1.0, "windows": (10.0, 30.0, 60.0),
              "for_s": 5.0, "resolve_s": 5.0},
             clock=clock,
@@ -464,7 +481,7 @@ class TestMonitor:
         assert monitor.alerts.firing_count() == 0
 
     def test_disabled_monitor_does_not_start(self):
-        monitor = Monitor(ServerMetrics().history_sample, False)
+        monitor = Monitor(ServerMetrics().sample, False)
         monitor.start()
         assert monitor._thread is None
         assert monitor.status()["enabled"] is False

@@ -7,6 +7,7 @@ the real request path.
 """
 
 import json
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -246,20 +247,17 @@ class TestTenantHTTP:
 
 
 # --------------------------------------------------------------------------- #
-# Gateway: header forwarding + label-aware monotone merge
+# Gateway: header forwarding + tenant-aware monotone merge
 # --------------------------------------------------------------------------- #
 class _StubShardHandler(BaseHTTPRequestHandler):
-    """A fake shard whose ``/metrics`` text the test rewrites at will."""
+    """A fake shard whose ``/metrics/sample`` JSON the test rewrites at will."""
 
     def do_GET(self):  # noqa: N802 — stdlib naming
-        if self.path == "/metrics":
-            body = self.server.metrics_text.encode()
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain; version=0.0.4")
-        else:
-            body = b'{"status": "ok"}'
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
+        payload = (self.server.sample() if self.path == "/metrics/sample"
+                   else {"status": "ok"})
+        body = json.dumps(payload).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
@@ -271,20 +269,31 @@ class _StubShardHandler(BaseHTTPRequestHandler):
 class _StubShard:
     def __init__(self):
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), _StubShardHandler)
-        self._httpd.metrics_text = ""
+        #: Zero-arg callable building each ``/metrics/sample`` reply.
+        self._httpd.sample = dict
         self._thread = threading.Thread(target=self._httpd.serve_forever,
                                         daemon=True)
         self._thread.start()
         host, port = self._httpd.server_address[:2]
         self.url = f"http://{host}:{port}"
 
-    def set_metrics(self, text: str) -> None:
-        self._httpd.metrics_text = text
+    def set_sample(self, completed: int, alice_completed: int,
+                   queue_depth: int) -> None:
+        sample = {
+            "counters": {"completed": completed},
+            "gauges": {"queue_depth": queue_depth},
+            "tenants": {"alice": {"counters": {"completed": alice_completed}}},
+        }
+        self._httpd.sample = lambda: sample
 
     def stop(self) -> None:
         self._httpd.shutdown()
         self._httpd.server_close()
         self._thread.join(5.0)
+
+
+def _alice_completed(merged: dict) -> float:
+    return merged["tenants"]["alice"]["counters"]["completed"]
 
 
 class TestGatewayTenantMerge:
@@ -293,41 +302,66 @@ class TestGatewayTenantMerge:
         try:
             with ClusterGateway([shard.url], health_interval=30.0,
                                 monitor=False) as gateway:
-                shard.set_metrics(
-                    "repro_server_jobs_completed_total 100\n"
-                    'repro_server_tenant_jobs_completed_total{tenant="alice"} 60\n'
-                    "repro_server_queue_depth 5\n")
+                shard.set_sample(completed=100, alice_completed=60,
+                                 queue_depth=5)
                 merged, _, _ = gateway._scrape_merged()
-                assert merged["repro_server_jobs_completed_total"] == 100.0
+                assert merged["counters"]["completed"] == 100
                 # The shard "restarts": counters reset far below their last
-                # raw reading.  The merge banks the lost progress.
-                shard.set_metrics(
-                    "repro_server_jobs_completed_total 5\n"
-                    'repro_server_tenant_jobs_completed_total{tenant="alice"} 2\n'
-                    "repro_server_queue_depth 1\n")
+                # reading.  The merge banks the lost progress.
+                shard.set_sample(completed=5, alice_completed=2,
+                                 queue_depth=1)
                 merged, _, _ = gateway._scrape_merged()
-                assert merged["repro_server_jobs_completed_total"] == 105.0
-                assert merged[
-                    'repro_server_tenant_jobs_completed_total{tenant="alice"}'
-                ] == 62.0
+                assert merged["counters"]["completed"] == 105
+                assert _alice_completed(merged) == 62
                 # Gauges are NOT offset — a restarted shard's depth really
                 # is small again.
-                assert merged["repro_server_queue_depth"] == 1.0
+                assert merged["gauges"]["queue_depth"] == 1
                 # Post-restart progress keeps counting from the new base.
-                shard.set_metrics(
-                    "repro_server_jobs_completed_total 7\n"
-                    'repro_server_tenant_jobs_completed_total{tenant="alice"} 3\n'
-                    "repro_server_queue_depth 0\n")
+                shard.set_sample(completed=7, alice_completed=3,
+                                 queue_depth=0)
                 merged, _, _ = gateway._scrape_merged()
-                assert merged["repro_server_jobs_completed_total"] == 107.0
-                assert merged[
-                    'repro_server_tenant_jobs_completed_total{tenant="alice"}'
-                ] == 63.0
-                # A dead shard keeps contributing its last-known samples.
+                assert merged["counters"]["completed"] == 107
+                assert _alice_completed(merged) == 63
+                # A dead shard keeps contributing its last-known sample.
                 shard.stop()
                 merged, polled, contributing = gateway._scrape_merged()
                 assert polled == 0 and contributing == 1
-                assert merged["repro_server_jobs_completed_total"] == 107.0
+                assert merged["counters"]["completed"] == 107
+        finally:
+            shard.stop()
+
+    def test_concurrent_scrapes_bank_no_phantom_restart(self):
+        """Samples taken in one order and absorbed in another would look
+        like a restart and bank counts twice; scrapes are serialised."""
+        shard = _StubShard()
+        served = {"completed": 0}
+        lock = threading.Lock()
+
+        def next_sample():
+            with lock:
+                served["completed"] += 1
+                return {"counters": dict(served)}
+
+        shard._httpd.sample = next_sample
+        interval = sys.getswitchinterval()
+        try:
+            with ClusterGateway([shard.url], health_interval=30.0,
+                                monitor=False) as gateway:
+                sys.setswitchinterval(1e-6)
+                try:
+                    threads = [threading.Thread(
+                        target=lambda: [gateway._scrape_merged()
+                                        for _ in range(25)])
+                               for _ in range(8)]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(60.0)
+                finally:
+                    sys.setswitchinterval(interval)
+                assert not any(thread.is_alive() for thread in threads)
+                merged, _, _ = gateway._scrape_merged()
+                assert merged["counters"]["completed"] == 201
         finally:
             shard.stop()
 
@@ -340,8 +374,7 @@ class TestGatewayTenantMerge:
             with ClusterGateway([shard.url], health_interval=30.0,
                                 monitor=False) as gateway:
                 merged, _, _ = gateway._scrape_merged()
-                key = 'repro_server_tenant_jobs_completed_total{tenant="alice"}'
-                assert merged[key] == 3.0
+                assert _alice_completed(merged) == 3
                 shard.stop()
                 # Same port, fresh process state: counters restart from zero.
                 with CompileServer(port=port, workers=1,
@@ -349,8 +382,8 @@ class TestGatewayTenantMerge:
                     reborn_client = CompileClient(reborn.url, tenant="alice")
                     assert reborn_client.compile(_job(seed=99)).ok
                     merged, _, _ = gateway._scrape_merged()
-                    assert merged[key] == 4.0  # 3 banked + 1 fresh
-                    assert merged["repro_server_jobs_completed_total"] >= 4.0
+                    assert _alice_completed(merged) == 4  # 3 banked + 1 fresh
+                    assert merged["counters"]["completed"] >= 4
 
     def test_gateway_forwards_tenant_and_labels_cluster_metrics(self):
         with CompileServer(port=0, workers=1, monitor=False) as shard:

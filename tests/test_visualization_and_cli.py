@@ -117,11 +117,48 @@ class TestCli:
         args = build_parser().parse_args(["fidelity"])
         assert args.command == "fidelity"
 
-    def test_route_command_accepts_every_registered_router(self):
-        for router in ("codar", "codar-noise-aware", "sabre", "astar", "trivial"):
-            args = build_parser().parse_args(["route", "f.qasm",
-                                              "--router", router])
-            assert args.router == router
+    def test_route_command_accepts_every_registered_router(self, tmp_path,
+                                                           capsys):
+        qasm = tmp_path / "pair.qasm"
+        qasm.write_text("qreg q[3];\ncx q[0],q[2];\ncx q[1],q[2];\n")
+        for router in ("codar", "codar-noise-aware", "sabre", "astar",
+                       "trivial"):
+            assert main(["route", str(qasm), "--device", "ibm_qx4",
+                         "--router", router]) == 0, router
+            captured = capsys.readouterr()
+            assert "cx" in captured.out
+            assert "# verified       : True" in captured.err
+
+    def test_serve_and_cluster_serve_parse_shared_flags_alike(self):
+        defaults = {"host": "127.0.0.1", "server_workers": 2, "max_depth": 256,
+                    "job_timeout": None, "verbose": False,
+                    "no_monitor": False, "monitor_interval": 5.0,
+                    "tenant_weight": None, "tenant_quota": None,
+                    "default_tenant_quota": None, "tenant_slos": False}
+        given = ["--host", "0.0.0.0", "--server-workers", "3",
+                 "--max-depth", "9", "--job-timeout", "2.5", "--verbose",
+                 "--no-monitor", "--monitor-interval", "0.5",
+                 "--tenant-weight", "a=2", "--tenant-quota", "a=4",
+                 "--default-tenant-quota", "7", "--tenant-slos"]
+        for argv, expected in (([], defaults),
+                               (given, {"host": "0.0.0.0",
+                                        "server_workers": 3, "max_depth": 9,
+                                        "job_timeout": 2.5, "verbose": True,
+                                        "no_monitor": True,
+                                        "monitor_interval": 0.5,
+                                        "tenant_weight": ["a=2"],
+                                        "tenant_quota": ["a=4"],
+                                        "default_tenant_quota": 7,
+                                        "tenant_slos": True})):
+            for command in (["serve"], ["cluster", "serve"]):
+                args = vars(build_parser().parse_args(command + argv))
+                assert {name: args[name] for name in defaults} == expected
+
+    def test_route_command_rejects_an_unknown_router(self, tmp_path, capsys):
+        qasm = tmp_path / "pair.qasm"
+        qasm.write_text("qreg q[2];\ncx q[0],q[1];\n")
+        assert main(["route", str(qasm), "--router", "qiskit"]) == 2
+        assert "unknown router 'qiskit'" in capsys.readouterr().err
 
     def test_route_command_on_directed_device(self, tmp_path, capsys):
         qasm = tmp_path / "qx4.qasm"
@@ -190,7 +227,8 @@ class TestBatchCli:
         captured = capsys.readouterr()
         assert "cached" in captured.out
         assert "'hit_rate': 1.0" in captured.err
-        records = json_module.loads(open(out_file).read())
+        with open(out_file, encoding="utf-8") as handle:
+            records = json_module.load(handle)
         assert records and all(r["outcome"]["status"] == "ok" for r in records)
 
     def test_batch_parametric_device(self, capsys):
