@@ -8,8 +8,9 @@ capacity question: the highest offered rate whose server-side windowed wait
 the gateway's own tenant-labelled ``/metrics`` (scrape-diffed), so the
 reported number is the fleet's view of its latency, not a client proxy.
 
-Appends the sustained-throughput record to ``BENCH_loadtest.json`` — the
-same document the ``repro loadtest`` CLI rehearsal writes to.
+Appends the sustained-throughput record to ``BENCH_loadtest.json`` (only
+under ``REPRO_BENCH_RECORD``, see ``perf_record.py``); the ``repro loadtest``
+CLI writes its report as plain JSON elsewhere.
 """
 
 from pathlib import Path

@@ -1,6 +1,6 @@
-"""Portfolio throughput: argmin correctness, racing wall-clock, warm tuning.
+"""Portfolio throughput: argmin correctness and racing wall-clock.
 
-Three phases over a >= 20-circuit suite slice on two evaluation devices:
+Two phases over a >= 20-circuit suite slice on two evaluation devices:
 
 * ``argmin``     — sequential try-all over the 3-router ``"fast"`` preset;
   asserts the winner is the cost-model argmin for every job and records the
@@ -10,9 +10,6 @@ Three phases over a >= 20-circuit suite slice on two evaluation devices:
   4 workers with a good-enough bound (within 25% of the known best);
   asserts racing beats sequential try-all wall-clock by cancelling
   stragglers.
-* ``warm_tuner`` — two passes with a persistent :class:`TuningStore`;
-  asserts the warm pass executes strictly fewer candidates than the cold
-  pass (reorder + prune as the store learns).
 
 Every phase appends a machine-readable record to ``BENCH_portfolio.json``
 (see ``perf_record.py``) so the portfolio trajectory is diffable across PRs.
@@ -23,7 +20,7 @@ from collections import Counter
 from pathlib import Path
 
 from perf_record import record_perf
-from repro.portfolio import Candidate, PortfolioRunner, TuningStore
+from repro.portfolio import Candidate, PortfolioRunner
 from repro.workloads.suite import benchmark_suite
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_portfolio.json"
@@ -139,38 +136,3 @@ def test_racing_beats_sequential_try_all(paper_scale):
         "paper_scale": paper_scale,
     }, path=BENCH_PATH)
 
-
-def test_warm_tuner_reduces_candidates_executed(tmp_path, paper_scale):
-    """A warm TuningStore prunes the portfolio on repeat traffic."""
-    jobs = _jobs(_suite(paper_scale, limit=None if paper_scale else 12))
-    store = TuningStore(tmp_path / "tuning.json", min_observations=2,
-                        max_candidates=2)
-
-    runner = PortfolioRunner("weighted_depth", tuner=store)
-    start = time.perf_counter()
-    cold = [runner.run(circuit, device, candidates="fast", seed=11)
-            for circuit, device in jobs]
-    cold_s = time.perf_counter() - start
-
-    # A fresh runner against the same persisted store: warm from disk.
-    warm_runner = PortfolioRunner(
-        "weighted_depth",
-        tuner=TuningStore(tmp_path / "tuning.json", min_observations=2,
-                          max_candidates=2))
-    start = time.perf_counter()
-    warm = [warm_runner.run(circuit, device, candidates="fast", seed=11)
-            for circuit, device in jobs]
-    warm_s = time.perf_counter() - start
-
-    executed_cold = sum(r.stats["executed"] for r in cold)
-    executed_warm = sum(r.stats["executed"] for r in warm)
-    print(f"\nwarm tuner: cold {executed_cold} candidates ({cold_s:.2f}s) "
-          f"-> warm {executed_warm} candidates ({warm_s:.2f}s)")
-    assert all(result.ok for result in warm)
-    assert executed_warm < executed_cold
-    record_perf("portfolio/warm_tuner", {
-        "jobs": len(jobs),
-        "executed_cold": executed_cold, "executed_warm": executed_warm,
-        "cold_s": round(cold_s, 3), "warm_s": round(warm_s, 3),
-        "paper_scale": paper_scale,
-    }, path=BENCH_PATH)

@@ -20,8 +20,8 @@ qubit mapping problem on NISQ devices.  This package provides:
 * an online compilation server — priority queue with job coalescing,
   worker-pool scheduler, Prometheus metrics and a stdlib HTTP JSON API
   (:mod:`repro.server`), and
-* a racing router portfolio — candidate specs, pluggable cost models and a
-  persistent per-device autotuner (:mod:`repro.portfolio`), and
+* a racing router portfolio — candidate specs and pluggable cost models
+  (:mod:`repro.portfolio`), and
 * a staged pass-pipeline compiler — declarative JSON stage specs, a shared
   per-device analysis cache and content-addressed pipeline keys
   (:mod:`repro.compiler`), and
@@ -85,7 +85,7 @@ from repro.server import CompileClient, CompileServer
 from repro.cluster import (ClusterGateway, HealthMonitor, LocalShardFleet,
                            ShardMember, ShardRing)
 from repro.portfolio import (Candidate, PortfolioResult, PortfolioRunner,
-                             TuningStore, build_cost_model, portfolio_preset)
+                             build_cost_model, portfolio_preset)
 from repro.obs import (SamplingProfiler, SpanStore, TraceContext, get_logger,
                        render_trace)
 
@@ -123,7 +123,6 @@ __all__ = [
     "PortfolioJob",
     "PortfolioResult",
     "PortfolioRunner",
-    "TuningStore",
     "build_cost_model",
     "portfolio_preset",
     "DeviceAnalysis",

@@ -13,7 +13,7 @@ Usage (``python -m repro.cli <command> ...``):
   result caching (``--cache-dir``).
 * ``portfolio [FILES ...] [--suite] --device D [--preset fast|thorough|...]``
   Race several candidate routers per circuit on the portfolio runner and
-  keep the cost-model winner; ``--tuner-file`` makes repeat traffic cheaper.
+  keep the cost-model winner.
 * ``pipeline list`` / ``pipeline describe SPEC`` / ``pipeline run FILE ...``
   Work with declarative compiler pipelines: list the built-in presets, print
   a spec's canonical stage list + content-addressed key, or execute a
@@ -67,11 +67,16 @@ Usage (``python -m repro.cli <command> ...``):
   Compare initial-mapping strategies under CODAR.
 * ``scaling``
   Measure router runtime as circuits grow.
+
+A user error (a missing file, malformed QASM or JSON, an unknown device,
+router or preset, an unreachable server or an error reply from one) prints
+one ``error: ...`` line on stderr and exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import signal
 import sys
@@ -87,18 +92,15 @@ from repro.experiments.scaling import RuntimeScalingExperiment
 from repro.experiments.sensitivity import DurationSensitivityExperiment
 from repro.experiments.speedup import SpeedupExperiment
 from repro.passes.pipeline import transpile
-from repro.qasm import QasmError, circuit_to_qasm, parse_qasm_file
+from repro.qasm import circuit_to_qasm, parse_qasm_file
+from repro.server.client import CompileClient, ServerError
 from repro.service.api import compile_batch, make_job
 from repro.service.cache import ResultCache
 from repro.service.registry import ROUTERS, device_spec
 from repro.workloads.suite import benchmark_suite
 
 def _cmd_route(args: argparse.Namespace) -> int:
-    try:
-        router = ROUTERS.build(args.router)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    router = ROUTERS.build(args.router)
     circuit = parse_qasm_file(args.file)
     device = get_device(args.device)
     result = transpile(circuit, device, router=router, verify=not args.no_verify)
@@ -132,32 +134,28 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     jobs = []
     display_names = {}
     skipped = []
-    try:
-        device_specs = [device_spec(name) for name in devices]
-        router_specs = [ROUTERS.normalize(name) for name in routers]
-        for spec in device_specs:
-            device = get_device(spec["name"], **spec["params"])
-            display_names[json.dumps(spec, sort_keys=True)] = device.name
-            for circuit in circuits:
-                if circuit.num_qubits > device.num_qubits:
-                    skipped.append(f"{circuit.name} ({circuit.num_qubits}q) "
-                                   f"does not fit {device.name} "
-                                   f"({device.num_qubits}q)")
-                    continue
-                for router in router_specs:
-                    jobs.append(make_job(circuit, spec, router,
-                                         layout_strategy=args.layout,
-                                         seed=args.seed))
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    device_specs = [device_spec(name) for name in devices]
+    router_specs = [ROUTERS.normalize(name) for name in routers]
+    for spec in device_specs:
+        device = get_device(spec["name"], **spec["params"])
+        display_names[json.dumps(spec, sort_keys=True)] = device.name
+        for circuit in circuits:
+            if circuit.num_qubits > device.num_qubits:
+                skipped.append(f"{circuit.name} ({circuit.num_qubits}q) "
+                               f"does not fit {device.name} "
+                               f"({device.num_qubits}q)")
+                continue
+            for router in router_specs:
+                jobs.append(make_job(circuit, spec, router,
+                                     layout_strategy=args.layout,
+                                     seed=args.seed))
     for reason in skipped:
         print(f"# skipped: {reason}", file=sys.stderr)
     if not jobs:
         print("error: every (circuit, device) combination was skipped as "
               "oversized", file=sys.stderr)
         return 2
-    cache = ResultCache(args.cache_dir) if args.cache_dir else None
+    cache = _result_cache(args)
     progress = None
     if args.verbose:
         progress = lambda message: print(f"  {message}", file=sys.stderr)  # noqa: E731
@@ -199,12 +197,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _collect_circuits(args: argparse.Namespace) -> list | None:
-    """FILES plus the optional ``--suite`` slice (shared by batch/portfolio)."""
-    try:
-        circuits = [parse_qasm_file(path) for path in args.files]
-    except (OSError, QasmError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+    """The circuits :func:`_add_circuit_selection` options pick."""
+    circuits = [parse_qasm_file(path) for path in args.files]
     if args.suite:
         cases = benchmark_suite(max_qubits=args.max_qubits)
         circuits.extend(case.build() for case in cases
@@ -217,27 +211,20 @@ def _collect_circuits(args: argparse.Namespace) -> list | None:
 
 
 def _cmd_portfolio(args: argparse.Namespace) -> int:
-    from repro.portfolio import PortfolioRunner, TuningStore, resolve_candidates
+    from repro.portfolio import PortfolioRunner, resolve_candidates
 
     circuits = _collect_circuits(args)
     if circuits is None:
         return 2
-    try:
-        candidates = resolve_candidates(args.router or args.preset)
-        cost = (json.loads(args.cost) if args.cost.lstrip().startswith("{")
-                else args.cost)
-        spec = device_spec(args.device)
-        device = get_device(spec["name"], **spec["params"])
-        tuner = (TuningStore(args.tuner_file, max_candidates=args.tuner_keep)
-                 if args.tuner_file else None)
-        runner = PortfolioRunner(
-            cost, workers=args.workers,
-            cache=ResultCache(args.cache_dir) if args.cache_dir else None,
-            tuner=tuner, beat_bound=args.beat_bound,
-            hedge_timeout=args.hedge_timeout)
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    candidates = resolve_candidates(args.router or args.preset)
+    cost = (json.loads(args.cost) if args.cost.lstrip().startswith("{")
+            else args.cost)
+    spec = device_spec(args.device)
+    device = get_device(spec["name"], **spec["params"])
+    runner = PortfolioRunner(cost, workers=args.workers,
+                             cache=_result_cache(args),
+                             beat_bound=args.beat_bound,
+                             hedge_timeout=args.hedge_timeout)
 
     failures, records = 0, []
     start = time.perf_counter()
@@ -306,11 +293,7 @@ def _cmd_pipeline_list(_args: argparse.Namespace) -> int:
 def _cmd_pipeline_describe(args: argparse.Namespace) -> int:
     from repro.compiler import Pipeline
 
-    try:
-        pipeline = Pipeline.from_spec(_resolve_pipeline_spec(args.spec))
-    except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    pipeline = Pipeline.from_spec(_resolve_pipeline_spec(args.spec))
     print(pipeline.describe(), file=sys.stderr)
     print(f"# key: {pipeline.key}", file=sys.stderr)
     print(json.dumps(pipeline.to_spec(), indent=2, sort_keys=True))
@@ -322,17 +305,12 @@ def _cmd_pipeline_run(args: argparse.Namespace) -> int:
     from repro.service.executor import execute_job
     from repro.service.jobs import CompileJob
 
-    try:
-        spec = _resolve_pipeline_spec(args.pipeline)
-        pipeline = Pipeline.from_spec(spec)
-        circuit = parse_qasm_file(args.file)
-        job = CompileJob.from_circuit(circuit, args.device, seed=args.seed,
-                                      pipeline=spec)
-    except (KeyError, ValueError, OSError, QasmError,
-            json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    cache = ResultCache(args.cache_dir) if args.cache_dir else None
+    spec = _resolve_pipeline_spec(args.pipeline)
+    pipeline = Pipeline.from_spec(spec)
+    circuit = parse_qasm_file(args.file)
+    job = CompileJob.from_circuit(circuit, args.device, seed=args.seed,
+                                  pipeline=spec)
+    cache = _result_cache(args)
     outcome = execute_job(job) if cache is None else (
         compile_batch([job], cache=cache)[0])
     if not outcome.ok:
@@ -459,11 +437,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # Cap the memory tier even with a disk cache: the server must stay flat.
     cache = (ResultCache(args.cache_dir, max_entries=1024)
              if args.cache_dir else None)
-    try:
-        tenants = _tenant_options(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     server = CompileServer(host=args.host, port=args.port,
                            workers=args.server_workers, cache=cache,
                            max_depth=args.max_depth,
@@ -472,7 +445,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                            slow_request_s=args.slow_request_s,
                            profile_slow_s=args.profile_slow_s,
                            trace_max_spans=args.trace_spans,
-                           monitor=_monitor_config(args), **tenants)
+                           monitor=_monitor_config(args),
+                           **_tenant_options(args))
     server.start()
     print(f"# serving on {server.url} "
           f"({args.server_workers} workers, "
@@ -489,65 +463,66 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cluster_serve(args: argparse.Namespace) -> int:
+@contextlib.contextmanager
+def _local_cluster(shards: int, *, monitor: dict | bool,
+                   host: str = "127.0.0.1", port: int = 0,
+                   mode: str = "rendezvous", health_interval: float = 1.0,
+                   verbose: bool = False, **shard_options):
+    """``shards`` local shard processes behind a started gateway.
+
+    Both stop when the block ends, or when either fails to start; that
+    failure is an ``OSError`` naming the part that did not start.
+    ``shard_options`` are :class:`~repro.cluster.LocalShardFleet` keywords.
+    """
     from repro.cluster import ClusterGateway, LocalShardFleet
+
+    fleet = LocalShardFleet(shards=shards, host=host, monitor=monitor,
+                            **shard_options)
+    try:
+        try:
+            urls = fleet.start()
+        except OSError as exc:  # TimeoutError included
+            raise OSError(f"could not start the shard fleet: {exc}") from exc
+        try:
+            gateway = ClusterGateway(urls, host=host, port=port, mode=mode,
+                                     health_interval=health_interval,
+                                     verbose=verbose, monitor=monitor)
+        except OSError as exc:  # e.g. the gateway port is already taken
+            raise OSError(f"could not start the gateway: {exc}") from exc
+        with gateway:
+            yield gateway
+    finally:
+        fleet.stop()
+
+
+def _cmd_cluster_serve(args: argparse.Namespace) -> int:
     from repro.obs.logging import configure
 
     if args.verbose:
         configure(level="debug")
-    monitor = _monitor_config(args)
-    try:
-        tenants = _tenant_options(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    fleet = LocalShardFleet(shards=args.shards, host=args.host,
-                            workers=args.server_workers,
-                            max_depth=args.max_depth,
-                            job_timeout=args.job_timeout,
-                            monitor=monitor, **tenants)
-    try:
-        urls = fleet.start()
-    except (OSError, TimeoutError) as exc:
-        print(f"error: could not start the shard fleet: {exc}",
+    with _local_cluster(args.shards, monitor=_monitor_config(args),
+                        host=args.host, port=args.port, mode=args.mode,
+                        health_interval=args.health_interval,
+                        verbose=args.verbose, workers=args.server_workers,
+                        max_depth=args.max_depth,
+                        job_timeout=args.job_timeout,
+                        **_tenant_options(args)) as gateway:
+        for member in gateway.ring.members:
+            print(f"# {member.name} on {member.url}", file=sys.stderr)
+        print(f"# gateway on {gateway.url} ({args.shards} shards, "
+              f"{args.mode} placement, {args.server_workers} workers/shard)",
               file=sys.stderr)
-        fleet.stop()
-        return 2
-    try:
-        gateway = ClusterGateway(urls, host=args.host, port=args.port,
-                                 mode=args.mode,
-                                 health_interval=args.health_interval,
-                                 verbose=args.verbose, monitor=monitor)
-        gateway.start()
-    except OSError as exc:  # e.g. the gateway port is already taken
-        print(f"error: could not start the gateway: {exc}", file=sys.stderr)
-        fleet.stop()
-        return 2
-    for index, url in enumerate(urls):
-        print(f"# shard{index} on {url}", file=sys.stderr)
-    print(f"# gateway on {gateway.url} ({args.shards} shards, "
-          f"{args.mode} placement, {args.server_workers} workers/shard)",
-          file=sys.stderr)
-    print("# endpoints: POST /jobs, POST /portfolio, GET /jobs/<key>, "
-          "GET /results/<key>, GET /metrics[/history|/sample], GET /slo, "
-          "GET /alerts, GET /healthz, GET /traces[/<id>]", file=sys.stderr)
-    try:
+        print("# endpoints: POST /jobs, POST /portfolio, GET /jobs/<key>, "
+              "GET /results/<key>, GET /metrics[/history|/sample], GET /slo, "
+              "GET /alerts, GET /healthz, GET /traces[/<id>]",
+              file=sys.stderr)
         _serve_until_stopped(gateway)
-    finally:
-        fleet.stop()
-        print("# cluster stopped", file=sys.stderr)
+    print("# cluster stopped", file=sys.stderr)
     return 0
 
 
 def _cmd_cluster_status(args: argparse.Namespace) -> int:
-    from repro.server.client import CompileClient, ServerError
-
-    client = CompileClient(args.url)
-    try:
-        health = client.health()
-    except (ServerError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    health = CompileClient(args.url).health()
     if health.get("role") != "gateway":
         print(f"note: {args.url} looks like a single server, not a gateway",
               file=sys.stderr)
@@ -575,103 +550,79 @@ def _cmd_cluster_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro.server.client import CompileClient, ServerError
-
-    try:
-        circuits = [parse_qasm_file(path) for path in args.files]
-    except (OSError, QasmError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    circuits = [parse_qasm_file(path) for path in args.files]
     client = CompileClient(args.url, tenant=args.tenant)
     failures = 0
-    try:
-        for circuit in circuits:
-            job = make_job(circuit, args.device, args.router,
-                           layout_strategy=args.layout, seed=args.seed)
-            if getattr(args, "async"):
-                reply = client.submit(job, priority=args.priority)
-                print(f"{job.circuit_name:<22s} {reply['status']:<8s} "
-                      f"coalesced={reply['coalesced']} key={reply['key']}")
-                continue
-            outcome = client.compile(job, priority=args.priority,
-                                     timeout=args.timeout)
-            flag = "cached" if outcome.cache_hit else (
-                "ok" if outcome.ok else "ERROR")
-            if outcome.ok:
-                summary = outcome.summary
-                print(f"{job.circuit_name:<22s} {flag:<6s} "
-                      f"swaps={summary['swaps']:<5d} "
-                      f"wd={summary['weighted_depth']:<9.1f} key={job.key}")
-            else:
-                failures += 1
-                print(f"{job.circuit_name:<22s} {flag:<6s} "
-                      f"{outcome.error_type}: {outcome.error}")
-    except (ServerError, OSError, TimeoutError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    for circuit in circuits:
+        job = make_job(circuit, args.device, args.router,
+                       layout_strategy=args.layout, seed=args.seed)
+        if getattr(args, "async"):
+            reply = client.submit(job, priority=args.priority)
+            print(f"{job.circuit_name:<22s} {reply['status']:<8s} "
+                  f"coalesced={reply['coalesced']} key={reply['key']}")
+            continue
+        outcome = client.compile(job, priority=args.priority,
+                                 timeout=args.timeout)
+        flag = "cached" if outcome.cache_hit else (
+            "ok" if outcome.ok else "ERROR")
+        if outcome.ok:
+            summary = outcome.summary
+            print(f"{job.circuit_name:<22s} {flag:<6s} "
+                  f"swaps={summary['swaps']:<5d} "
+                  f"wd={summary['weighted_depth']:<9.1f} key={job.key}")
+        else:
+            failures += 1
+            print(f"{job.circuit_name:<22s} {flag:<6s} "
+                  f"{outcome.error_type}: {outcome.error}")
     return 0 if failures == 0 else 1
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    from repro.server.client import CompileClient, ServerError
-
     client = CompileClient(args.url)
-    try:
-        if args.key:
-            print(json.dumps(client.status(args.key), indent=2, sort_keys=True))
-            return 0
-        health = client.health()
-        if health.get("role") == "gateway":
-            # Pointed at a cluster gateway: its health has shard rows, not
-            # the single-server fields this printer expects.
-            print(f"note: {args.url} is a cluster gateway; showing cluster "
-                  "status", file=sys.stderr)
-            return _cmd_cluster_status(args)
-        metrics = health.pop("metrics", {})
-        print(f"server     : {args.url} ({health['status']}, "
-              f"up {health['uptime_s']}s)")
-        print(f"workers    : {health['workers']}  "
-              f"queue depth: {health['queue_depth']}  "
-              f"in flight: {health['jobs_in_flight']}")
-        print(f"jobs       : submitted={metrics.get('submitted', 0)} "
-              f"completed={metrics.get('completed', 0)} "
-              f"failed={metrics.get('failed', 0)} "
-              f"coalesced={metrics.get('coalesced', 0)} "
-              f"rejected={metrics.get('rejected', 0)}")
-        wait = metrics.get("wait_seconds", {})
-        service = metrics.get("service_seconds", {})
-        print(f"wait       : p50={wait.get('p50', 0)}s "
-              f"p95={wait.get('p95', 0)}s (n={wait.get('count', 0)})")
-        print(f"service    : p50={service.get('p50', 0)}s "
-              f"p95={service.get('p95', 0)}s (n={service.get('count', 0)})")
-        print(f"cache      : {health.get('cache')}")
+    if args.key:
+        print(json.dumps(client.status(args.key), indent=2, sort_keys=True))
         return 0
-    except (ServerError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    health = client.health()
+    if health.get("role") == "gateway":
+        # Pointed at a cluster gateway: its health has shard rows, not the
+        # single-server fields this printer expects.
+        print(f"note: {args.url} is a cluster gateway; showing cluster "
+              "status", file=sys.stderr)
+        return _cmd_cluster_status(args)
+    metrics = health.pop("metrics", {})
+    print(f"server     : {args.url} ({health['status']}, "
+          f"up {health['uptime_s']}s)")
+    print(f"workers    : {health['workers']}  "
+          f"queue depth: {health['queue_depth']}  "
+          f"in flight: {health['jobs_in_flight']}")
+    print(f"jobs       : submitted={metrics.get('submitted', 0)} "
+          f"completed={metrics.get('completed', 0)} "
+          f"failed={metrics.get('failed', 0)} "
+          f"coalesced={metrics.get('coalesced', 0)} "
+          f"rejected={metrics.get('rejected', 0)}")
+    wait = metrics.get("wait_seconds", {})
+    service = metrics.get("service_seconds", {})
+    print(f"wait       : p50={wait.get('p50', 0)}s "
+          f"p95={wait.get('p95', 0)}s (n={wait.get('count', 0)})")
+    print(f"service    : p50={service.get('p50', 0)}s "
+          f"p95={service.get('p95', 0)}s (n={service.get('count', 0)})")
+    print(f"cache      : {health.get('cache')}")
+    return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.render import render_trace
-    from repro.server.client import CompileClient, ServerError
 
-    client = CompileClient(args.url)
     try:
-        payload = client.trace(args.ident)
+        payload = CompileClient(args.url).trace(args.ident)
     except ServerError as exc:
-        if exc.status == 404:
-            print(f"error: no trace found for {args.ident!r} (traces live "
-                  "in a bounded ring; old ones are evicted)", file=sys.stderr)
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, TimeoutError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if exc.status != 404:
+            raise
+        payload = None
     spans = (payload.get("spans") or []) if isinstance(payload, dict) else []
     if not spans:
-        # A 200 with an empty span list (or a non-JSON body) is still "not
-        # found" to the operator: fail loudly instead of rendering nothing.
+        # A 404, a 200 with an empty span list or a non-JSON body: all "not
+        # found" to the operator, who gets an error instead of nothing.
         print(f"error: no trace found for {args.ident!r} (traces live "
               "in a bounded ring; old ones are evicted)", file=sys.stderr)
         return 2
@@ -683,26 +634,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_slo(args: argparse.Namespace) -> int:
-    from repro.server.client import CompileClient, ServerError
-
-    client = CompileClient(args.url)
-    try:
-        print(json.dumps(client.slo(), indent=2, sort_keys=True))
-        return 0
-    except (ServerError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    print(json.dumps(CompileClient(args.url).slo(), indent=2, sort_keys=True))
+    return 0
 
 
 def _cmd_alerts(args: argparse.Namespace) -> int:
-    from repro.server.client import CompileClient, ServerError
-
-    client = CompileClient(args.url)
-    try:
-        payload = client.alerts(limit=args.limit)
-    except (ServerError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    payload = CompileClient(args.url).alerts(limit=args.limit)
     print(json.dumps(payload, indent=2, sort_keys=True))
     # Firing alerts flip the exit code so scripts can gate on `repro alerts`.
     return 1 if payload.get("firing") else 0
@@ -710,7 +647,6 @@ def _cmd_alerts(args: argparse.Namespace) -> int:
 
 def _cmd_top(args: argparse.Namespace) -> int:
     from repro.obs.dashboard import render_dashboard
-    from repro.server.client import CompileClient, ServerError
 
     client = CompileClient(args.url, retries=0)
 
@@ -741,93 +677,37 @@ def _cmd_top(args: argparse.Namespace) -> int:
         return 0
 
 
-def _write_loadtest_record(path: str, section: str, record: dict) -> None:
-    """Merge one loadtest record into a BENCH-style JSON artifact.
-
-    The shape matches ``benchmarks/perf_record.py`` (``schema_version`` +
-    a ``records`` map), so the CLI rehearsal and the pytest benchmark can
-    share ``BENCH_loadtest.json`` without clobbering each other's sections.
-    """
-    import os
-    import platform
-    from datetime import datetime, timezone
-
-    document = {"schema_version": 1, "records": {}}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            held = json.load(handle)
-        if isinstance(held, dict) and isinstance(held.get("records"), dict):
-            document = held
-    except (OSError, ValueError):
-        pass
-    record = dict(record)
-    record["recorded_at"] = datetime.now(timezone.utc).isoformat(
-        timespec="seconds")
-    record["cpu_count"] = os.cpu_count()
-    record["python"] = platform.python_version()
-    document["records"][section] = record
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp, path)
-
-
 def _cmd_loadtest(args: argparse.Namespace) -> int:
     from repro.loadgen import LoadTest, TenantMix, WorkloadPool
 
-    try:
-        rates = [float(rate) for rate in args.rates.split(",") if rate.strip()]
-        mix = TenantMix.parse(args.tenants, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rates = [float(rate) for rate in args.rates.split(",") if rate.strip()]
+    mix = TenantMix.parse(args.tenants, seed=args.seed)
     if not rates:
         print("error: --rates needs at least one offered rate",
               file=sys.stderr)
         return 2
-    fleet = gateway = None
+    if not (args.spawn_shards or args.url):
+        print("error: pass --url for a running target or --spawn-shards "
+              "to boot one", file=sys.stderr)
+        return 2
     url = args.url
-    try:
+    with contextlib.ExitStack() as stack:
         if args.spawn_shards:
-            from repro.cluster import ClusterGateway, LocalShardFleet
-
-            monitor = {"interval_s": 1.0, "tenant_slos": True}
-            fleet = LocalShardFleet(shards=args.spawn_shards,
-                                    workers=args.server_workers,
-                                    max_depth=args.max_depth, monitor=monitor)
-            try:
-                urls = fleet.start()
-                gateway = ClusterGateway(urls, health_interval=0.5,
-                                         monitor=monitor)
-                gateway.start()
-            except (OSError, TimeoutError) as exc:
-                print(f"error: could not start the rehearsal fleet: {exc}",
-                      file=sys.stderr)
-                return 2
+            gateway = stack.enter_context(_local_cluster(
+                args.spawn_shards,
+                monitor={"interval_s": 1.0, "tenant_slos": True},
+                health_interval=0.5, workers=args.server_workers,
+                max_depth=args.max_depth))
             url = gateway.url
             print(f"# spawned {args.spawn_shards} shards behind {url}",
                   file=sys.stderr)
-        elif not url:
-            print("error: pass --url for a running target or --spawn-shards "
-                  "to boot one", file=sys.stderr)
-            return 2
-        try:
-            test = LoadTest(url, mix,
-                            workload=WorkloadPool(device=args.device,
-                                                  router=args.router,
-                                                  seed=args.seed),
-                            arrival=args.arrival,
-                            p95_target_s=args.p95_target, seed=args.seed)
-            report = test.run(rates, duration=args.duration)
-        except (OSError, TimeoutError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    finally:
-        if gateway is not None:
-            gateway.stop()
-        if fleet is not None:
-            fleet.stop()
+        test = LoadTest(url, mix,
+                        workload=WorkloadPool(device=args.device,
+                                              router=args.router,
+                                              seed=args.seed),
+                        arrival=args.arrival,
+                        p95_target_s=args.p95_target, seed=args.seed)
+        report = test.run(rates, duration=args.duration)
     print(f"open-loop loadtest against {url} "
           f"({args.arrival} arrivals, mix {args.tenants}, "
           f"p95 target {args.p95_target}s)")
@@ -846,22 +726,19 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     print(f"sustained: {report['sustained_jobs_per_s']:.2f} jobs/s "
           f"at p95 <= {args.p95_target}s")
     if args.json:
-        _write_loadtest_record(args.json, "loadtest/rehearsal", report)
+        with open(args.json, "w", encoding="utf-8") as handle:
+            json.dump(report, handle, indent=2, sort_keys=True)
         print(f"# wrote {args.json}", file=sys.stderr)
     return 0 if report["sustained_jobs_per_s"] > 0 else 1
 
 
 def _cmd_speedup(args: argparse.Namespace) -> int:
-    kwargs = {}
-    if not args.full:
-        kwargs.update(max_benchmark_qubits=12, max_benchmark_gates=800)
+    kwargs = {} if args.full else {"max_benchmark_qubits": 12,
+                                   "max_benchmark_gates": 800}
     if args.arch:
         kwargs.update(architectures=args.arch)
-    if args.workers:
-        kwargs.update(workers=args.workers)
-    if args.cache_dir:
-        kwargs.update(cache=ResultCache(args.cache_dir))
-    experiment = SpeedupExperiment(**kwargs)
+    experiment = SpeedupExperiment(workers=args.workers or None,
+                                   cache=_result_cache(args), **kwargs)
     summaries = experiment.run(progress=lambda m: print(f"  {m}", file=sys.stderr))
     print(SpeedupExperiment.report(summaries, detailed=args.detailed))
     return 0
@@ -877,34 +754,31 @@ def _cmd_table1(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_ablation(args: argparse.Namespace) -> int:
-    experiment = AblationExperiment(device=get_device(args.device),
-                                    max_qubits=args.max_qubits)
-    print(AblationExperiment.report(experiment.run()))
-    return 0
+#: The studies that sweep the suite on one device: command -> (experiment,
+#: default ``--max-qubits``, help).  ``baselines`` also runs on the batch
+#: service (``--workers``, ``--cache-dir``) and takes ``--detailed``.
+_STUDIES = {
+    "ablation": (AblationExperiment, 10,
+                 "slowdown from disabling CODAR mechanisms"),
+    "baselines": (BaselineComparisonExperiment, 10,
+                  "compare CODAR with trivial / A* / SABRE"),
+    "sensitivity": (DurationSensitivityExperiment, 12,
+                    "speedup vs the gate duration model"),
+    "layouts": (LayoutSensitivityExperiment, 10,
+                "compare initial-mapping strategies"),
+}
 
 
-def _cmd_baselines(args: argparse.Namespace) -> int:
-    experiment = BaselineComparisonExperiment(
-        device=get_device(args.device), max_qubits=args.max_qubits,
-        workers=args.workers or None,
-        cache=ResultCache(args.cache_dir) if args.cache_dir else None)
-    print(BaselineComparisonExperiment.report(experiment.run(),
-                                              detailed=args.detailed))
-    return 0
-
-
-def _cmd_sensitivity(args: argparse.Namespace) -> int:
-    experiment = DurationSensitivityExperiment(device=get_device(args.device),
-                                               max_qubits=args.max_qubits)
-    print(DurationSensitivityExperiment.report(experiment.run()))
-    return 0
-
-
-def _cmd_layouts(args: argparse.Namespace) -> int:
-    experiment = LayoutSensitivityExperiment(device=get_device(args.device),
-                                             max_qubits=args.max_qubits)
-    print(LayoutSensitivityExperiment.report(experiment.run()))
+def _cmd_study(args: argparse.Namespace) -> int:
+    experiment_type = _STUDIES[args.command][0]
+    service, report = {}, {}
+    if args.command == "baselines":
+        service = {"workers": args.workers or None,
+                   "cache": _result_cache(args)}
+        report = {"detailed": args.detailed}
+    experiment = experiment_type(device=get_device(args.device),
+                                 max_qubits=args.max_qubits, **service)
+    print(experiment_type.report(experiment.run(), **report))
     return 0
 
 
@@ -916,11 +790,31 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_study_options(parser: argparse.ArgumentParser, max_qubits: int) -> None:
-    parser.add_argument("--device", default="ibm_q20_tokyo",
-                        choices=list_devices(), help="target device model")
-    parser.add_argument("--max-qubits", type=int, default=max_qubits,
-                        help="largest benchmark (in qubits) included in the sweep")
+def _result_cache(args: argparse.Namespace) -> ResultCache | None:
+    return ResultCache(args.cache_dir) if args.cache_dir else None
+
+
+def _add_cache_dir(parser: argparse.ArgumentParser,
+                   text: str | None = "on-disk result cache directory",
+                   **kwargs) -> None:
+    parser.add_argument("--cache-dir", help=text, **kwargs)
+
+
+def _add_url(parser: argparse.ArgumentParser,
+             text: str = "server or gateway base URL",
+             default: str = "http://127.0.0.1:8642") -> None:
+    parser.add_argument("--url", default=default, help=text)
+
+
+def _add_circuit_selection(parser: argparse.ArgumentParser) -> None:
+    """FILES plus an optional ``--suite`` slice (``batch``, ``portfolio``)."""
+    parser.add_argument("files", nargs="*", help="OpenQASM 2.0 input files")
+    parser.add_argument("--suite", action="store_true",
+                        help="include the benchmark suite circuits")
+    parser.add_argument("--max-qubits", type=int, default=10,
+                        help="largest suite benchmark (in qubits) to include")
+    parser.add_argument("--max-gates", type=int, default=500,
+                        help="largest suite benchmark (in gates) to include")
 
 
 def _add_serving_options(parser: argparse.ArgumentParser) -> None:
@@ -984,13 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     batch = sub.add_parser(
         "batch", help="compile a batch of circuits through the service")
-    batch.add_argument("files", nargs="*", help="OpenQASM 2.0 input files")
-    batch.add_argument("--suite", action="store_true",
-                       help="include the benchmark suite circuits")
-    batch.add_argument("--max-qubits", type=int, default=10,
-                       help="largest suite benchmark (in qubits) to include")
-    batch.add_argument("--max-gates", type=int, default=500,
-                       help="largest suite benchmark (in gates) to include")
+    _add_circuit_selection(batch)
     batch.add_argument("--device", action="append",
                        help="target device (repeatable; accepts parametric "
                             "names like grid_4x4); default ibm_q20_tokyo")
@@ -1002,7 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--seed", type=int, help="seed for seeded layouts")
     batch.add_argument("--workers", type=int,
                        help="process-pool size (default: serial)")
-    batch.add_argument("--cache-dir", help="on-disk result cache directory")
+    _add_cache_dir(batch)
     batch.add_argument("--json", help="write job+outcome records to this file")
     batch.add_argument("--verbose", action="store_true",
                        help="print per-job progress to stderr")
@@ -1011,13 +899,7 @@ def build_parser() -> argparse.ArgumentParser:
     portfolio = sub.add_parser(
         "portfolio",
         help="race several routers per circuit and keep the cost-model winner")
-    portfolio.add_argument("files", nargs="*", help="OpenQASM 2.0 input files")
-    portfolio.add_argument("--suite", action="store_true",
-                           help="include the benchmark suite circuits")
-    portfolio.add_argument("--max-qubits", type=int, default=10,
-                           help="largest suite benchmark (in qubits) to include")
-    portfolio.add_argument("--max-gates", type=int, default=500,
-                           help="largest suite benchmark (in gates) to include")
+    _add_circuit_selection(portfolio)
     portfolio.add_argument("--device", default="ibm_q20_tokyo",
                            help="target device (accepts parametric names)")
     portfolio.add_argument("--preset", default="fast",
@@ -1039,12 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "many seconds")
     portfolio.add_argument("--seed", type=int,
                            help="portfolio-wide seed for seeded layouts")
-    portfolio.add_argument("--tuner-file",
-                           help="persistent JSON tuning store (reorders and "
-                                "prunes candidates as it learns)")
-    portfolio.add_argument("--tuner-keep", type=int, default=2,
-                           help="candidates a warm tuner keeps per bucket")
-    portfolio.add_argument("--cache-dir", help="on-disk result cache directory")
+    _add_cache_dir(portfolio)
     portfolio.add_argument("--json", help="write portfolio records to this file")
     portfolio.add_argument("--verbose", action="store_true",
                            help="print per-candidate rows to stderr")
@@ -1072,8 +949,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="target device (accepts parametric names)")
     pipeline_run.add_argument("--seed", type=int,
                               help="seed for seed-sensitive stages")
-    pipeline_run.add_argument("--cache-dir",
-                              help="on-disk result cache directory")
+    _add_cache_dir(pipeline_run)
     pipeline_run.add_argument("--json",
                               help="write the job+outcome record to this file")
     pipeline_run.add_argument("--output",
@@ -1083,7 +959,7 @@ def build_parser() -> argparse.ArgumentParser:
     pipeline_run.set_defaults(func=_cmd_pipeline_run)
 
     cache = sub.add_parser("cache", help="inspect an on-disk result cache")
-    cache.add_argument("--cache-dir", required=True)
+    _add_cache_dir(cache, None, required=True)
     cache.add_argument("--clear", action="store_true",
                        help="delete every cache entry")
     cache.set_defaults(func=_cmd_cache)
@@ -1097,8 +973,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser("serve", help="run the online compilation server")
     serve.add_argument("--port", type=int, default=8642,
                        help="bind port (0 picks an ephemeral port)")
-    serve.add_argument("--cache-dir",
-                       help="on-disk result cache (default: in-memory LRU)")
+    _add_cache_dir(serve, "on-disk result cache (default: in-memory LRU)")
     serve.add_argument("--slow-request-s", type=float, default=5.0,
                        help="log a slow_request warning past this many "
                             "seconds")
@@ -1128,15 +1003,13 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_serve.set_defaults(func=_cmd_cluster_serve)
     cluster_status = cluster_sub.add_parser(
         "status", help="gateway health: shard liveness and routing counters")
-    cluster_status.add_argument("--url", default="http://127.0.0.1:8700",
-                                help="gateway base URL")
+    _add_url(cluster_status, "gateway base URL", "http://127.0.0.1:8700")
     cluster_status.set_defaults(func=_cmd_cluster_status)
 
     submit = sub.add_parser("submit",
                             help="submit circuits to a running server")
     submit.add_argument("files", nargs="+", help="OpenQASM 2.0 input files")
-    submit.add_argument("--url", default="http://127.0.0.1:8642",
-                        help="server base URL")
+    _add_url(submit, "server base URL")
     submit.add_argument("--device", default="ibm_q20_tokyo",
                         help="target device (accepts parametric names)")
     submit.add_argument("--router", default="codar",
@@ -1157,25 +1030,22 @@ def build_parser() -> argparse.ArgumentParser:
     status = sub.add_parser("status",
                             help="server health or one job's status")
     status.add_argument("key", nargs="?", help="job key (omit for health)")
-    status.add_argument("--url", default="http://127.0.0.1:8642",
-                        help="server base URL")
+    _add_url(status, "server base URL")
     status.set_defaults(func=_cmd_status)
 
     trace_cmd = sub.add_parser(
         "trace", help="fetch one request trace and print its span tree")
     trace_cmd.add_argument("ident", help="trace id, job key, or a >= 8-char "
                                          "job-key prefix")
-    trace_cmd.add_argument("--url", default="http://127.0.0.1:8642",
-                           help="server or gateway base URL (a gateway "
-                                "stitches the trace across shards)")
+    _add_url(trace_cmd, "server or gateway base URL (a gateway stitches "
+                        "the trace across shards)")
     trace_cmd.add_argument("--json", action="store_true",
                            help="print the raw span JSON instead of the tree")
     trace_cmd.set_defaults(func=_cmd_trace)
 
     top = sub.add_parser(
         "top", help="live terminal dashboard for a server or gateway")
-    top.add_argument("--url", default="http://127.0.0.1:8642",
-                     help="server or gateway base URL")
+    _add_url(top)
     top.add_argument("--interval", type=float, default=2.0,
                      help="refresh period in seconds")
     top.add_argument("--once", action="store_true",
@@ -1189,8 +1059,7 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest = sub.add_parser(
         "loadtest", help="open-loop load test against a server or gateway: "
                          "sustained jobs/s at a fixed p95 target")
-    loadtest.add_argument("--url", default="",
-                          help="target base URL (omit with --spawn-shards)")
+    _add_url(loadtest, "target base URL (omit with --spawn-shards)", "")
     loadtest.add_argument("--spawn-shards", type=int, default=0,
                           help="boot an ephemeral N-shard fleet + gateway "
                                "and load-test that instead of --url")
@@ -1217,21 +1086,18 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument("--seed", type=int, default=0,
                           help="schedule / mix / workload seed")
     loadtest.add_argument("--json", metavar="FILE",
-                          help="merge the report into a BENCH-style JSON "
-                               "artifact (e.g. BENCH_loadtest.json)")
+                          help="write the report to this file as JSON")
     loadtest.set_defaults(func=_cmd_loadtest)
 
     slo_cmd = sub.add_parser(
         "slo", help="print a server/gateway's SLO evaluation as JSON")
-    slo_cmd.add_argument("--url", default="http://127.0.0.1:8642",
-                         help="server or gateway base URL")
+    _add_url(slo_cmd)
     slo_cmd.set_defaults(func=_cmd_slo)
 
     alerts_cmd = sub.add_parser(
         "alerts", help="print active alerts and recent transitions as JSON "
                        "(exit 1 while any alert is firing)")
-    alerts_cmd.add_argument("--url", default="http://127.0.0.1:8642",
-                            help="server or gateway base URL")
+    _add_url(alerts_cmd)
     alerts_cmd.add_argument("--limit", type=int, default=50,
                             help="max transition events to include")
     alerts_cmd.set_defaults(func=_cmd_alerts)
@@ -1242,7 +1108,7 @@ def build_parser() -> argparse.ArgumentParser:
     speedup.add_argument("--detailed", action="store_true")
     speedup.add_argument("--workers", type=int,
                          help="fan the sweep across worker processes")
-    speedup.add_argument("--cache-dir", help="on-disk result cache directory")
+    _add_cache_dir(speedup)
     speedup.set_defaults(func=_cmd_speedup)
 
     fidelity = sub.add_parser("fidelity", help="run the Fig. 9 fidelity study")
@@ -1251,29 +1117,19 @@ def build_parser() -> argparse.ArgumentParser:
     table1 = sub.add_parser("table1", help="print the Table I device survey")
     table1.set_defaults(func=_cmd_table1)
 
-    ablation = sub.add_parser("ablation",
-                              help="slowdown from disabling CODAR mechanisms")
-    _add_study_options(ablation, max_qubits=10)
-    ablation.set_defaults(func=_cmd_ablation)
-
-    baselines = sub.add_parser("baselines",
-                               help="compare CODAR with trivial / A* / SABRE")
-    _add_study_options(baselines, max_qubits=10)
-    baselines.add_argument("--detailed", action="store_true")
-    baselines.add_argument("--workers", type=int,
-                           help="fan the sweep across worker processes")
-    baselines.add_argument("--cache-dir", help="on-disk result cache directory")
-    baselines.set_defaults(func=_cmd_baselines)
-
-    sensitivity = sub.add_parser("sensitivity",
-                                 help="speedup vs the gate duration model")
-    _add_study_options(sensitivity, max_qubits=12)
-    sensitivity.set_defaults(func=_cmd_sensitivity)
-
-    layouts = sub.add_parser("layouts",
-                             help="compare initial-mapping strategies")
-    _add_study_options(layouts, max_qubits=10)
-    layouts.set_defaults(func=_cmd_layouts)
+    for name, (_, max_qubits, text) in _STUDIES.items():
+        study = sub.add_parser(name, help=text)
+        study.add_argument("--device", default="ibm_q20_tokyo",
+                           choices=list_devices(), help="target device model")
+        study.add_argument("--max-qubits", type=int, default=max_qubits,
+                           help="largest benchmark (in qubits) included in "
+                                "the sweep")
+        if name == "baselines":
+            study.add_argument("--detailed", action="store_true")
+            study.add_argument("--workers", type=int,
+                               help="fan the sweep across worker processes")
+            _add_cache_dir(study)
+        study.set_defaults(func=_cmd_study)
 
     scaling = sub.add_parser("scaling", help="router runtime scaling study")
     scaling.add_argument("--device", default="ibm_q20_tokyo",
@@ -1293,9 +1149,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, KeyError, ServerError) as exc:
+        # A user error: a missing file, a refused connection or a timeout,
+        # malformed QASM or JSON, an unknown device/router/preset/cost
+        # model, or a server's error reply.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess tests

@@ -18,13 +18,14 @@ nothing else changes:
   ticket that failed over to a neighbour is still found.
 * ``GET /metrics/sample`` — the fleet's cumulative metrics sample as JSON:
   every shard's ``GET /metrics/sample`` summed value by value (histogram
-  buckets by bound — every shard uses the same fixed bounds), with per-shard
-  utilization gauges averaged and the fleet topology added.  A dead shard
-  contributes its last-known sample, and a restarted shard's earlier values
-  are banked, so merged counters never go back.
+  buckets by bound — every shard uses the same fixed bounds), each gauge
+  merged by its rule (:func:`_fleet_gauges`) and the fleet topology added.
+  A dead shard contributes its last-known sample, and a restarted shard's
+  earlier values are banked, so merged counters never go back.
 * ``GET /metrics`` — cluster-level Prometheus exposition for external
-  scrapers: the gateway's own ``repro_cluster_*`` counters, then the shard
-  sum rendered by :func:`~repro.server.metrics.render_prometheus` under the
+  scrapers: the gateway's own ``repro_cluster_*`` counters, then the same
+  merged shard sample rendered by
+  :func:`~repro.server.metrics.render_prometheus` under the
   ``repro_cluster`` prefix (p50/p95 from the merged buckets).
 * ``GET /metrics/history`` / ``GET /slo`` / ``GET /alerts`` — the fleet
   monitoring layer: the gateway runs its own
@@ -95,6 +96,24 @@ def _add(left, right):
             buckets[bound] = buckets.get(bound, 0) + cumulative
         return sorted(buckets.items())
     return left + right
+
+
+#: Shard gauges that are fractions in [0, 1]; see :func:`_fleet_gauges`.
+_MEAN_GAUGES = frozenset({"worker_utilization", "queue_saturation",
+                          "trace_span_ring_utilization"})
+
+
+def _fleet_gauges(summed: dict, shards: int, uptime: float) -> dict:
+    """The fleet's gauges from the sum of ``shards`` shards' gauges.
+
+    Each gauge has one merge rule: the [0, 1] fractions are the mean over
+    the shards, ``uptime_seconds`` is the gateway's own ``uptime``, and
+    every other gauge (queue depth, RSS, threads, ...) is the sum.
+    """
+    gauges = {name: (round(value / shards, 4) if name in _MEAN_GAUGES
+                     else value) for name, value in summed.items()}
+    gauges["uptime_seconds"] = uptime
+    return gauges
 
 
 def _fell(old, new) -> bool:
@@ -559,8 +578,9 @@ class ClusterGateway(KeepAliveApp):
 
     # ------------------------------------------------------------------ #
     def _scrape_merged(self) -> tuple[dict, int, int]:
-        """Fetch every shard's ``GET /metrics/sample`` and sum the samples.
+        """Fetch every shard's ``GET /metrics/sample`` and merge the samples.
 
+        Values sum, except gauges, which merge by :func:`_fleet_gauges`.
         Returns ``(merged, polled, contributing)``: ``polled`` shards
         answered this scrape, ``contributing`` shards added a sample at all
         (a dead shard contributes its last-known sample, and a restarted
@@ -581,6 +601,9 @@ class ClusterGateway(KeepAliveApp):
                     contributing += 1
                     merged = _add(merged, _add(
                         last, self._banked.get(member.name, {})))
+        if "gauges" in merged:
+            merged["gauges"] = _fleet_gauges(merged["gauges"], contributing,
+                                             self._uptime())
         return merged, polled, contributing
 
     def _fetch_sample(self, member: ShardMember) -> dict | None:
@@ -622,17 +645,11 @@ class ClusterGateway(KeepAliveApp):
 
         Also the gateway monitor's metrics source.  The shard sum is still
         *cumulative* (sums of per-shard cumulative values), so the recorder
-        differences it exactly as it would a single shard's.  Per-shard
-        utilization gauges (sums of fractions) are averaged over the
-        contributing shards; fleet topology and the gateway's own counters
-        ride along.
+        differences it exactly as it would a single shard's.  Fleet
+        topology and the gateway's own counters ride along.
         """
-        merged, polled, contributing = self._scrape_merged()
+        merged, polled, _ = self._scrape_merged()
         gauges = dict(merged.get("gauges", {}))
-        for name in ("worker_utilization", "queue_saturation",
-                     "trace_span_ring_utilization"):
-            if name in gauges:
-                gauges[name] = round(gauges[name] / max(1, contributing), 4)
         gauges["shards_total"] = float(len(self.ring))
         gauges["shards_alive"] = float(len(self.ring.alive_members()))
         gauges["shards_polled"] = float(polled)
@@ -686,13 +703,13 @@ class ClusterGateway(KeepAliveApp):
 
     # ------------------------------------------------------------------ #
     def aggregated_metrics(self, prefix: str = "repro_cluster") -> str:
-        """Cluster-wide Prometheus text: gateway counters + the shard sum.
+        """Cluster-wide Prometheus text: gateway counters + the shard merge.
 
         The merged shard sample (see :meth:`_scrape_merged`) is rendered by
         the servers' own :func:`~repro.server.metrics.render_prometheus`
-        under ``prefix``: counters, gauges and histogram buckets are sums
-        over the shards, and histogram p50/p95 are recomputed from the
-        merged buckets instead of being (meaninglessly) summed.
+        under ``prefix``: counters and histogram buckets are sums over the
+        shards, gauges follow their merge rule, and histogram p50/p95 are
+        recomputed from the merged buckets instead of being summed.
         """
         merged, polled, _ = self._scrape_merged()
         lines = self.metrics.to_prometheus(self.ring, prefix)

@@ -1,8 +1,8 @@
 """RL001: attributes annotated ``#: guarded by <lock>`` must only be
 touched while that lock is held.
 
-The TuningStore interleaved-save bug and the ResultCache stats races both
-came from one thread touching state another thread guards.  The convention
+The ResultCache stats races came from one thread touching state another
+thread guards.  The convention
 already exists in the code — ``self._lock`` plus ``with self._lock:`` —
 this rule makes the pairing checkable:
 

@@ -20,8 +20,8 @@ latency distribution, not a client-side proxy, and per-tenant rows come for
 free from the sample's tenants.
 
 The ``repro loadtest`` CLI and ``benchmarks/test_loadtest_throughput.py``
-wrap this module; both write the sustained-throughput record to
-``BENCH_loadtest.json``.
+wrap this module.  The CLI writes its report as plain JSON (``--json
+FILE``); only the benchmark harness records ``BENCH_loadtest.json``.
 """
 
 from __future__ import annotations

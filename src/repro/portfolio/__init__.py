@@ -1,4 +1,4 @@
-"""repro.portfolio — racing router portfolios with cost models and autotuning.
+"""repro.portfolio — racing router portfolios with pluggable cost models.
 
 The paper's central observation is that the best mapper depends on the device
 (topology and gate durations).  This subsystem operationalises that: instead
@@ -13,17 +13,13 @@ them, and keep the winner under an explicit, pluggable cost model —
   as weighted sums and addressable as JSON specs,
 * :mod:`repro.portfolio.runner` — :class:`PortfolioRunner`, fanning
   candidates over the service's worker pool with racing (early-cancel past a
-  bound, hedged restarts for stragglers) and deterministic winner selection,
-* :mod:`repro.portfolio.tuner` — :class:`TuningStore`, a persistent
-  per-(device, circuit-bucket) win-statistics store that reorders and prunes
-  candidates, so the portfolio gets cheaper as it sees traffic.
+  bound, hedged restarts for stragglers) and deterministic winner selection.
 
 Quickstart::
 
-    from repro.portfolio import PortfolioRunner, TuningStore
+    from repro.portfolio import PortfolioRunner
 
-    runner = PortfolioRunner("weighted_depth", workers=4,
-                             tuner=TuningStore("tuning.json"))
+    runner = PortfolioRunner("weighted_depth", workers=4)
     result = runner.run(circuit, "ibm_q20_tokyo", candidates="fast", seed=7)
     print(result.winner.candidate.label, result.score)
 """
@@ -34,8 +30,8 @@ from repro.portfolio.cost import (COST_MODELS, CostModel, UNSCORABLE,
                                   build_cost_model, cost_spec, score_outcome,
                                   score_result)
 from repro.portfolio.runner import (CandidateReport, PortfolioResult,
-                                    PortfolioRunner, run_portfolio_job)
-from repro.portfolio.tuner import TuningStore, feature_bucket
+                                    PortfolioRunner, feature_bucket,
+                                    run_portfolio_job)
 
 __all__ = [
     "Candidate",
@@ -53,6 +49,5 @@ __all__ = [
     "PortfolioResult",
     "PortfolioRunner",
     "run_portfolio_job",
-    "TuningStore",
     "feature_bucket",
 ]

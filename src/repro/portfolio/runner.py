@@ -14,9 +14,7 @@ Racing controls:
 * ``beat_bound`` — once any finished candidate scores at or below the bound,
   the rest of the portfolio is cancelled: queued candidates never start and
   running stragglers are **terminated mid-compile** (each candidate runs in
-  its own worker process precisely so it can be killed).  Combined with a
-  :class:`~repro.portfolio.tuner.TuningStore` that races historical winners
-  first, this is what makes a warm portfolio cheap.
+  its own worker process precisely so it can be killed).
 * ``hedge_timeout`` — a candidate still running after this many seconds gets
   a duplicate submission (a *hedged restart*); the first copy to finish
   wins.  Jobs are deterministic, so hedging only fights straggler workers,
@@ -37,7 +35,6 @@ from typing import Mapping, Sequence
 from repro.portfolio.candidates import Candidate, resolve_candidates
 from repro.portfolio.cost import (UNSCORABLE, CostModel, build_cost_model,
                                   cost_spec, score_outcome)
-from repro.portfolio.tuner import TuningStore, feature_bucket
 from repro.service.executor import (CompilationService, _execute_payload,
                                     execute_job)
 from repro.service.jobs import CompileJob, CompileOutcome
@@ -45,10 +42,39 @@ from repro.service.jobs import CompileJob, CompileOutcome
 #: Candidate lifecycle states in a :class:`CandidateReport`.
 OK, ERROR, CANCELLED = "ok", "error", "cancelled"
 
+#: Qubit-count band edges: (label, inclusive upper bound).
+_QUBIT_BANDS = (("q04", 4), ("q08", 8), ("q16", 16), ("q32", 32))
+#: Two-qubit-gate-density band edges over gates2q / gates_total.
+_DENSITY_BANDS = (("sparse", 0.25), ("mixed", 0.5))
+
 #: How often the racing loop re-checks completions / hedges (seconds).
 #: Short relative to a real compile so the early-cancel window opens before
 #: queued candidates reach a worker.
 _POLL_S = 0.005
+
+
+def feature_bucket(circuit) -> str:
+    """Coarse feature bucket of a circuit (e.g. ``"q08/mixed"``).
+
+    Accepts a :class:`~repro.core.circuit.Circuit`; the bucket combines a
+    qubit-count band with a two-qubit-gate-density band.
+    """
+    qubits = circuit.num_qubits
+    gates = [g for g in circuit.gates if not (g.is_barrier or g.is_directive)]
+    two_qubit = sum(1 for g in gates if g.num_qubits == 2)
+    density = two_qubit / len(gates) if gates else 0.0
+
+    qubit_band = _QUBIT_BANDS[-1][0].replace("q32", "q33+")
+    for label, bound in _QUBIT_BANDS:
+        if qubits <= bound:
+            qubit_band = label
+            break
+    density_band = "dense"
+    for label, bound in _DENSITY_BANDS:
+        if density < bound:
+            density_band = label
+            break
+    return f"{qubit_band}/{density_band}"
 
 
 @dataclass
@@ -168,9 +194,6 @@ class PortfolioRunner:
         Either a :class:`~repro.service.cache.ResultCache` or a full
         :class:`CompilationService` to share with batch callers; warm
         candidates short-circuit execution exactly like batch jobs.
-    tuner:
-        Optional :class:`TuningStore`; arranges candidates before each run
-        and records the winner after it.
     beat_bound, hedge_timeout:
         Default racing controls (see the module docstring); both can be
         overridden per :meth:`run` call.
@@ -179,7 +202,6 @@ class PortfolioRunner:
     def __init__(self, cost_model: CostModel | str | Mapping = "weighted_depth",
                  *, workers: int | None = None, cache=None,
                  service: CompilationService | None = None,
-                 tuner: TuningStore | None = None,
                  beat_bound: float | None = None,
                  hedge_timeout: float | None = None):
         if service is None:
@@ -188,7 +210,6 @@ class PortfolioRunner:
             raise ValueError("pass either service= or workers=/cache=, not both")
         self.service = service
         self.cost_model = build_cost_model(cost_model)
-        self.tuner = tuner
         self.beat_bound = beat_bound
         self.hedge_timeout = hedge_timeout
 
@@ -234,10 +255,6 @@ class PortfolioRunner:
         resolved = resolve_candidates(candidates)
         if seed is not None:
             resolved = [candidate.with_seed(seed) for candidate in resolved]
-        bucket = feature_bucket(circuit_obj)
-        device_name = _device_label_from_any(device)
-        if self.tuner is not None:
-            resolved = self.tuner.arrange(device_name, bucket, resolved)
 
         jobs = [candidate.job_for(qasm, device,
                                   circuit_name=circuit_obj.name,
@@ -263,15 +280,11 @@ class PortfolioRunner:
         wall_s = time.perf_counter() - start
 
         winner = self._select_winner(reports)
-        result = PortfolioResult(
+        return PortfolioResult(
             circuit_name=circuit_obj.name, device=jobs[0].device,
-            bucket=bucket, cost_model=cost_spec(self.cost_model),
-            reports=reports, winner=winner, wall_s=wall_s, stats=stats)
-        if self.tuner is not None:
-            self.tuner.record(device_name, bucket,
-                              winner.candidate.key if winner else None,
-                              resolved)
-        return result
+            bucket=feature_bucket(circuit_obj),
+            cost_model=cost_spec(self.cost_model), reports=reports,
+            winner=winner, wall_s=wall_s, stats=stats)
 
     # ------------------------------------------------------------------ #
     def _resolve_from_cache(self, jobs: Sequence[CompileJob],
@@ -332,7 +345,7 @@ class PortfolioRunner:
     def _run_sequential(self, jobs: Sequence[CompileJob],
                         reports: list[CandidateReport], pending: Sequence[int],
                         stats: dict, beat_bound: float | None) -> None:
-        """In-process try-all in arranged order, with early-stop racing."""
+        """In-process try-all in candidate order, with early-stop racing."""
         for position, index in enumerate(pending):
             self._record(reports, index, execute_job(jobs[index]), stats,
                          job=jobs[index])
@@ -491,14 +504,3 @@ def run_portfolio_job(job, cache=None) -> CompileOutcome:
                         seed=job.seed)
     return result.as_outcome(job.key)
 
-
-def _device_label_from_any(device) -> str:
-    """Stable human-readable device label for tuning-store bucket keys."""
-    from repro.service.registry import device_spec
-
-    spec = device_spec(device)
-    if not spec["params"]:
-        return spec["name"]
-    params = ",".join(f"{key}={value}"
-                      for key, value in sorted(spec["params"].items()))
-    return f"{spec['name']}({params})"

@@ -220,11 +220,13 @@ class KeepAliveServer(ThreadingHTTPServer):
     request_queue_size = 128
 
     def __init__(self, address: tuple[str, int], handler, app):
-        super().__init__(address, handler)
+        # Set before binding: a failed bind (a taken port) calls
+        # server_close(), which needs them, before raising its OSError.
         self.app = app
         self.closing = threading.Event()
         self._lock = threading.Lock()
         self._idle: set[socket.socket] = set()  #: guarded by self._lock
+        super().__init__(address, handler)
 
     def mark_idle(self, connection: socket.socket) -> bool:
         """``connection`` awaits its next request; ``False`` once closing."""

@@ -422,6 +422,32 @@ class TestAggregatedMetrics:
             family = base.rsplit("_", 1)[0]
             assert base in typed or typed.get(family) == "histogram", name
 
+    def test_each_gauge_merges_by_one_rule(self, shards, client):
+        """Fractions are the mean over the shards, uptime is the gateway's
+        own, and no metric name appears twice on the page."""
+        for seed in range(3):
+            assert client.compile(_job(3, seed=seed), timeout=60.0).ok
+        fractions = ("worker_utilization", "queue_saturation",
+                     "trace_span_ring_utilization")
+        text = client.metrics_text()
+        page = dict(iter_samples(text))
+        views = {"page": {name: page[f"repro_cluster_{name}"]
+                          for name in (*fractions, "uptime_seconds")},
+                 "sample": client.metrics_sample()["gauges"]}
+        # Read after the gateway: every shard has been up at least as long.
+        own = [shard.metrics.sample()["gauges"] for shard in shards]
+        for view, gauges in views.items():
+            # In-process shards share one span ring, so each reports the
+            # same fill; a sum over two would read double.
+            assert gauges["trace_span_ring_utilization"] in {
+                shard["trace_span_ring_utilization"] for shard in own}, view
+            assert all(0.0 <= gauges[name] <= 1.0 for name in fractions), view
+            assert gauges["uptime_seconds"] <= max(
+                shard["uptime_seconds"] for shard in own), view
+        typed = [line.split()[2] for line in text.splitlines()
+                 if line.startswith("# TYPE")]
+        assert len(typed) == len(set(typed))
+
     def test_metrics_survive_a_dead_shard(self, shards, gateway, client):
         assert client.compile(_job(3)).ok
         shards[1].stop(graceful=False)

@@ -1,12 +1,10 @@
-"""Tests for the racing portfolio subsystem (candidates, cost, runner, tuner)."""
-
-import json
+"""Tests for the racing portfolio subsystem (candidates, cost, runner)."""
 
 import pytest
 
 from repro.portfolio import (COST_MODELS, Candidate, PortfolioRunner,
-                             TuningStore, UNSCORABLE, build_cost_model,
-                             cost_spec, feature_bucket, portfolio_preset,
+                             UNSCORABLE, build_cost_model, cost_spec,
+                             feature_bucket, portfolio_preset,
                              resolve_candidates, score_outcome, score_result)
 from repro.service import (CompilationService, CompileOutcome, PortfolioJob,
                            ResultCache, job_from_dict, make_job)
@@ -166,97 +164,6 @@ class TestCostModels:
 
 
 # --------------------------------------------------------------------------- #
-# Tuning store
-# --------------------------------------------------------------------------- #
-class TestTuningStore:
-    CANDS = None
-
-    def setup_method(self):
-        self.cands = [Candidate("codar"), Candidate("sabre"),
-                      Candidate("trivial", layout_strategy="identity")]
-
-    def test_feature_bucket_bands(self):
-        assert feature_bucket(ghz(3)) == feature_bucket(ghz(4))
-        assert feature_bucket(ghz(4)) != feature_bucket(ghz(16))
-
-    def test_cold_store_is_identity_arrangement(self):
-        store = TuningStore()
-        assert store.arrange("dev", "b", self.cands) == self.cands
-
-    def test_reorder_puts_winners_first_without_pruning_cold(self):
-        store = TuningStore(min_observations=5)
-        store.record("dev", "b", self.cands[1].key, self.cands)
-        arranged = store.arrange("dev", "b", self.cands)
-        assert arranged[0] == self.cands[1]
-        assert len(arranged) == 3  # below min_observations: no pruning
-
-    def test_warm_store_prunes(self):
-        store = TuningStore(min_observations=2, max_candidates=1)
-        for _ in range(2):
-            store.record("dev", "b", self.cands[2].key, self.cands)
-        arranged = store.arrange("dev", "b", self.cands)
-        assert arranged == [self.cands[2]]
-        # A different device/bucket is untouched.
-        assert store.arrange("other", "b", self.cands) == self.cands
-
-    def test_persistence_round_trip(self, tmp_path):
-        path = tmp_path / "tuning.json"
-        store = TuningStore(path, min_observations=1, max_candidates=1)
-        store.record("dev", "b", self.cands[0].key, self.cands)
-        reloaded = TuningStore(path, min_observations=1, max_candidates=1)
-        assert reloaded.observations("dev", "b") == 1
-        assert reloaded.win_rate("dev", "b", self.cands[0].key) == 1.0
-        assert reloaded.arrange("dev", "b", self.cands) == [self.cands[0]]
-
-    def test_corrupt_store_degrades_to_cold(self, tmp_path):
-        path = tmp_path / "tuning.json"
-        path.write_text("{not json")
-        store = TuningStore(path)
-        assert store.arrange("dev", "b", self.cands) == self.cands
-        store.record("dev", "b", self.cands[0].key, self.cands)  # heals
-        assert json.loads(path.read_text())["schema_version"] == 1
-
-    def test_concurrent_saves_never_publish_a_corrupt_store(self, tmp_path):
-        # Regression: save() used to build a pid-only temp file *outside*
-        # the lock, so two server threads saving at once interleaved writes
-        # into the same temp path and could os.replace() garbage into place.
-        import threading
-
-        path = tmp_path / "tuning.json"
-        store = TuningStore(path, min_observations=10_000)
-        rounds, threads = 25, 8
-        barrier = threading.Barrier(threads)
-        errors = []
-
-        def hammer(worker: int):
-            try:
-                barrier.wait(10.0)
-                for index in range(rounds):
-                    store.record(f"dev{worker}", "b",
-                                 self.cands[index % 3].key, self.cands,
-                                 save=True)
-                    # Every published snapshot must parse; a torn write here
-                    # is exactly the bug this guards against.
-                    data = json.loads(path.read_text())
-                    assert data["schema_version"] == 1
-            except Exception as exc:  # noqa: BLE001 — surfaced below
-                errors.append(exc)
-
-        pool = [threading.Thread(target=hammer, args=(worker,))
-                for worker in range(threads)]
-        for thread in pool:
-            thread.start()
-        for thread in pool:
-            thread.join(60.0)
-        assert not errors, errors[:1]
-        reloaded = TuningStore(path)
-        for worker in range(threads):
-            assert reloaded.observations(f"dev{worker}", "b") == rounds
-        strays = [p for p in tmp_path.iterdir() if ".tmp." in p.name]
-        assert strays == []
-
-
-# --------------------------------------------------------------------------- #
 # Runner
 # --------------------------------------------------------------------------- #
 class TestPortfolioRunner:
@@ -313,15 +220,12 @@ class TestPortfolioRunner:
                            beat_bound=1e9)
         assert rerun.stats["executed"] == 0
 
-    def test_tuner_reorders_and_prunes_across_runs(self):
-        store = TuningStore(min_observations=2, max_candidates=1)
-        runner = PortfolioRunner("weighted_depth", tuner=store)
-        first = runner.run(qft(5), "ibm_q20_tokyo", candidates="fast", seed=3)
-        assert first.stats["candidates"] == 3
-        runner.run(qft(5), "ibm_q20_tokyo", candidates="fast", seed=3)
-        warm = runner.run(qft(5), "ibm_q20_tokyo", candidates="fast", seed=3)
-        assert warm.stats["candidates"] == 1  # pruned to the learned winner
-        assert warm.winner.candidate.key == first.winner.candidate.key
+    def test_feature_bucket_bands(self):
+        assert feature_bucket(ghz(3)) == feature_bucket(ghz(4))
+        assert feature_bucket(ghz(4)) != feature_bucket(ghz(16))
+        result = PortfolioRunner("weighted_depth").run(
+            ghz(4), "ibm_q20_tokyo", candidates=["codar"])
+        assert result.portfolio_summary()["bucket"] == feature_bucket(ghz(4))
 
     def test_failed_candidates_never_win(self):
         # The bogus router parameter fails in the factory; the portfolio

@@ -209,6 +209,17 @@ def test_expect_100_continue_is_answered_before_the_body(server):
 # --------------------------------------------------------------------------- #
 # stop() and open keep-alive connections
 # --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("front_type", [CompileServer, ClusterGateway])
+def test_a_taken_port_raises_its_os_error(front_type):
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen(1)
+        port = taken.getsockname()[1]
+        args = (["http://127.0.0.1:1"],) if front_type is ClusterGateway else ()
+        with pytest.raises(OSError):
+            front_type(*args, port=port)
+
+
 def test_stop_closes_idle_keep_alive_connections(front):
     host, port = front.address
     connection = http.client.HTTPConnection(host, port, timeout=10)

@@ -1,5 +1,7 @@
 """Tests for the ASCII visualisation helpers and the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.arch.durations import GateDurationMap
@@ -154,12 +156,6 @@ class TestCli:
                 args = vars(build_parser().parse_args(command + argv))
                 assert {name: args[name] for name in defaults} == expected
 
-    def test_route_command_rejects_an_unknown_router(self, tmp_path, capsys):
-        qasm = tmp_path / "pair.qasm"
-        qasm.write_text("qreg q[2];\ncx q[0],q[1];\n")
-        assert main(["route", str(qasm), "--router", "qiskit"]) == 2
-        assert "unknown router 'qiskit'" in capsys.readouterr().err
-
     def test_route_command_on_directed_device(self, tmp_path, capsys):
         qasm = tmp_path / "qx4.qasm"
         qasm.write_text("qreg q[4];\nh q[0];\ncx q[0],q[3];\ncx q[2],q[1];\n")
@@ -197,11 +193,6 @@ class TestBatchCli:
     def test_batch_requires_circuits(self, capsys):
         assert main(["batch"]) == 2
         assert "no circuits" in capsys.readouterr().err
-
-    def test_batch_rejects_unknown_router(self, capsys):
-        assert main(["batch", "--suite", "--max-qubits", "4",
-                     "--router", "bogus"]) == 2
-        assert "unknown router" in capsys.readouterr().err
 
     def test_batch_over_files_and_suite(self, tmp_path, capsys):
         qasm = tmp_path / "bell.qasm"
@@ -244,12 +235,6 @@ class TestBatchCli:
         assert "skipped: big (25q) does not fit ibm_q20_tokyo" in err
         assert "every (circuit, device) combination was skipped" in err
 
-    def test_batch_malformed_file_is_a_clean_error(self, tmp_path, capsys):
-        bad = tmp_path / "bad.qasm"
-        bad.write_text("qreg q[2];\ncx q[0],q[9];\n")
-        assert main(["batch", str(bad)]) == 2
-        assert "out of range" in capsys.readouterr().err
-
     def test_cache_command_reports_and_clears(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
         assert main(["batch", "--suite", "--max-qubits", "3",
@@ -267,3 +252,166 @@ class TestBatchCli:
         args = build_parser().parse_args(["speedup", "--workers", "4",
                                           "--cache-dir", "/tmp/c"])
         assert args.workers == 4 and args.cache_dir == "/tmp/c"
+
+
+#: A port nothing listens on: every client call is refused at once.
+DEAD_URL = "http://127.0.0.1:1"
+
+#: Each user error ends in one ``error: ...`` line on stderr and exit 2.
+#: ``{dir}`` holds ``pair.qasm`` (valid) and ``bad.qasm`` (a qubit index past
+#: its register).
+USER_ERRORS = {
+    "route-missing-file": (["route", "/nonexistent.qasm"], "No such file"),
+    "route-qubit-out-of-range": (["route", "{dir}/bad.qasm"], "out of range"),
+    "route-unknown-router": (["route", "{dir}/pair.qasm", "--router", "qiskit"],
+                             "unknown router 'qiskit'"),
+    "speedup-unknown-arch": (["speedup", "--arch", "bogus"],
+                             "unknown device 'bogus'"),
+    "cache-dir-is-a-file": (["cache", "--cache-dir", "{dir}/pair.qasm"],
+                            "File exists"),
+    "slo-refused": (["slo", "--url", DEAD_URL], "Connection refused"),
+    "alerts-refused": (["alerts", "--url", DEAD_URL], "Connection refused"),
+    "status-refused": (["status", "--url", DEAD_URL], "Connection refused"),
+    "cluster-status-refused": (["cluster", "status", "--url", DEAD_URL],
+                               "Connection refused"),
+    "trace-refused": (["trace", "abc", "--url", DEAD_URL],
+                      "Connection refused"),
+    "loadtest-bad-rate": (["loadtest", "--rates", "x"],
+                          "could not convert string to float: 'x'"),
+    "pipeline-unknown-preset": (["pipeline", "describe", "bogus"],
+                                "unknown pipeline preset 'bogus'"),
+    "batch-unknown-router": (["batch", "--suite", "--max-qubits", "4",
+                              "--router", "bogus"], "unknown router"),
+    "batch-qubit-out-of-range": (["batch", "{dir}/bad.qasm"], "out of range"),
+}
+
+
+@pytest.mark.parametrize("argv, message", list(USER_ERRORS.values()),
+                         ids=list(USER_ERRORS))
+def test_user_error_exits_2(argv, message, tmp_path, capsys):
+    (tmp_path / "pair.qasm").write_text("qreg q[2];\ncx q[0],q[1];\n")
+    (tmp_path / "bad.qasm").write_text("qreg q[2];\ncx q[0],q[5];\n")
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error: ")]
+    assert len(errors) == 1 and message in errors[0], errors
+
+
+#: Every command path's options as ``STRINGS DEST=DEFAULT``, in parser order
+#: (``<arg>`` marks a positional).
+CLI_SURFACE = {
+    '': ["--version version='==SUPPRESS=='"],
+    'route': ['<arg> file=None', "--device device='ibm_q20_tokyo'",
+              "--router router='codar'", '--output output=None',
+              '--no-verify no_verify=False'],
+    'batch': ['<arg> files=None', '--suite suite=False',
+              '--max-qubits max_qubits=10', '--max-gates max_gates=500',
+              '--device device=None', '--router router=None',
+              "--layout layout='reverse_traversal'", '--seed seed=None',
+              '--workers workers=None', '--cache-dir cache_dir=None',
+              '--json json=None', '--verbose verbose=False'],
+    'portfolio': ['<arg> files=None', '--suite suite=False',
+                  '--max-qubits max_qubits=10', '--max-gates max_gates=500',
+                  "--device device='ibm_q20_tokyo'", "--preset preset='fast'",
+                  '--router router=None', "--cost cost='weighted_depth'",
+                  '--workers workers=None', '--beat-bound beat_bound=None',
+                  '--hedge-timeout hedge_timeout=None', '--seed seed=None',
+                  '--cache-dir cache_dir=None', '--json json=None',
+                  '--verbose verbose=False'],
+    'pipeline': [],
+    'pipeline list': [],
+    'pipeline describe': ['<arg> spec=None'],
+    'pipeline run': ['<arg> file=None', "--pipeline pipeline='default'",
+                     "--device device='ibm_q20_tokyo'", '--seed seed=None',
+                     '--cache-dir cache_dir=None', '--json json=None',
+                     '--output output=None', '--quiet quiet=False'],
+    'cache': ['--cache-dir cache_dir=None', '--clear clear=False'],
+    'devices': [],
+    'routers': [],
+    'serve': ['--port port=8642', '--cache-dir cache_dir=None',
+              '--slow-request-s slow_request_s=5.0',
+              '--profile-slow-s profile_slow_s=None',
+              '--trace-spans trace_spans=None', "--host host='127.0.0.1'",
+              '--server-workers server_workers=2', '--max-depth max_depth=256',
+              '--job-timeout job_timeout=None', '--verbose verbose=False',
+              '--no-monitor no_monitor=False',
+              '--monitor-interval monitor_interval=5.0',
+              '--tenant-weight tenant_weight=None',
+              '--tenant-quota tenant_quota=None',
+              '--default-tenant-quota default_tenant_quota=None',
+              '--tenant-slos tenant_slos=False'],
+    'cluster': [],
+    'cluster serve': ['--shards shards=2', '--port port=8700',
+                      "--mode mode='rendezvous'",
+                      '--health-interval health_interval=1.0',
+                      "--host host='127.0.0.1'",
+                      '--server-workers server_workers=2',
+                      '--max-depth max_depth=256',
+                      '--job-timeout job_timeout=None',
+                      '--verbose verbose=False',
+                      '--no-monitor no_monitor=False',
+                      '--monitor-interval monitor_interval=5.0',
+                      '--tenant-weight tenant_weight=None',
+                      '--tenant-quota tenant_quota=None',
+                      '--default-tenant-quota default_tenant_quota=None',
+                      '--tenant-slos tenant_slos=False'],
+    'cluster status': ["--url url='http://127.0.0.1:8700'"],
+    'submit': ['<arg> files=None', "--url url='http://127.0.0.1:8642'",
+               "--device device='ibm_q20_tokyo'", "--router router='codar'",
+               "--layout layout='reverse_traversal'", '--seed seed=None',
+               '--priority priority=0', '--timeout timeout=60.0',
+               '--async async=False', '--tenant tenant=None'],
+    'status': ['<arg> key=None', "--url url='http://127.0.0.1:8642'"],
+    'trace': ['<arg> ident=None', "--url url='http://127.0.0.1:8642'",
+              '--json json=False'],
+    'top': ["--url url='http://127.0.0.1:8642'", '--interval interval=2.0',
+            '--once once=False', '--no-color no_color=False',
+            '--color color=False'],
+    'loadtest': ["--url url=''", '--spawn-shards spawn_shards=0',
+                 '--server-workers server_workers=2',
+                 '--max-depth max_depth=256', "--tenants tenants='default:1'",
+                 "--rates rates='4,8,16'", '--duration duration=10.0',
+                 "--arrival arrival='poisson'", '--p95-target p95_target=2.0',
+                 "--device device='ibm_q20_tokyo'", "--router router='codar'",
+                 '--seed seed=0', '--json json=None'],
+    'slo': ["--url url='http://127.0.0.1:8642'"],
+    'alerts': ["--url url='http://127.0.0.1:8642'", '--limit limit=50'],
+    'speedup': ['--full full=False', '--arch arch=None',
+                '--detailed detailed=False', '--workers workers=None',
+                '--cache-dir cache_dir=None'],
+    'fidelity': [],
+    'table1': [],
+    'ablation': ["--device device='ibm_q20_tokyo'",
+                 '--max-qubits max_qubits=10'],
+    'baselines': ["--device device='ibm_q20_tokyo'",
+                  '--max-qubits max_qubits=10', '--detailed detailed=False',
+                  '--workers workers=None', '--cache-dir cache_dir=None'],
+    'sensitivity': ["--device device='ibm_q20_tokyo'",
+                    '--max-qubits max_qubits=12'],
+    'layouts': ["--device device='ibm_q20_tokyo'",
+                '--max-qubits max_qubits=10'],
+    'scaling': ["--device device='ibm_q20_tokyo'", '--qubits qubits=16',
+                '--gates gates=[100, 400, 1600]'],
+    'lint': ['<arg> paths=None', '--json as_json=False',
+             "--baseline baseline='lint-baseline.json'",
+             '--update-baseline update_baseline=False', '--rules rules=None',
+             '--list-rules list_rules=False', "--root root='.'"],
+}
+
+
+def _cli_surface(parser: argparse.ArgumentParser, path: str = "") -> dict:
+    surface = {path: []}
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                surface.update(_cli_surface(child, f"{path} {name}".strip()))
+            continue
+        surface[path].append(f"{'/'.join(action.option_strings) or '<arg>'} "
+                             f"{action.dest}={action.default!r}")
+    return surface
+
+
+def test_cli_surface_is_pinned():
+    assert _cli_surface(build_parser()) == CLI_SURFACE
