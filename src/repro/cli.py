@@ -23,11 +23,11 @@ Usage (``python -m repro.cli <command> ...``):
 * ``serve [--host H] [--port P] [--server-workers N] [--cache-dir PATH]``
   Run the online compilation server: an HTTP JSON API with a priority queue,
   job coalescing, admission control and Prometheus ``/metrics``.
-* ``cluster serve [--shards N] [--port P] [--mode rendezvous|ring]``
+* ``cluster serve [--shards N] [--port P]``
   Spawn N local compile-server shard processes behind a shard-routing
-  gateway: consistent hashing on the job key, health-checked failover,
-  aggregated ``/metrics``.  ``cluster status --url URL`` prints shard
-  liveness and routing counters.
+  gateway that serves the server's own API: rendezvous hashing on the job
+  key, health-checked failover, fleet-merged ``/metrics``.
+  ``cluster status --url URL`` prints shard liveness and routing counters.
 * ``submit FILES ... --url URL --device D --router R [--priority N] [--async]``
   Submit circuits to a running server and (by default) wait for the outcomes.
 * ``status --url URL [KEY]``
@@ -416,6 +416,12 @@ def _tenant_options(args: argparse.Namespace) -> dict:
             "default_tenant_quota": args.default_tenant_quota}
 
 
+#: The API a server and a gateway both serve (``repro.server.http``).
+_ENDPOINTS = ("# endpoints: POST /jobs, POST /portfolio, GET /jobs/<key>, "
+              "GET /results/<key>, GET /metrics[/history|/sample], GET /slo, "
+              "GET /alerts, GET /healthz, GET /traces[/<id>]")
+
+
 def _serve_until_stopped(server) -> None:
     """``server.serve_forever()``; SIGTERM drains gracefully, like Ctrl-C."""
     def _sigterm(_signum, _frame):
@@ -453,9 +459,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"queue depth <= {args.max_depth}, "
           f"cache={'disk:' + args.cache_dir if args.cache_dir else 'memory'})",
           file=sys.stderr)
-    print("# endpoints: POST /jobs, GET /jobs/<key>, GET /results/<key>, "
-          "GET /metrics[/history|/sample], GET /slo, GET /alerts, "
-          "GET /healthz, GET /traces[/<id>]", file=sys.stderr)
+    print(_ENDPOINTS, file=sys.stderr)
     try:
         _serve_until_stopped(server)
     finally:
@@ -466,7 +470,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 @contextlib.contextmanager
 def _local_cluster(shards: int, *, monitor: dict | bool,
                    host: str = "127.0.0.1", port: int = 0,
-                   mode: str = "rendezvous", health_interval: float = 1.0,
+                   health_interval: float = 1.0,
                    verbose: bool = False, **shard_options):
     """``shards`` local shard processes behind a started gateway.
 
@@ -484,7 +488,7 @@ def _local_cluster(shards: int, *, monitor: dict | bool,
         except OSError as exc:  # TimeoutError included
             raise OSError(f"could not start the shard fleet: {exc}") from exc
         try:
-            gateway = ClusterGateway(urls, host=host, port=port, mode=mode,
+            gateway = ClusterGateway(urls, host=host, port=port,
                                      health_interval=health_interval,
                                      verbose=verbose, monitor=monitor)
         except OSError as exc:  # e.g. the gateway port is already taken
@@ -501,7 +505,7 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
     if args.verbose:
         configure(level="debug")
     with _local_cluster(args.shards, monitor=_monitor_config(args),
-                        host=args.host, port=args.port, mode=args.mode,
+                        host=args.host, port=args.port,
                         health_interval=args.health_interval,
                         verbose=args.verbose, workers=args.server_workers,
                         max_depth=args.max_depth,
@@ -510,12 +514,8 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
         for member in gateway.ring.members:
             print(f"# {member.name} on {member.url}", file=sys.stderr)
         print(f"# gateway on {gateway.url} ({args.shards} shards, "
-              f"{args.mode} placement, {args.server_workers} workers/shard)",
-              file=sys.stderr)
-        print("# endpoints: POST /jobs, POST /portfolio, GET /jobs/<key>, "
-              "GET /results/<key>, GET /metrics[/history|/sample], GET /slo, "
-              "GET /alerts, GET /healthz, GET /traces[/<id>]",
-              file=sys.stderr)
+              f"{args.server_workers} workers/shard)", file=sys.stderr)
+        print(_ENDPOINTS, file=sys.stderr)
         _serve_until_stopped(gateway)
     print("# cluster stopped", file=sys.stderr)
     return 0
@@ -528,8 +528,7 @@ def _cmd_cluster_status(args: argparse.Namespace) -> int:
               file=sys.stderr)
     gateway = health.get("gateway", {})
     print(f"gateway    : {args.url} ({health.get('status')}, "
-          f"up {health.get('uptime_s', 0)}s, "
-          f"{health.get('mode', '?')} placement)")
+          f"up {health.get('uptime_s', 0)}s)")
     print(f"shards     : {health.get('shards_alive', 0)}"
           f"/{len(health.get('shards', []))} alive  "
           f"ejections={health.get('ejections', 0)} "
@@ -994,9 +993,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help="shard (compile-server) process count")
     cluster_serve.add_argument("--port", type=int, default=8700,
                                help="gateway bind port (0 = ephemeral)")
-    cluster_serve.add_argument("--mode", default="rendezvous",
-                               choices=("rendezvous", "ring"),
-                               help="key→shard placement mode")
     cluster_serve.add_argument("--health-interval", type=float, default=1.0,
                                help="seconds between shard health probes")
     _add_serving_options(cluster_serve)

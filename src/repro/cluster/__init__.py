@@ -5,17 +5,17 @@ every job funnels through one queue and one worker pool.  This package
 partitions the workload across N server *shards* behind a single HTTP front
 door:
 
-* :mod:`repro.cluster.ring` — :class:`ShardRing`: weighted consistent
-  placement (rendezvous or ring hashing) of content-addressed job keys onto
-  shard members.  Identical specs always land on the same shard, so the
-  server's coalescing keeps working per shard by construction.
+* :mod:`repro.cluster.ring` — :class:`ShardRing`: weighted rendezvous
+  placement of content-addressed job keys onto shard members.  Identical
+  specs always land on the same shard, so the server's coalescing keeps
+  working per shard by construction.
 * :mod:`repro.cluster.health` — :class:`HealthMonitor`: periodic ``/healthz``
   probes with eject/re-admit hysteresis.
 * :mod:`repro.cluster.gateway` — :class:`ClusterGateway`: the same JSON API
-  as one server (``POST /jobs`` / ``POST /portfolio``, ``GET /jobs/<key>``,
-  ``GET /results/<key>``), client-transparent failover onto the next ring
-  member when a shard dies, and an aggregated ``GET /metrics`` merging every
-  shard's counters and fixed-bucket histograms.
+  as one server, served by the server's own request handler; submissions and
+  ticket reads are proxied to the owning shard with client-transparent
+  failover onto the next ring member when a shard dies, and the metrics,
+  monitoring and trace views merge every shard's.
 * :mod:`repro.cluster.local` — :class:`LocalShardFleet`: spawn/kill real
   local shard processes (``repro cluster serve --shards N``).
 

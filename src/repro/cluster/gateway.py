@@ -1,14 +1,16 @@
 """Shard-routing gateway: one HTTP front door over N compile servers.
 
-The :class:`ClusterGateway` speaks the same JSON API as a single
-:class:`~repro.server.http.CompileServer` — clients (including the existing
-:class:`~repro.server.client.CompileClient`) point at the gateway URL and
-nothing else changes:
+The :class:`ClusterGateway` serves the same JSON API as a single
+:class:`~repro.server.http.CompileServer`, through the server's own request
+handler (:class:`~repro.server.http.ApiHandler`) — clients (including the
+existing :class:`~repro.server.client.CompileClient`) point at the gateway
+URL and nothing else changes.  What the gateway does differently:
 
-* ``POST /jobs`` / ``POST /portfolio`` — the gateway parses the payload just
-  far enough to compute the content-addressed job key, picks the owning shard
-  from the :class:`~repro.cluster.ring.ShardRing` and proxies the request
-  — the client's bytes as received, over the shard's keep-alive
+* ``POST /jobs`` / ``POST /portfolio`` — the shared handler parses the
+  submission (and refuses a malformed one with the server's exact 4xx);
+  the gateway then picks the owning shard from the
+  :class:`~repro.cluster.ring.ShardRing` by the job key and proxies the
+  request — the client's bytes as received, over the shard's keep-alive
   connection pool (:attr:`~repro.cluster.ring.ShardMember.pool`).
   Because placement is a pure function of the key, every duplicate of a spec
   lands on the same shard and coalesces there — per-shard coalescing is
@@ -32,10 +34,16 @@ nothing else changes:
   :class:`~repro.obs.monitor.Monitor` whose metrics source is the fleet
   sample, so rolling windows, SLO budgets and burn-rate alerts are
   computed over *fleet-level* cumulative series (merged counters difference
-  exactly like a single shard's).  ``/alerts`` additionally fans out to
-  every shard and merges their alert payloads, so shard-local alerts (which
-  carry exemplar trace ids) surface at the cluster edge.
+  exactly like a single shard's).  ``/alerts`` additionally merges every
+  shard's alert payload, so shard-local alerts (which carry exemplar trace
+  ids) surface at the cluster edge.
+* ``GET /traces`` / ``GET /traces/<id>`` — the gateway's own spans stitched
+  with every shard's part of the same traces.
 * ``GET /healthz`` — gateway liveness plus per-shard health.
+
+Every fleet view polls all ring members the same way
+(:meth:`ClusterGateway._poll_shards`), and its ``shards_polled`` counts the
+members that answered.
 
 **Failover** is client-transparent: when a shard cannot be reached at all the
 gateway ejects it (feeding the :class:`~repro.cluster.health.HealthMonitor`'s
@@ -44,7 +52,8 @@ reply.  HTTP-level errors (400/404/429/503) are *passed through* — a shard
 saying "queue full" or "draining" is alive, and the client's existing
 429/503 retry behaviour handles it unchanged.  A pooled shard connection
 that went stale is resent once by the pool
-(:mod:`repro.server.transport`) and is not a failover.
+(:mod:`repro.server.transport`) and is not a failover.  A request no shard
+answers gets a 503 and counts as *unrouted*.
 """
 
 from __future__ import annotations
@@ -59,16 +68,12 @@ from repro.cluster.ring import ShardMember, ShardRing
 from repro.obs.logging import get_logger
 from repro.obs.monitor import Monitor, MonitorConfig
 from repro.obs.store import get_store
-from repro.obs.trace import (TRACE_HEADER, TraceContext, activate,
-                             current_trace, record_span, span)
-# The gateway enforces the backend's exact edge limits (the body cap through
-# the shared handler base); importing them keeps the two layers in lockstep
-# when either bound changes.
-from repro.server.http import MAX_WAIT_S
+from repro.obs.trace import current_trace, record_span, span
+# The gateway serves the server's own request handler, so both enforce the
+# same edge limits and parse a submission the same way.
+from repro.server.http import ApiHandler
 from repro.server.metrics import render_prometheus
-from repro.server.tenancy import TENANT_HEADER, normalize_tenant
-from repro.server.transport import JSONHandler, KeepAliveApp
-from repro.service.jobs import CompileJob, PortfolioJob
+from repro.server.transport import KeepAliveApp
 
 #: Socket headroom added on top of a proxied blocking wait.
 PROXY_MARGIN_S = 30.0
@@ -214,105 +219,38 @@ class GatewayMetrics:
         return lines
 
 
-class _GatewayHandler(JSONHandler):
-    """Routes requests to the owning :class:`ClusterGateway` (``server.app``)."""
+class _GatewayHandler(ApiHandler):
+    """Proxies submissions and ticket reads to the owning shard."""
 
     server_version = "repro-cluster-gateway"
     _log = _LOG
 
     def do_GET(self) -> None:  # noqa: N802 — stdlib naming
         self.app.metrics.record_request()
-        path = self.path.split("?", 1)[0].rstrip("/") or "/"
-        if path == "/healthz":
-            self._reply(200, self.app.health())
-        elif path == "/metrics":
-            self._reply(200, self.app.aggregated_metrics(),
-                        content_type="text/plain; version=0.0.4")
-        elif path == "/metrics/sample":
-            self._reply(200, self.app.fleet_sample())
-        elif path == "/metrics/history":
-            self._get_monitor("history")
-        elif path == "/slo":
-            self._get_monitor("slo")
-        elif path == "/alerts":
-            self._get_monitor("alerts")
-        elif path == "/traces":
-            self._reply(200, self.app.trace_summaries(
-                self._query_int("limit", 50)))
-        elif path.startswith("/traces/"):
-            stitched = self.app.fetch_trace(path[len("/traces/"):])
-            if stitched is None:
-                self._error(404, f"no trace for {path[len('/traces/'):]!r}")
-            else:
-                self._reply(200, stitched)
-        elif path.startswith("/jobs/") or path.startswith("/results/"):
-            key = path.rsplit("/", 1)[1]
-            self._proxy(key, "GET", path)
-        else:
-            self._error(404, f"unknown path {path!r}")
-
-    def _get_monitor(self, view: str) -> None:
-        monitor = self.app.monitor
-        if monitor is None or not monitor.enabled:
-            self._error(503, "monitoring is disabled on this gateway")
-            return
-        if view == "history":
-            seconds = self._query_int("seconds", 0)
-            self._reply(200, monitor.history_payload(
-                float(seconds) if seconds > 0 else None))
-        elif view == "slo":
-            self._reply(200, monitor.slo_payload())
-        else:
-            self._reply(200, self.app.merged_alerts(
-                self._query_int("limit", 100)))
+        super().do_GET()
 
     def do_POST(self) -> None:  # noqa: N802 — stdlib naming
         self.app.metrics.record_request()
-        path = self.path.split("?", 1)[0].rstrip("/")
-        # Continue or mint the trace at the cluster edge; the context is
-        # re-propagated to the owning shard on every proxy attempt, so the
-        # shard's spans join this same trace.
-        context = (TraceContext.from_header(self.headers.get(TRACE_HEADER))
-                   or TraceContext.new())
-        self._trace = context
-        with activate(context):
-            with span("gateway.request", method="POST", path=path) as entry:
-                self._span = entry
-                self._handle_post(path)
+        super().do_POST()
 
-    def _handle_post(self, path: str) -> None:
-        if path == "/jobs":
-            job_cls = CompileJob
-        elif path == "/portfolio":
-            job_cls = PortfolioJob
-        else:
-            self._error(404, f"unknown path {self.path!r}")
-            return
-        payload = self._read_json()
-        if payload is None:
+    def _error(self, status: int, message: str) -> None:
+        if status in (400, 413):
+            # A malformed submission, refused at the edge with the backend's
+            # exact contract: it never costs a shard round-trip.
             self.app.metrics.record_bad_request()
-            return
-        try:
-            job = job_cls.from_dict(payload.get("job", payload))
-            wait_timeout = min(float(payload.get("timeout", 30.0)), MAX_WAIT_S)
-        except (KeyError, TypeError, ValueError) as exc:
-            # Reject at the edge with the backend's exact contract — a
-            # malformed job never costs a shard round-trip.
-            self.app.metrics.record_bad_request()
-            self._error(400, f"bad job payload: {exc}")
-            return
-        # Tenant identity travels in the header (never the payload), so the
-        # job key — and therefore shard placement and coalescing — is
-        # identical for every tenant submitting the same spec.
-        tenant = normalize_tenant(self.headers.get(TENANT_HEADER))
+        super()._error(status, message)
+
+    def _get_ticket(self, path: str) -> None:
+        self._proxy(path.rsplit("/", 1)[1], "GET", path)
+
+    def _submit(self, path: str, job, priority: int, tenant: str,
+                wait: float | None) -> None:
+        key = job.key  # a sha256 over the job: computed once
+        self._span.attributes["job_key"] = key
         self.app.metrics.record_tenant(tenant)
-        if self._span is not None:
-            self._span.attributes["job_key"] = job.key
-            self._span.attributes["tenant"] = tenant
-        timeout = (wait_timeout + PROXY_MARGIN_S
-                   if payload.get("wait") else None)
+        timeout = wait + PROXY_MARGIN_S if wait is not None else None
         # The shard gets the client's bytes as received: no re-encoding.
-        self._proxy(job.key, "POST", path, body=self._body, timeout=timeout,
+        self._proxy(key, "POST", path, body=self._body, timeout=timeout,
                     tenant=tenant)
 
     def _proxy(self, key: str, method: str, path: str, *,
@@ -323,6 +261,7 @@ class _GatewayHandler(JSONHandler):
             shard, status, reply_body, content_type = self.app.forward(
                 key, method, path, body=body, timeout=timeout, tenant=tenant)
         except NoShardAvailableError as exc:
+            self.app.metrics.record_unrouted()
             self._error(503, str(exc))
             return
         self._send(status, reply_body, content_type,
@@ -339,8 +278,6 @@ class ClusterGateway(KeepAliveApp):
         :class:`ShardMember` instances (see :class:`ShardRing`).
     host, port:
         Gateway bind address; ``port=0`` picks an ephemeral port.
-    mode:
-        Placement mode, ``"rendezvous"`` (default) or ``"ring"``.
     health_interval, probe_timeout, fail_threshold, ok_threshold:
         Health-monitor knobs (see :class:`HealthMonitor`).
     proxy_timeout:
@@ -355,14 +292,13 @@ class ClusterGateway(KeepAliveApp):
     role = "gateway"
 
     def __init__(self, shards, host: str = "127.0.0.1", port: int = 0, *,
-                 mode: str = "rendezvous", replicas: int = 64,
                  health_interval: float = 1.0, probe_timeout: float = 2.0,
                  fail_threshold: int = 2, ok_threshold: int = 1,
                  proxy_timeout: float = 30.0, verbose: bool = False,
                  monitor: MonitorConfig | dict | bool | None = None):
         self.verbose = verbose
         self.proxy_timeout = proxy_timeout
-        self.ring = ShardRing(shards, mode=mode, replicas=replicas)
+        self.ring = ShardRing(shards)
         self.health_monitor = HealthMonitor(
             self.ring, interval=health_interval, timeout=probe_timeout,
             fail_threshold=fail_threshold, ok_threshold=ok_threshold)
@@ -378,7 +314,7 @@ class ClusterGateway(KeepAliveApp):
         self._last_samples: dict[str, dict] = {}  #: guarded by self._scrape_lock
         self._banked: dict[str, dict] = {}  #: guarded by self._scrape_lock
         super().__init__(host, port, _GatewayHandler)
-        self.monitor = Monitor(self.fleet_sample, monitor, name="gateway")
+        self.monitor = Monitor(self.metrics_sample, monitor, name="gateway")
 
     # ------------------------------------------------------------------ #
     def health(self) -> dict:
@@ -387,7 +323,6 @@ class ClusterGateway(KeepAliveApp):
         return {
             "status": "ok",
             "role": "gateway",
-            "mode": self.ring.mode,
             "uptime_s": round(uptime, 3),
             "shards": shards,
             "shards_alive": sum(1 for shard in shards if shard["alive"]),
@@ -399,17 +334,15 @@ class ClusterGateway(KeepAliveApp):
         }
 
     # ------------------------------------------------------------------ #
-    def fetch_trace(self, ident: str) -> dict | None:
+    def trace(self, ident: str) -> dict | None:
         """Stitch one distributed trace from the gateway and every shard.
 
         ``ident`` is a trace id, a job key, or a >= 8-char job-key prefix.
-        The gateway's own spans come from the local store; every ring member
-        (ejected ones included — they may still hold the spans) is asked for
-        its part and the union is deduplicated by span id, which also makes
-        in-process fleets (shards sharing this process's span ring) safe.
-        Returns ``None`` when nobody knows the trace.
+        The gateway resolves it in its own span ring and asks every shard
+        for that trace; the union is deduplicated by span id, which also
+        makes in-process fleets (shards sharing this process's span ring)
+        safe.  Returns ``None`` when nobody knows the trace.
         """
-        store = get_store()
         trace_id: str | None = None
         spans: dict[str, dict] = {}
 
@@ -421,39 +354,18 @@ class ClusterGateway(KeepAliveApp):
                 if row.get("trace_id") == trace_id and row.get("span_id"):
                     spans[row["span_id"]] = row
 
-        local = store.trace(ident)
-        if not local:
-            resolved = store.find_trace(ident)
-            if resolved is not None:
-                local = store.trace(resolved)
-        absorb(local)
-        polled = 0
-        for member in self.ring.members:
-            try:
-                status, body, _ = self._request(
-                    member, "GET", f"/traces/{trace_id or ident}",
-                    timeout=self.health_monitor.timeout)
-            except _TRANSPORT_ERRORS as exc:
-                _LOG.debug("trace_poll_failed", shard=member.name,
-                           error=type(exc).__name__)
-                continue
-            polled += 1
-            if status != 200:
-                continue
-            try:
-                payload = json.loads(body.decode("utf-8", errors="replace"))
-            except ValueError:
-                _LOG.debug("trace_poll_unparsable", shard=member.name)
-                continue
-            absorb(payload.get("spans") or [])
+        local = super().trace(ident)
+        absorb(local["spans"] if local else ())
+        shards, polled = self._poll_shards(f"/traces/{trace_id or ident}")
+        for _, payload in shards:
+            absorb(payload.get("spans") or ())
         if not spans:
             return None
         rows = sorted(spans.values(),
                       key=lambda row: (row["start"], row["span_id"]))
-        return {"trace_id": trace_id, "spans": rows,
-                "shards_polled": polled}
+        return {"trace_id": trace_id, "spans": rows, "shards_polled": polled}
 
-    def trace_summaries(self, limit: int = 50) -> dict:
+    def traces(self, limit: int = 50) -> dict:
         """Merged ``GET /traces`` digests across the gateway and all shards.
 
         Distributed parts of one trace (gateway spans here, execution spans
@@ -478,30 +390,15 @@ class ClusterGateway(KeepAliveApp):
                 held["job_keys"] = sorted(set(held.get("job_keys") or ())
                                           | set(item.get("job_keys") or ()))
 
-        absorb(get_store().summaries(limit))
-        polled = 0
-        for member in self.ring.members:
-            try:
-                status, body, _ = self._request(
-                    member, "GET", f"/traces?limit={limit}",
-                    timeout=self.health_monitor.timeout)
-            except _TRANSPORT_ERRORS as exc:
-                _LOG.debug("trace_poll_failed", shard=member.name,
-                           error=type(exc).__name__)
-                continue
-            if status != 200:
-                continue
-            try:
-                payload = json.loads(body.decode("utf-8", errors="replace"))
-            except ValueError:
-                _LOG.debug("trace_poll_unparsable", shard=member.name)
-                continue
-            absorb(payload.get("traces") or [])
-            polled += 1
+        local = super().traces(limit)
+        absorb(local["traces"])
+        shards, polled = self._poll_shards(f"/traces?limit={limit}")
+        for _, payload in shards:
+            absorb(payload.get("traces") or ())
         ordered = sorted(rows.values(), key=lambda row: row["start"],
                          reverse=True)
-        return {"traces": ordered[:max(0, limit)],
-                "store": get_store().stats(), "shards_polled": polled}
+        return {"traces": ordered[:max(0, limit)], "store": local["store"],
+                "shards_polled": polled}
 
     # ------------------------------------------------------------------ #
     def forward(self, key: str, method: str, path: str, *,
@@ -576,9 +473,42 @@ class ClusterGateway(KeepAliveApp):
         return (reply.status, reply.body,
                 reply.headers.get("Content-Type", "application/json"))
 
+    def _poll_shards(self, path: str) -> tuple[list[tuple[ShardMember, dict]],
+                                                int]:
+        """``GET path`` from every ring member, ejected ones included.
+
+        Returns ``(payloads, polled)``: ``payloads`` pairs each member that
+        answered 200 with its JSON object, and ``polled`` counts the members
+        that answered at all — the ``shards_polled`` of every fleet view.
+        Each request has the (short) health-probe timeout, so a wedged shard
+        cannot stall the view, and a member that cannot be reached counts
+        against its health like a failed probe.
+        """
+        payloads: list[tuple[ShardMember, dict]] = []
+        polled = 0
+        for member in self.ring.members:
+            try:
+                status, body, _ = self._request(
+                    member, "GET", path, timeout=self.health_monitor.timeout)
+            except _TRANSPORT_ERRORS as exc:
+                _LOG.debug("shard_poll_failed", shard=member.name, path=path,
+                           error=type(exc).__name__)
+                if member.alive:
+                    self.health_monitor.report_failure(member)
+                continue
+            polled += 1
+            if status != 200:
+                continue
+            try:
+                payloads.append((member, json.loads(body)))
+            except ValueError:
+                _LOG.debug("shard_poll_unparsable", shard=member.name,
+                           path=path)
+        return payloads, polled
+
     # ------------------------------------------------------------------ #
     def _scrape_merged(self) -> tuple[dict, int, int]:
-        """Fetch every shard's ``GET /metrics/sample`` and merge the samples.
+        """Poll every shard's ``GET /metrics/sample`` and merge the samples.
 
         Values sum, except gauges, which merge by :func:`_fleet_gauges`.
         Returns ``(merged, polled, contributing)``: ``polled`` shards
@@ -588,14 +518,12 @@ class ClusterGateway(KeepAliveApp):
         backwards across shard outages).
         """
         merged: dict = {}
-        polled = 0
         contributing = 0
         with self._scrape_lock:
+            samples, polled = self._poll_shards("/metrics/sample")
+            for member, sample in samples:
+                self._absorb_sample(member.name, sample)
             for member in self.ring.members:
-                sample = self._fetch_sample(member)
-                if sample is not None:
-                    polled += 1
-                    self._absorb_sample(member.name, sample)
                 last = self._last_samples.get(member.name)
                 if last is not None:
                     contributing += 1
@@ -605,22 +533,6 @@ class ClusterGateway(KeepAliveApp):
             merged["gauges"] = _fleet_gauges(merged["gauges"], contributing,
                                              self._uptime())
         return merged, polled, contributing
-
-    def _fetch_sample(self, member: ShardMember) -> dict | None:
-        """One shard's ``GET /metrics/sample``, or ``None`` without one."""
-        try:
-            # Poll with the (short) health-probe timeout: a wedged shard
-            # must not stall the whole cluster's scrape.
-            status, body, _ = self._request(
-                member, "GET", "/metrics/sample",
-                timeout=self.health_monitor.timeout)
-            return json.loads(body) if status == 200 else None
-        except _TRANSPORT_ERRORS:
-            if member.alive:
-                self.health_monitor.report_failure(member)
-        except ValueError:
-            _LOG.debug("sample_unparsable", shard=member.name)
-        return None
 
     def _absorb_sample(self, shard: str, sample: dict) -> None:
         """Keep one fresh shard sample (lock held).
@@ -640,7 +552,7 @@ class ClusterGateway(KeepAliveApp):
                                            counts)
         self._last_samples[shard] = sample
 
-    def fleet_sample(self) -> dict:
+    def metrics_sample(self) -> dict:
         """The fleet's cumulative sample (``GET /metrics/sample``).
 
         Also the gateway monitor's metrics source.  The shard sum is still
@@ -659,7 +571,7 @@ class ClusterGateway(KeepAliveApp):
         counters["gateway_unrouted"] = float(snapshot["unrouted"])
         return {**merged, "counters": counters, "gauges": gauges}
 
-    def merged_alerts(self, limit: int | None = None) -> dict:
+    def alerts(self, limit: int | None = None) -> dict:
         """Fleet ``GET /alerts``: gateway-level alerts + every shard's.
 
         The gateway's own burn-rate alerts watch the merged series; shard
@@ -668,29 +580,13 @@ class ClusterGateway(KeepAliveApp):
         gateway's stitched ``/traces/<id>`` can render).
         """
         payload = self.monitor.alerts_payload(limit)
-        payload["shards_polled"] = 0
-        for member in self.ring.members:
-            try:
-                status, body, _ = self._request(
-                    member, "GET", f"/alerts?limit={limit or 100}",
-                    timeout=self.health_monitor.timeout)
-            except _TRANSPORT_ERRORS as exc:
-                _LOG.debug("alerts_poll_failed", shard=member.name,
-                           error=type(exc).__name__)
-                continue
-            if status != 200:
-                continue
-            try:
-                shard_payload = json.loads(body.decode("utf-8",
-                                                       errors="replace"))
-            except ValueError:
-                _LOG.debug("alerts_poll_unparsable", shard=member.name)
-                continue
-            payload["shards_polled"] += 1
-            for row in shard_payload.get("active") or []:
+        shards, payload["shards_polled"] = self._poll_shards(
+            f"/alerts?limit={limit or 100}")
+        for member, shard_payload in shards:
+            for row in shard_payload.get("active") or ():
                 row["shard"] = member.name
                 payload["active"].append(row)
-            for event in shard_payload.get("events") or []:
+            for event in shard_payload.get("events") or ():
                 event["shard"] = member.name
                 payload["events"].append(event)
             payload["firing"] += int(shard_payload.get("firing", 0))
@@ -701,16 +597,17 @@ class ClusterGateway(KeepAliveApp):
             payload["events"] = payload["events"][:limit]
         return payload
 
-    # ------------------------------------------------------------------ #
-    def aggregated_metrics(self, prefix: str = "repro_cluster") -> str:
+    def metrics_text(self) -> str:
         """Cluster-wide Prometheus text: gateway counters + the shard merge.
 
         The merged shard sample (see :meth:`_scrape_merged`) is rendered by
         the servers' own :func:`~repro.server.metrics.render_prometheus`
-        under ``prefix``: counters and histogram buckets are sums over the
-        shards, gauges follow their merge rule, and histogram p50/p95 are
-        recomputed from the merged buckets instead of being summed.
+        under the ``repro_cluster`` prefix: counters and histogram buckets
+        are sums over the shards, gauges follow their merge rule, and
+        histogram p50/p95 are recomputed from the merged buckets instead of
+        being summed.
         """
+        prefix = "repro_cluster"
         merged, polled, _ = self._scrape_merged()
         lines = self.metrics.to_prometheus(self.ring, prefix)
         lines.append(f"# TYPE {prefix}_shards_polled gauge")

@@ -6,16 +6,11 @@ of one spec lands on the same shard and coalesces there — the cluster-level
 version of the queue's conflict-avoidance property: identical in-flight
 requests never collide across shards by construction.
 
-Two placement modes, both stable under membership change:
-
-* ``rendezvous`` (default) — highest-random-weight hashing: each member
-  scores ``-weight / ln(h)`` against the key (``h`` a uniform hash in (0,1)),
-  and the preference order is the score ranking.  Removing a member only
-  remaps the keys it owned; weights skew ownership proportionally with no
-  virtual-node tables.
-* ``ring`` — a classic consistent-hash ring with ``replicas``·weight virtual
-  nodes per member; the owner is the first virtual node clockwise of the key
-  and the preference order walks the ring collecting distinct members.
+Placement is rendezvous (highest-random-weight) hashing: each member
+scores ``-weight / ln(h)`` against the key (``h`` a uniform hash in (0,1)),
+and the preference order is the score ranking.  Removing a member only
+remaps the keys it owned; weights skew ownership proportionally with no
+virtual-node tables.
 
 :meth:`ShardRing.preference` returns *every* member in failover order —
 dead members included, so callers decide whether to skip or last-ditch them;
@@ -26,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro.server.transport import ConnectionPool
@@ -86,29 +80,13 @@ def _coerce_member(spec, index: int) -> ShardMember:
 
 
 class ShardRing:
-    """Weighted consistent placement of job keys onto shard members.
+    """Weighted rendezvous placement of job keys onto shard members.
 
-    Parameters
-    ----------
-    members:
-        :class:`ShardMember` instances, bare URLs (named ``shard0``,
-        ``shard1``, ...) or ``{"name", "url", "weight"}`` dicts.
-    mode:
-        ``"rendezvous"`` (default) or ``"ring"``.
-    replicas:
-        Virtual nodes per unit weight in ``ring`` mode.
+    ``members`` are :class:`ShardMember` instances, bare URLs (named
+    ``shard0``, ``shard1``, ...) or ``{"name", "url", "weight"}`` dicts.
     """
 
-    MODES = ("rendezvous", "ring")
-
-    def __init__(self, members, *, mode: str = "rendezvous",
-                 replicas: int = 64):
-        if mode not in self.MODES:
-            raise ValueError(f"unknown ring mode {mode!r}; known: {self.MODES}")
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        self.mode = mode
-        self.replicas = replicas
+    def __init__(self, members):
         self.members: list[ShardMember] = [
             _coerce_member(spec, index) for index, spec in enumerate(members)]
         if not self.members:
@@ -117,21 +95,10 @@ class ShardRing:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate shard names: {sorted(names)}")
         self._by_name = {member.name: member for member in self.members}
-        self._ring: list[tuple[int, ShardMember]] = []
-        if mode == "ring":
-            self._build_ring()
 
     # ------------------------------------------------------------------ #
-    def _build_ring(self) -> None:
-        ring: list[tuple[int, ShardMember]] = []
-        for member in self.members:
-            vnodes = max(1, round(self.replicas * member.weight))
-            for index in range(vnodes):
-                ring.append((_hash64(f"{member.name}#{index}"), member))
-        ring.sort(key=lambda pair: pair[0])
-        self._ring = ring
-
-    def _rendezvous_order(self, key: str) -> list[ShardMember]:
+    def preference(self, key: str) -> list[ShardMember]:
+        """Every member in deterministic failover order for ``key``."""
         def score(member: ShardMember) -> float:
             # h in (0, 1]: +1 keeps ln() finite when the hash lands on 0.
             h = (_hash64(f"{member.name}|{key}") + 1) / (_SCALE + 1)
@@ -140,25 +107,6 @@ class ShardRing:
         # Tie-break on name for full determinism (scores never tie in
         # practice, but a stable sort keeps the order reproducible anyway).
         return sorted(self.members, key=lambda m: (-score(m), m.name))
-
-    def _ring_order(self, key: str) -> list[ShardMember]:
-        point = _hash64(key)
-        start = bisect_right(self._ring, point, key=lambda pair: pair[0])
-        seen: list[ShardMember] = []
-        for index in range(len(self._ring)):
-            _, member = self._ring[(start + index) % len(self._ring)]
-            if member not in seen:
-                seen.append(member)
-                if len(seen) == len(self.members):
-                    break
-        return seen
-
-    # ------------------------------------------------------------------ #
-    def preference(self, key: str) -> list[ShardMember]:
-        """Every member in deterministic failover order for ``key``."""
-        if self.mode == "rendezvous":
-            return self._rendezvous_order(key)
-        return self._ring_order(key)
 
     def owner(self, key: str) -> ShardMember:
         """The first *alive* member in preference order (first overall when
@@ -193,4 +141,4 @@ class ShardRing:
     def __repr__(self) -> str:
         status = ", ".join(
             f"{m.name}{'' if m.alive else '(dead)'}" for m in self.members)
-        return f"ShardRing({self.mode}: {status})"
+        return f"ShardRing({status})"

@@ -5,8 +5,9 @@ plus parameters, normalised through the service registry), a layout strategy
 and an optional seed.  Like :class:`~repro.service.jobs.CompileJob`, a
 candidate is plain data — it is hashed into a stable content-addressed
 :attr:`Candidate.key` with the same canonical-JSON recipe the job layer uses,
-so tuning statistics recorded against a key survive process restarts and
-stay valid exactly as long as the spec they describe.
+so one key names one configuration in every process and run: duplicate
+candidates collapse onto it, and a report's ``winner_key`` means the same
+spec across runs.
 
 Built-in presets (:func:`portfolio_preset`):
 
@@ -100,13 +101,13 @@ class Candidate:
         """Content-addressed identity (sha256 over the canonical spec JSON).
 
         The label is presentation only and excluded, so renaming a candidate
-        does not orphan its tuning history.  Pipeline-less candidates keep
-        their historical keys (the field joins the payload only when set).
+        does not change its key.  Pipeline-less candidates keep their
+        historical keys (the field joins the payload only when set).
         """
         if self.pipeline is not None:
             # The router is derived from the route stage and layout_strategy
-            # is ignored by pipeline execution — hashing either would split
-            # one pipeline's tuning history across several keys.
+            # is ignored by pipeline execution — hashing either would give
+            # one pipeline several keys.
             payload = {"pipeline": self.pipeline, "seed": self.seed}
         else:
             payload = {

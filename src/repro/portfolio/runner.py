@@ -6,8 +6,8 @@ service layer end to end — candidate jobs are ordinary
 :class:`~repro.service.jobs.CompileJob` records, warm results come straight
 from the service's :class:`~repro.service.cache.ResultCache`, and cache
 misses fan out through the same picklable worker entry point the batch
-executor uses (:func:`repro.service.executor._execute_payload`) on a
-persistent process pool.
+executor uses (:func:`repro.service.executor._execute_payload`), each
+candidate on a worker process of its own.
 
 Racing controls:
 

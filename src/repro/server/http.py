@@ -1,6 +1,9 @@
 """Stdlib-only HTTP JSON API in front of the scheduler.
 
-Endpoints (all JSON unless noted):
+:class:`ApiHandler` is the API's one request handler: a
+:class:`CompileServer` serves it, and so does the cluster gateway
+(:class:`~repro.cluster.gateway.ClusterGateway`), which answers the same
+endpoints for a whole fleet.  Endpoints (all JSON unless noted):
 
 * ``POST /jobs`` — submit a job.  Body: a :meth:`CompileJob.to_dict` payload,
   either bare or under ``"job"``, plus optional ``"priority"`` (int, lower
@@ -43,11 +46,13 @@ Endpoints (all JSON unless noted):
   by job key (full or >= 8-char prefix); ``404`` when evicted/unknown.
 
 Tracing: ``POST`` submissions parse the ``X-Repro-Trace`` header (minting a
-fresh trace when absent) and run inside a ``server.request`` span, so queue
-waits, execution and pipeline stages recorded deeper down assemble into one
-tree.  The header is echoed on the response and the trace id is embedded in
-submit replies.  Status polls (``GET``) are deliberately untraced — a 30 s
-blocking wait would otherwise bury the ring under hundreds of poll spans.
+fresh trace when absent) and run inside a ``<role>.request`` span
+(``server.request`` here, ``gateway.request`` on the gateway), so proxy
+hops, queue waits, execution and pipeline stages recorded deeper down
+assemble into one tree.  The header is echoed on the response and the trace
+id is embedded in submit replies.  Status polls (``GET``) are deliberately
+untraced — a 30 s blocking wait would otherwise bury the ring under hundreds
+of poll spans.
 
 The server is a :class:`~repro.server.transport.KeepAliveServer`: each
 HTTP/1.1 keep-alive connection gets a thread, so a blocking ``wait`` submit
@@ -83,134 +88,145 @@ MAX_WAIT_S = 300.0
 _LOG = get_logger("server.http")
 
 
-class _Handler(JSONHandler):
-    """Routes requests to the owning :class:`CompileServer` (``server.app``)."""
+#: ``POST`` path -> the job type its body holds.
+_JOB_KINDS = {"/jobs": CompileJob, "/portfolio": PortfolioJob}
 
-    server_version = "repro-server"
-    _log = _LOG
+
+class ApiHandler(JSONHandler):
+    """The JSON API a :class:`CompileServer` and a cluster gateway share.
+
+    ``server.app`` is the owning app.  The eight read endpoints go to
+    same-named app methods (``health``, ``metrics_text``, ``metrics_sample``,
+    ``alerts``, ``traces``, ``trace``) or to its ``monitor``.  A ``POST``
+    runs inside a ``<role>.request`` span under the caller's trace (a fresh
+    one when absent); its body is parsed into a job and handed to the
+    subclass's ``_submit(path, job, priority, tenant, wait)``, which admits
+    or proxies it and replies.  The subclass's ``_get_ticket(path)`` answers
+    ``GET /jobs/<key>`` and ``GET /results/<key>``.
+    """
 
     def do_GET(self) -> None:  # noqa: N802 — stdlib naming
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
+        app = self.app
         if path == "/healthz":
-            self._reply(200, self.app.health())
+            self._reply(200, app.health())
         elif path == "/metrics":
-            self._reply(200, self.app.metrics.to_prometheus(),
+            self._reply(200, app.metrics_text(),
                         content_type="text/plain; version=0.0.4")
         elif path == "/metrics/sample":
-            self._reply(200, self.app.metrics.sample())
-        elif path == "/metrics/history":
-            self._get_monitor("history")
-        elif path == "/slo":
-            self._get_monitor("slo")
-        elif path == "/alerts":
-            self._get_monitor("alerts")
+            self._reply(200, app.metrics_sample())
+        elif path in ("/metrics/history", "/slo", "/alerts"):
+            self._get_monitor(path)
         elif path == "/traces":
-            self._get_traces()
+            self._reply(200, app.traces(self._query_int("limit", 50)))
         elif path.startswith("/traces/"):
-            self._get_trace(path[len("/traces/"):])
-        elif path.startswith("/jobs/"):
-            self._get_job(path[len("/jobs/"):])
-        elif path.startswith("/results/"):
-            self._get_result(path[len("/results/"):])
+            ident = path[len("/traces/"):]
+            payload = app.trace(ident)
+            if payload is None:
+                self._error(404, f"no trace for {ident!r}")
+            else:
+                self._reply(200, payload)
+        elif path.startswith(("/jobs/", "/results/")):
+            self._get_ticket(path)
         else:
             self._error(404, f"unknown path {path!r}")
 
-    def _get_monitor(self, view: str) -> None:
+    def _get_monitor(self, path: str) -> None:
         monitor = self.app.monitor
-        if monitor is None or not monitor.enabled:
-            self._error(503, "monitoring is disabled on this server")
-            return
-        if view == "history":
+        if not monitor.enabled:
+            self._error(503, f"monitoring is disabled on this {self.app.role}")
+        elif path == "/metrics/history":
             seconds = self._query_int("seconds", 0)
             self._reply(200, monitor.history_payload(
                 float(seconds) if seconds > 0 else None))
-        elif view == "slo":
+        elif path == "/slo":
             self._reply(200, monitor.slo_payload())
         else:
-            self._reply(200, monitor.alerts_payload(
-                self._query_int("limit", 100)))
-
-    def _get_traces(self) -> None:
-        store = get_store()
-        self._reply(200, {"traces": store.summaries(
-            self._query_int("limit", 50)), "store": store.stats()})
-
-    def _get_trace(self, ident: str) -> None:
-        store = get_store()
-        trace_id, spans = ident, store.trace(ident)
-        if not spans:
-            resolved = store.find_trace(ident)  # job key / >=8-char prefix
-            if resolved is not None:
-                trace_id, spans = resolved, store.trace(resolved)
-        if spans:
-            self._reply(200, {"trace_id": trace_id, "spans": spans})
-        else:
-            self._error(404, f"no trace for {ident!r}")
-
-    def _get_job(self, key: str) -> None:
-        ticket = self.app.scheduler.lookup(key)
-        if ticket is None:
-            self._error(404, f"unknown job {key!r}")
-        else:
-            self._reply(200, ticket.snapshot())
-
-    def _get_result(self, key: str) -> None:
-        outcome = self.app.scheduler.lookup_result(key)
-        if outcome is not None:
-            self._reply(200, {"key": key, "cache_hit": outcome.cache_hit,
-                              "outcome": outcome.to_dict()})
-        elif self.app.scheduler.lookup(key) is not None:
-            self._reply(202, {"key": key, "status": "pending"})
-        else:
-            self._error(404, f"no result for job {key!r}")
+            self._reply(200, self.app.alerts(self._query_int("limit", 100)))
 
     # ------------------------------------------------------------------ #
     def do_POST(self) -> None:  # noqa: N802 — stdlib naming
         path = self.path.split("?", 1)[0].rstrip("/")
         # Continue the caller's trace (X-Repro-Trace) or start a fresh one:
-        # every submission is traced, and everything the scheduler records
-        # for this job nests under this request span.
+        # every submission is traced, and the spans recorded for this job
+        # further down (proxy hops, queue wait, execution) nest under this
+        # request span.
         context = (TraceContext.from_header(self.headers.get(TRACE_HEADER))
                    or TraceContext.new())
         self._trace = context
-        started = time.monotonic()
         with activate(context):
-            with span("server.request", method="POST", path=path) as entry:
+            with span(f"{self.app.role}.request", method="POST",
+                      path=path) as entry:
                 self._span = entry
-                self._handle_post(path)
-            elapsed = time.monotonic() - started
-            slow_after = self.app.slow_request_s
-            if slow_after is not None and elapsed >= slow_after:
-                _LOG.warning("slow_request", method="POST", path=path,
-                             elapsed_s=round(elapsed, 6),
-                             threshold_s=slow_after)
+                job_cls = _JOB_KINDS.get(path)
+                if job_cls is None:
+                    self._error(404, f"unknown path {self.path!r}")
+                    return
+                submission = self._parse_submission(job_cls)
+                if submission is not None:
+                    self._submit(path, *submission)
 
-    def _handle_post(self, path: str) -> None:
-        if path == "/jobs":
-            job_cls = CompileJob
-        elif path == "/portfolio":
-            job_cls = PortfolioJob
-        else:
-            self._error(404, f"unknown path {self.path!r}")
-            return
+    def _parse_submission(self, job_cls):
+        """``(job, priority, tenant, wait)`` from the request, or ``None``
+        after a 4xx reply; ``wait`` is how long a blocking submit may wait
+        for its outcome, ``None`` for an asynchronous one."""
         payload = self._read_json()
         if payload is None:
-            return
-        job_data = payload.get("job", payload)
+            return None
         # The tenant rides on a header (not the job payload) so it can never
         # perturb the content-addressed job key — identical jobs from
-        # different tenants still coalesce onto one computation.
+        # different tenants still land on one shard and coalesce there.
         tenant = normalize_tenant(self.headers.get(TENANT_HEADER))
-        if self._span is not None:
-            self._span.attributes["tenant"] = tenant
+        self._span.attributes["tenant"] = tenant
         try:
-            job = job_cls.from_dict(job_data)
+            job = job_cls.from_dict(payload.get("job", payload))
             priority = int(payload.get("priority", 0))
             wait = bool(payload.get("wait", False))
             timeout = min(float(payload.get("timeout", 30.0)), MAX_WAIT_S)
         except (KeyError, TypeError, ValueError) as exc:
             self._error(400, f"bad job payload: {exc}")
+            return None
+        return job, priority, tenant, timeout if wait else None
+
+
+class _ServerHandler(ApiHandler):
+    """Admits submissions to the owning :class:`CompileServer`'s scheduler."""
+
+    server_version = "repro-server"
+    _log = _LOG
+
+    def do_POST(self) -> None:  # noqa: N802 — stdlib naming
+        started = time.monotonic()
+        super().do_POST()
+        elapsed = time.monotonic() - started
+        slow_after = self.app.slow_request_s
+        if slow_after is not None and elapsed >= slow_after:
+            _LOG.warning("slow_request", trace_id=self._trace.trace_id,
+                         method="POST",
+                         path=self.path.split("?", 1)[0].rstrip("/"),
+                         elapsed_s=round(elapsed, 6), threshold_s=slow_after)
+
+    def _get_ticket(self, path: str) -> None:
+        kind, _, key = path[1:].partition("/")
+        scheduler = self.app.scheduler
+        if kind == "jobs":
+            ticket = scheduler.lookup(key)
+            if ticket is None:
+                self._error(404, f"unknown job {key!r}")
+            else:
+                self._reply(200, ticket.snapshot())
             return
+        outcome = scheduler.lookup_result(key)
+        if outcome is not None:
+            self._reply(200, {"key": key, "cache_hit": outcome.cache_hit,
+                              "outcome": outcome.to_dict()})
+        elif scheduler.lookup(key) is not None:
+            self._reply(202, {"key": key, "status": "pending"})
+        else:
+            self._error(404, f"no result for job {key!r}")
+
+    def _submit(self, path: str, job, priority: int, tenant: str,
+                wait: float | None) -> None:
         try:
             ticket, coalesced = self.app.scheduler.submit(job, priority,
                                                           tenant)
@@ -225,18 +241,15 @@ class _Handler(JSONHandler):
         except QueueClosedError as exc:
             self._error(503, str(exc))
             return
-        if self._span is not None:
-            self._span.attributes.update(job_key=ticket.key,
-                                         coalesced=coalesced)
-            if coalesced and ticket.trace is not None:
-                # Span-link style: the follower keeps its own request span
-                # but points at the leader's trace, where the shared
-                # queue-wait/execution spans live.
-                self._span.attributes["leader_trace_id"] = \
-                    ticket.trace.trace_id
-        trace_id = self._trace.trace_id if self._trace is not None else None
-        if wait:
-            outcome = ticket.wait(timeout)
+        self._span.attributes.update(job_key=ticket.key, coalesced=coalesced)
+        if coalesced and ticket.trace is not None:
+            # Span-link style: the follower keeps its own request span but
+            # points at the leader's trace, where the shared
+            # queue-wait/execution spans live.
+            self._span.attributes["leader_trace_id"] = ticket.trace.trace_id
+        trace_id = self._trace.trace_id
+        if wait is not None:
+            outcome = ticket.wait(wait)
             if outcome is not None:
                 self._reply(200, {"key": ticket.key, "coalesced": coalesced,
                                   "cache_hit": outcome.cache_hit,
@@ -331,7 +344,7 @@ class CompileServer(KeepAliveApp):
         self.monitor = Monitor(self.metrics.sample, monitor,
                                exemplar_source=self._slo_exemplar,
                                name="server")
-        super().__init__(host, port, _Handler)
+        super().__init__(host, port, _ServerHandler)
 
     def _slo_exemplar(self, spec) -> str | None:
         """Offending trace id for a firing latency SLO (monitor callback)."""
@@ -360,6 +373,15 @@ class CompileServer(KeepAliveApp):
             },
             "monitor": self.monitor.status(),
         }
+
+    def metrics_text(self) -> str:
+        return self.metrics.to_prometheus()
+
+    def metrics_sample(self) -> dict:
+        return self.metrics.sample()
+
+    def alerts(self, limit: int | None = None) -> dict:
+        return self.monitor.alerts_payload(limit)
 
     # ------------------------------------------------------------------ #
     def _start_background(self) -> None:

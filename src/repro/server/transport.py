@@ -13,8 +13,8 @@ over HTTP/1.1.  This module holds both ends of that transport:
   carries one, shared by the gateway's proxying, ``/metrics`` scrape, trace
   and alert fan-out and the health probes.
 * :class:`KeepAliveServer`, :class:`KeepAliveApp` and :class:`JSONHandler`
-  — the ``ThreadingHTTPServer``, the start/stop lifecycle and the
-  request-handler base under both
+  — the ``ThreadingHTTPServer``, the start/stop lifecycle and the base of
+  the one API handler (:class:`~repro.server.http.ApiHandler`) under both
   :class:`~repro.server.http.CompileServer` and
   :class:`~repro.cluster.gateway.ClusterGateway`: JSON replies, the body
   limit, query parsing, per-request trace state and connection tracking.
@@ -61,6 +61,7 @@ from typing import NamedTuple
 from urllib.parse import urlsplit
 
 from repro.obs.logging import get_logger
+from repro.obs.store import get_store
 from repro.obs.trace import TRACE_HEADER, current_trace
 from repro.server.tenancy import TENANT_HEADER
 
@@ -261,10 +262,12 @@ class KeepAliveApp:
     listener by calling ``__init__`` with its handler class, holds a
     ``monitor`` (started after the HTTP thread, stopped before the
     listener) and starts and stops its own threads in the hooks
-    :meth:`_start_background` and :meth:`_stop_background`.
+    :meth:`_start_background` and :meth:`_stop_background`.  The trace views
+    here read this process's span ring; the gateway adds its shards' part.
     """
 
-    #: Names the app in its HTTP thread and its "already running" error.
+    #: Names the app in its HTTP thread, its request span
+    #: (``<role>.request``) and its "already running" error.
     role = "app"
 
     def __init__(self, host: str, port: int, handler) -> None:
@@ -285,6 +288,23 @@ class KeepAliveApp:
     def _uptime(self) -> float:
         return (time.monotonic() - self._started_at
                 if self._started_at is not None else 0.0)
+
+    def traces(self, limit: int = 50) -> dict:
+        """``GET /traces``: newest-first digests of this process's traces."""
+        store = get_store()
+        return {"traces": store.summaries(limit), "store": store.stats()}
+
+    def trace(self, ident: str) -> dict | None:
+        """``GET /traces/<id>``: every span this process holds of one trace,
+        found by trace id or by job key (full or >= 8-char prefix);
+        ``None`` when unknown or evicted."""
+        store = get_store()
+        trace_id, spans = ident, store.trace(ident)
+        if not spans:
+            resolved = store.find_trace(ident)
+            if resolved is not None:
+                trace_id, spans = resolved, store.trace(resolved)
+        return {"trace_id": trace_id, "spans": spans} if spans else None
 
     def _start_background(self) -> None:
         """Start the app's own threads; runs before the HTTP thread."""

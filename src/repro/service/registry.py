@@ -19,6 +19,7 @@ touching the service code.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from typing import Any, Callable, Mapping
@@ -132,11 +133,19 @@ ROUTERS.register("trivial", lambda: TrivialRouter(),
 def router_spec(router: str | Mapping | Router) -> dict:
     """Canonical spec for a router name, spec dict or live :class:`Router`.
 
-    A live router is identified by its registered ``name`` with default
-    parameters; pass a spec dict to describe a non-default configuration.
+    A live router is identified by its registered ``name`` and, as params,
+    the fields of its ``config`` dataclass that differ from their defaults:
+    every registered factory takes exactly those fields, so the spec
+    rebuilds the same router, and a default router keeps the bare-name spec
+    (and the job keys) it always had.
     """
     if isinstance(router, Router):
-        return ROUTERS.normalize(router.name)
+        config = getattr(router, "config", None)
+        params = {} if not dataclasses.is_dataclass(config) else {
+            field.name: getattr(config, field.name)
+            for field in dataclasses.fields(config)
+            if getattr(config, field.name) != field.default}
+        return ROUTERS.normalize({"name": router.name, "params": params})
     return ROUTERS.normalize(router)
 
 

@@ -46,8 +46,6 @@ class TestShardRing:
         with pytest.raises(ValueError):
             ShardRing([])
         with pytest.raises(ValueError):
-            ShardRing(["http://a:1"], mode="modulo")
-        with pytest.raises(ValueError):
             ShardRing([ShardMember("x", "u"), ShardMember("x", "v")])
         with pytest.raises(ValueError):
             ShardMember("x", "u", weight=0)
@@ -56,9 +54,8 @@ class TestShardRing:
         with pytest.raises(KeyError):
             ShardRing(["http://a:1"]).member("nope")
 
-    @pytest.mark.parametrize("mode", ShardRing.MODES)
-    def test_preference_is_deterministic_and_complete(self, mode):
-        ring = ShardRing([f"http://s{i}:80" for i in range(4)], mode=mode)
+    def test_preference_is_deterministic_and_complete(self):
+        ring = ShardRing([f"http://s{i}:80" for i in range(4)])
         for key in ("k1", "k2", "deadbeef" * 8):
             order = ring.preference(key)
             assert sorted(m.name for m in order) == sorted(
@@ -66,9 +63,8 @@ class TestShardRing:
             assert [m.name for m in ring.preference(key)] == [
                 m.name for m in order]
 
-    @pytest.mark.parametrize("mode", ShardRing.MODES)
-    def test_owner_skips_dead_members(self, mode):
-        ring = ShardRing(["http://a:1", "http://b:2"], mode=mode)
+    def test_owner_skips_dead_members(self):
+        ring = ShardRing(["http://a:1", "http://b:2"])
         key = "some-job-key"
         first = ring.owner(key)
         ring.eject(first.name)
@@ -95,19 +91,11 @@ class TestShardRing:
             if before != removed:
                 assert after == before  # survivors keep every key they owned
 
-    @pytest.mark.parametrize("mode", ShardRing.MODES)
-    def test_weight_skews_ownership(self, mode):
+    def test_weight_skews_ownership(self):
         ring = ShardRing([{"name": "light", "url": "u1", "weight": 1.0},
-                          {"name": "heavy", "url": "u2", "weight": 3.0}],
-                         mode=mode)
+                          {"name": "heavy", "url": "u2", "weight": 3.0}])
         owners = Counter(ring.owner(f"k{i}").name for i in range(2000))
         assert owners["heavy"] > owners["light"] * 1.8
-
-    def test_ring_mode_walks_distinct_members(self):
-        ring = ShardRing([f"http://s{i}:80" for i in range(3)], mode="ring",
-                         replicas=16)
-        order = ring.preference("abc")
-        assert len(order) == 3 and len({m.name for m in order}) == 3
 
 
 # --------------------------------------------------------------------------- #
@@ -541,6 +529,23 @@ class TestFailover:
         # gateway itself stays healthy and reports the outage.
         health = client.health()
         assert health["status"] == "ok"
+
+    def test_a_request_no_shard_answers_counts_as_unrouted(self):
+        with CompileServer(port=0, workers=1) as server:
+            url = server.url
+        # The server is stopped: its port now refuses connections.
+        with ClusterGateway([url], health_interval=30.0,
+                            monitor=False) as gateway:
+            client = CompileClient(gateway.url, retries=0)
+            with pytest.raises(ServerError) as excinfo:
+                client.submit(_job(3))
+            assert excinfo.value.status == 503
+            assert gateway.metrics.snapshot()["unrouted"] == 1
+            assert client.health()["gateway"]["unrouted"] == 1
+            sample = client.metrics_sample()
+            assert sample["counters"]["gateway_unrouted"] == 1
+            assert ("repro_cluster_gateway_unrouted_total 1"
+                    in client.metrics_text())
 
 
 # --------------------------------------------------------------------------- #

@@ -621,7 +621,7 @@ class TestGatewayEndpoints:
             shard.monitor.tick()
             with ClusterGateway([shard.url], health_interval=30.0,
                                 monitor=_monitor_off()) as gateway:
-                merged = gateway.merged_alerts(limit=20)
+                merged = gateway.alerts(limit=20)
                 shard_events = [event for event in merged["events"]
                                 if event.get("shard")]
                 assert shard_events, merged["events"]

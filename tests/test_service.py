@@ -65,6 +65,26 @@ class TestRegistries:
     def test_live_router_round_trips_to_spec(self):
         assert router_spec(SabreRouter())["name"] == "sabre"
 
+    def test_live_router_spec_keeps_its_config(self):
+        from repro.compiler.stages import RouteStage
+        from repro.mapping.codar.remapper import CodarConfig
+        from repro.service.executor import execute_job
+
+        router = CodarRouter(CodarConfig(lookahead_size=0))
+        assert router_spec(router) == {"name": "codar",
+                                       "params": {"lookahead_size": 0}}
+        # A default router keeps the bare-name spec, and so its job keys.
+        assert router_spec(CodarRouter()) == router_spec("codar")
+        circuit, device = qft(8), get_device("ibm_q20_tokyo")
+        jobs = [CompileJob.from_circuit(circuit, "ibm_q20_tokyo", pipeline=[
+            "parse", "layout", RouteStage(router=live)])
+            for live in (router, CodarRouter())]
+        assert jobs[0].key != jobs[1].key
+        depths = [execute_job(job).summary["weighted_depth"] for job in jobs]
+        assert depths == [router.run(circuit, device).weighted_depth,
+                          CodarRouter().run(circuit, device).weighted_depth]
+        assert depths[0] != depths[1]
+
     def test_fixed_device_spec(self):
         device = build_device("ibm_q20_tokyo")
         assert device.num_qubits == 20

@@ -395,7 +395,7 @@ class TestGatewayTenantMerge:
                 assert shard.metrics.snapshot()["tenants"]["alice"][
                     "completed"] == 1
                 # ...and both layers expose the tenant dimension.
-                text = gateway.aggregated_metrics()
+                text = gateway.metrics_text()
                 assert ('repro_cluster_tenant_jobs_completed_total'
                         '{tenant="alice"} 1') in text
                 assert ('repro_cluster_gateway_tenant_requests_total'

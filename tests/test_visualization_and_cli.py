@@ -342,7 +342,6 @@ CLI_SURFACE = {
               '--tenant-slos tenant_slos=False'],
     'cluster': [],
     'cluster serve': ['--shards shards=2', '--port port=8700',
-                      "--mode mode='rendezvous'",
                       '--health-interval health_interval=1.0',
                       "--host host='127.0.0.1'",
                       '--server-workers server_workers=2',
