@@ -234,7 +234,7 @@ class _GatewayHandler(ApiHandler):
         super().do_POST()
 
     def _error(self, status: int, message: str) -> None:
-        if status in (400, 413):
+        if status in (400, 411, 413):
             # A malformed submission, refused at the edge with the backend's
             # exact contract: it never costs a shard round-trip.
             self.app.metrics.record_bad_request()

@@ -1,10 +1,11 @@
 """Thin keep-alive client for the compile server's JSON API.
 
 No third-party HTTP stack: requests go over a
-:class:`~repro.server.transport.ConnectionPool` of persistent
-:mod:`http.client` HTTP/1.1 connections, one pool per client shared by all
-threads using it, and errors surface as :class:`ServerError` carrying the
-HTTP status and the server's parsed error body.  The client is what the CLI's
+:class:`~repro.server.transport.ConnectionPool` of persistent HTTP/1.1
+socket connections, one pool per client shared by all threads using it,
+whose replies are read by the transport's own head reader; errors surface
+as :class:`ServerError` carrying the HTTP status and the server's parsed
+error body.  The client is what the CLI's
 ``repro submit`` / ``repro status`` commands and the end-to-end tests use, and
 doubles as the reference for talking to the server from any language — every
 call is one JSON request.
@@ -20,8 +21,8 @@ server's ``stop()``, which shuts idle connections down) is not a transient
 failure: the pool resends the request once on a fresh connection and
 :attr:`CompileClient.retried` does not move.  Only failures on a fresh
 connection reach the retry loop.  Sockets run with ``TCP_NODELAY`` (set by
-:mod:`http.client`) to match the servers, which disable Nagle's algorithm —
-with it on, every reused connection would wait out a delayed ACK.
+the pool) to match the servers, which disable Nagle's algorithm — with it
+on, every reused connection would wait out a delayed ACK.
 """
 
 from __future__ import annotations

@@ -13,7 +13,11 @@ endpoints for a whole fleet.  Endpoints (all JSON unless noted):
   router and is cached under a key that changes with any stage spec.
   Replies ``202`` with ``{key, status, coalesced}`` on admission, ``200`` with
   the outcome when ``wait`` resolved in time, ``429`` when the queue is full,
-  ``400`` on a malformed job and ``503`` once shutdown has begun.
+  ``400`` on a malformed job and ``503`` once shutdown has begun.  A job whose
+  result is cached is answered at once, even while the queue is full or
+  its tenant is at quota: a hit takes no queue slot.  A body must carry a
+  ``Content-Length``: one without (``411``) or with an unreadable one
+  (``400``) is refused, and the connection closed.
 * ``POST /portfolio`` — same contract for a
   :class:`~repro.service.jobs.PortfolioJob` payload (candidates/cost/racing
   specs): the job races its candidates and the outcome is the cost-model
@@ -65,6 +69,7 @@ already in flight still gets its reply, sent with ``Connection: close``.
 
 from __future__ import annotations
 
+import json
 import time
 
 from repro.obs.logging import get_logger
@@ -90,6 +95,16 @@ _LOG = get_logger("server.http")
 
 #: ``POST`` path -> the job type its body holds.
 _JOB_KINDS = {"/jobs": CompileJob, "/portfolio": PortfolioJob}
+
+
+def _with_outcome(reply: dict, outcome_json: str) -> str:
+    """``json.dumps({**reply, "outcome": outcome}, sort_keys=True)``, given
+    the outcome as that same canonical encoding, spliced in as is."""
+    fields = dict(reply, outcome=None)
+    return "{" + ", ".join(
+        json.dumps(name) + ": " + (outcome_json if name == "outcome"
+                                   else json.dumps(value, sort_keys=True))
+        for name, value in sorted(fields.items())) + "}"
 
 
 class ApiHandler(JSONHandler):
@@ -248,14 +263,15 @@ class _ServerHandler(ApiHandler):
             # queue-wait/execution spans live.
             self._span.attributes["leader_trace_id"] = ticket.trace.trace_id
         trace_id = self._trace.trace_id
-        if wait is not None:
-            outcome = ticket.wait(wait)
-            if outcome is not None:
-                self._reply(200, {"key": ticket.key, "coalesced": coalesced,
-                                  "cache_hit": outcome.cache_hit,
-                                  "trace_id": trace_id, "tenant": tenant,
-                                  "outcome": outcome.to_dict()})
-                return
+        # A replayed hit is done already: its reply splices in the cache's
+        # stored text instead of decoding and re-encoding it.
+        if wait is not None and (ticket.done
+                                 or ticket.wait(wait) is not None):
+            self._reply(200, _with_outcome(
+                {"key": ticket.key, "coalesced": coalesced,
+                 "cache_hit": ticket.cache_hit, "trace_id": trace_id,
+                 "tenant": tenant}, ticket.outcome_json()))
+            return
         self._reply(202, {"key": ticket.key, "status": ticket.state,
                           "coalesced": coalesced, "trace_id": trace_id,
                           "tenant": tenant,

@@ -31,7 +31,7 @@ The queue is the server's front door.  Four properties matter:
 from __future__ import annotations
 
 import heapq
-import itertools
+import json
 import threading
 import time
 from collections import deque
@@ -42,6 +42,9 @@ from repro.service.jobs import CompileJob, CompileOutcome
 
 #: Ticket lifecycle states.
 QUEUED, RUNNING, DONE, FAILED = "queued", "running", "done", "failed"
+
+#: Why a closed queue refuses a submission.
+_CLOSED = "queue is closed to new submissions"
 
 #: Weights below this are clamped up so deficit round-robin always makes
 #: progress (a zero-weight tenant would never accumulate a full credit).
@@ -79,17 +82,22 @@ class JobTicket:
     all of them :meth:`wait` on the same event and read the same ``outcome``.
     The ticket carries the *leader's* tenant — the follower submissions are
     attributed to their own tenants by the metrics layer at admission time.
+    ``key`` is ``job.key``, passed in when the caller computed it already.
+    A result-cache hit gets a ticket that is done from the start
+    (:meth:`replayed`); it is never queued.
     """
 
-    def __init__(self, job: CompileJob, priority: int, sequence: int,
-                 tenant: str = DEFAULT_TENANT):
+    def __init__(self, job: CompileJob, priority: int,
+                 tenant: str = DEFAULT_TENANT, *, key: str | None = None):
         self.job = job
-        self.key = job.key
+        self.key = job.key if key is None else key
         self.priority = priority
-        self.sequence = sequence
         self.tenant = tenant
         self.state = QUEUED
-        self.outcome: CompileOutcome | None = None
+        self._outcome: CompileOutcome | None = None
+        #: A replayed ticket's outcome: the result cache's canonical JSON
+        #: text, decoded only when :attr:`outcome` is read.
+        self.stored: str | None = None
         #: How many *extra* submissions attached to this ticket.
         self.coalesced = 0
         #: The submitter's trace context (if any): the leader's request trace,
@@ -102,6 +110,43 @@ class JobTicket:
         self.started_at: float | None = None
         self.finished_at: float | None = None
         self._done = threading.Event()
+
+    @classmethod
+    def replayed(cls, job: CompileJob, key: str, priority: int, tenant: str,
+                 stored: str) -> "JobTicket":
+        """A done ticket for a result-cache hit; ``stored`` is the cached
+        outcome's canonical JSON text.  It waited no time in any queue."""
+        ticket = cls(job, priority, tenant, key=key)
+        ticket.stored = stored
+        ticket.state = DONE
+        ticket.started_at = ticket.submitted_at
+        ticket.finished_at = time.monotonic()
+        ticket._done.set()
+        return ticket
+
+    @property
+    def outcome(self) -> CompileOutcome | None:
+        """The finished job's outcome, ``None`` until then."""
+        if self._outcome is None and self.stored is not None:
+            outcome = CompileOutcome.from_dict(json.loads(self.stored))
+            outcome.cache_hit = True
+            self._outcome = outcome
+        return self._outcome
+
+    @outcome.setter
+    def outcome(self, outcome: CompileOutcome) -> None:
+        self._outcome = outcome
+
+    def outcome_json(self) -> str:
+        """The finished outcome's canonical JSON text; a replayed ticket's
+        stored text as is."""
+        return self.stored if self.stored is not None else self.outcome.to_json()
+
+    @property
+    def cache_hit(self) -> bool:
+        """Whether the outcome came from the result cache."""
+        return self.stored is not None or (self._outcome is not None
+                                           and self._outcome.cache_hit)
 
     # ------------------------------------------------------------------ #
     def wait(self, timeout: float | None = None) -> CompileOutcome | None:
@@ -163,8 +208,8 @@ class JobTicket:
             record["wait_s"] = round(self.wait_seconds, 6)
         if self.service_seconds is not None:
             record["service_s"] = round(self.service_seconds, 6)
-        if self.outcome is not None:
-            record["cache_hit"] = self.outcome.cache_hit
+        if self.stored is not None or self._outcome is not None:
+            record["cache_hit"] = self.cache_hit
         return record
 
 
@@ -288,7 +333,6 @@ class JobQueue:
         self._in_flight: dict[str, JobTicket] = {}  #: guarded by self._lock, self._not_empty
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
-        self._sequence = itertools.count()
         self._closed = False  #: guarded by self._lock, self._not_empty
         self._drain = True  #: guarded by self._lock, self._not_empty
 
@@ -318,6 +362,12 @@ class JobQueue:
         with self._lock:
             return self._closed
 
+    def check_open(self) -> None:
+        """Raise :class:`QueueClosedError` once the queue is closed."""
+        with self._lock:
+            if self._closed:
+                raise QueueClosedError(_CLOSED)
+
     def tenant_depths(self) -> dict[str, int]:
         """Queued tickets per tenant (running tickets excluded)."""
         with self._lock:
@@ -344,7 +394,8 @@ class JobQueue:
         cls.push(ticket)
 
     def submit(self, job: CompileJob, priority: int = 0,
-               tenant: str = DEFAULT_TENANT) -> tuple[JobTicket, bool]:
+               tenant: str = DEFAULT_TENANT, *,
+               key: str | None = None) -> tuple[JobTicket, bool]:
         """Enqueue ``job`` (or attach to its in-flight twin).
 
         Returns ``(ticket, coalesced)``: ``coalesced`` is ``True`` when the
@@ -354,12 +405,15 @@ class JobQueue:
         urgent client is never held back by its earlier, lazier twin.
         Coalescing crosses tenant boundaries — the ticket keeps the leader's
         tenant and the follower's submission is free of quota charges.
+        ``key`` is ``job.key`` when the caller computed it already.
         """
         tenant = normalize_tenant(tenant)
+        if key is None:
+            key = job.key
         with self._not_empty:
             if self._closed:
-                raise QueueClosedError("queue is closed to new submissions")
-            ticket = self._in_flight.get(job.key)
+                raise QueueClosedError(_CLOSED)
+            ticket = self._in_flight.get(key)
             if ticket is not None:
                 ticket.coalesced += 1
                 if ticket.state == QUEUED and priority < ticket.priority:
@@ -378,12 +432,12 @@ class JobQueue:
             if self.max_depth is not None and self._queued >= self.max_depth:
                 raise QueueFullError(
                     f"queue is full ({self.max_depth} jobs deep); retry later")
-            ticket = JobTicket(job, priority, next(self._sequence), tenant)
+            ticket = JobTicket(job, priority, tenant, key=key)
             self._enqueue(ticket, priority)
             self._queued += 1
             self._queued_by_tenant[tenant] = (
                 self._queued_by_tenant.get(tenant, 0) + 1)
-            self._in_flight[job.key] = ticket
+            self._in_flight[key] = ticket
             self._not_empty.notify()
             return ticket, False
 

@@ -1,17 +1,21 @@
 """Worker pool draining the job queue through the compilation service.
 
 The :class:`Scheduler` is the glue between :class:`~repro.server.queue.JobQueue`
-and the existing batch layer: each worker thread pops a ticket, runs it
-through :meth:`~repro.service.executor.CompilationService.compile_one` (so the
-result cache short-circuits warm jobs exactly as in batch mode) and completes
-the ticket, waking every coalesced waiter.
+and the existing batch layer.  A submission computes its job key once and
+looks it up in the result cache on the submitting (request) thread: a hit is
+answered there with an already-done ticket holding the cache's stored JSON
+text, and takes no queue slot and no worker.  A miss is queued, or coalesces
+onto its in-flight twin; a worker thread pops the ticket, runs it through
+:meth:`~repro.service.executor.CompilationService.execute` (which caches an
+ok outcome) and completes the ticket, waking every coalesced waiter.
 
-Worker threads are the right grain here: a warm-cache job is pure dict I/O,
-and a cold compile releases no GIL but the pool still overlaps queue wait,
-HTTP handling and cache I/O.  ``job_timeout`` bounds a runaway compile —
-the job is run on a reaper thread and abandoned past the deadline with a
-``TimeoutError`` outcome (the thread itself cannot be killed mid-compile;
-it finishes in the background and its result is discarded).
+Worker threads are the right grain here: a cold compile releases no GIL but
+the pool still overlaps queue wait, HTTP handling and cache I/O, while
+handing a hit to a worker and back would only add two thread switches.
+``job_timeout`` bounds a runaway compile — the job is run on a reaper thread
+and abandoned past the deadline with a ``TimeoutError`` outcome (the thread
+itself cannot be killed mid-compile; it finishes in the background and its
+result is discarded).
 
 Every completed ticket is kept in a bounded ``records`` map (most recent
 ``max_records``), which backs ``GET /jobs/<key>`` and ``GET /results/<key>``;
@@ -116,17 +120,28 @@ class Scheduler:
     # ------------------------------------------------------------------ #
     def submit(self, job: CompileJob, priority: int = 0,
                tenant: str = DEFAULT_TENANT) -> tuple[JobTicket, bool]:
-        """Admit one job (or coalesce onto its in-flight twin).
+        """Admit one job: replay it from the result cache, coalesce it onto
+        its in-flight twin, or queue it.
 
-        Raises :class:`QueueFullError` / :class:`QueueClosedError` exactly as
-        the queue does; rejections are counted before re-raising.  Admission
-        counters are attributed to the *submitting* tenant — so a coalesced
-        cross-tenant submission still shows up under its own tenant even
-        though the shared computation belongs to the leader.
+        A result-cache hit returns an already-done ticket at once, counted
+        and traced (a ``job.execute`` span) as a worker would have: it takes
+        no queue slot, so it is answered while the scheduler is paused, the
+        queue is full or its tenant is at quota, though not once the queue
+        is closed.  Raises :class:`QueueFullError` / :class:`QueueClosedError`
+        exactly as the queue does; rejections are counted before re-raising.
+        Admission counters are attributed to the *submitting* tenant — so a
+        coalesced cross-tenant submission still shows up under its own
+        tenant even though the shared computation belongs to the leader.
         """
         tenant = normalize_tenant(tenant)
+        key = job.key  # a sha256 over the whole job: computed once here
         try:
-            ticket, coalesced = self.queue.submit(job, priority, tenant)
+            self.queue.check_open()
+            ticket = self._replay(job, key, priority, tenant)
+            coalesced = False
+            if ticket is None:
+                ticket, coalesced = self.queue.submit(job, priority, tenant,
+                                                      key=key)
         except TenantQuotaError:
             self.metrics.increment("throttled", tenant=tenant)
             raise
@@ -137,7 +152,29 @@ class Scheduler:
                                tenant=tenant)
         if not coalesced:
             self._remember(ticket)
+        if ticket.stored is not None:
+            self.metrics.observe_job(
+                ticket.wait_seconds, ticket.service_seconds, ok=True,
+                cache_hit=True,
+                trace_id=(ticket.trace.trace_id
+                          if ticket.trace is not None else None),
+                tenant=tenant)
         return ticket, coalesced
+
+    def _replay(self, job: CompileJob, key: str, priority: int,
+                tenant: str) -> JobTicket | None:
+        """A done ticket for ``key`` from the result cache; ``None`` on a miss."""
+        started = time.time()  # wall-clock: the span stitches by trace id
+        stored = self.service.replay(key)
+        if stored is None:
+            return None
+        ticket = JobTicket.replayed(job, key, priority, tenant, stored)
+        if ticket.trace is not None:
+            record_span("job.execute", trace=ticket.trace, start=started,
+                        job_key=key, tenant=tenant,
+                        kind=getattr(job, "kind", "compile"), status="ok",
+                        cache_hit=True)
+        return ticket
 
     def lookup(self, key: str) -> JobTicket | None:
         """The ticket for ``key``, newest first (records window only)."""
@@ -244,7 +281,7 @@ class Scheduler:
         """
         context = ticket.trace
         if context is None:
-            outcome, _ = self._execute(ticket.job)
+            outcome, _ = self._execute(ticket.job, ticket.key)
             return outcome
         picked_up_wall = time.time()  # wall-clock: span end, stitched cross-process by trace id
         picked_up = time.monotonic()
@@ -255,7 +292,7 @@ class Scheduler:
         with activate(context):
             with span("job.execute", job_key=ticket.key, tenant=ticket.tenant,
                       kind=getattr(ticket.job, "kind", "compile")) as entry:
-                outcome, report = self._execute(ticket.job)
+                outcome, report = self._execute(ticket.job, ticket.key)
                 entry.attributes["status"] = outcome.status
                 entry.attributes["cache_hit"] = outcome.cache_hit
                 service_s = time.monotonic() - picked_up
@@ -272,7 +309,7 @@ class Scheduler:
                                  samples=report.samples)
         return outcome
 
-    def _execute(self, job: CompileJob
+    def _execute(self, job: CompileJob, key: str
                  ) -> tuple[CompileOutcome, ProfileReport | None]:
         profiler = (SamplingProfiler(self.profile_interval_s)
                     if self.profile_slow_s is not None else None)
@@ -280,7 +317,7 @@ class Scheduler:
             if profiler is not None:
                 profiler.start((threading.get_ident(),))
             try:
-                outcome = self._compile(job)
+                outcome = self._compile(job, key)
             finally:
                 report = profiler.stop() if profiler is not None else None
             return outcome, report
@@ -291,7 +328,7 @@ class Scheduler:
             # Context variables don't cross threads: re-activate the trace so
             # pipeline-stage spans inside the compile still nest correctly.
             with activate(context):
-                box.update(outcome=self._compile(job))
+                box.update(outcome=self._compile(job, key))
 
         runner = threading.Thread(target=_run, daemon=True)
         runner.start()
@@ -301,19 +338,19 @@ class Scheduler:
         report = profiler.stop() if profiler is not None else None
         if runner.is_alive():
             return CompileOutcome(
-                job_key=job.key, status="error",
+                job_key=key, status="error",
                 error=f"job exceeded the {self.job_timeout}s server timeout",
                 error_type="TimeoutError"), report
         return (box.get("outcome") or CompileOutcome(
-            job_key=job.key, status="error",
+            job_key=key, status="error",
             error="worker thread died without producing an outcome",
             error_type="RuntimeError")), report
 
-    def _compile(self, job: CompileJob) -> CompileOutcome:
+    def _compile(self, job: CompileJob, key: str) -> CompileOutcome:
         try:
-            return self.service.compile_one(job)
+            return self.service.execute(job, key)
         except Exception as exc:  # noqa: BLE001 — a worker must never die
-            return CompileOutcome(job_key=job.key, status="error",
+            return CompileOutcome(job_key=key, status="error",
                                   error=str(exc),
                                   error_type=type(exc).__name__)
 

@@ -3,24 +3,34 @@
 Client → gateway → shard, and the gateway's health probes, all speak JSON
 over HTTP/1.1.  This module holds both ends of that transport:
 
-* :class:`ConnectionPool` — persistent :class:`http.client.HTTPConnection`
-  objects for one base URL, behind a locked idle list.  A caller borrows an
-  idle connection (or opens one), sends one request, reads the whole reply
-  and hands the connection back, so a stream of requests rides on one TCP
-  connection instead of paying a connect, and a new server handler thread,
-  per call.  :class:`~repro.server.client.CompileClient` keeps one pool
-  shared by its threads; every :class:`~repro.cluster.ring.ShardMember`
-  carries one, shared by the gateway's proxying, ``/metrics`` scrape, trace
-  and alert fan-out and the health probes.
+* :class:`ConnectionPool` — persistent sockets to one base URL, behind a
+  locked idle list.  A caller borrows an idle connection (or opens one),
+  sends one request, reads the whole reply and hands the connection back,
+  so a stream of requests rides on one TCP connection instead of paying a
+  connect, and a new server handler thread, per call.
+  :class:`~repro.server.client.CompileClient` keeps one pool shared by its
+  threads; every :class:`~repro.cluster.ring.ShardMember` carries one,
+  shared by the gateway's proxying, ``/metrics`` scrape, trace and alert
+  fan-out and the health probes.
 * :class:`KeepAliveServer`, :class:`KeepAliveApp` and :class:`JSONHandler`
   — the ``ThreadingHTTPServer``, the start/stop lifecycle and the base of
   the one API handler (:class:`~repro.server.http.ApiHandler`) under both
   :class:`~repro.server.http.CompileServer` and
   :class:`~repro.cluster.gateway.ClusterGateway`: JSON replies, the body
   limit, query parsing, per-request trace state and connection tracking.
+* :func:`read_head` — the one HTTP head reader of both ends: a request's
+  head on a server and a reply's head in a pool.
 
 The rules:
 
+* **Read heads without the ``email`` package.**  :func:`read_head` builds a
+  plain case-insensitive :class:`Fields` map with the fields the stdlib's
+  ``http.client.parse_headers`` would give, under its limits (65,536 bytes
+  a line, 100 lines) and raising its exception types, so a server answers
+  a bad head with the stdlib's status (431, and 400 or 505 for a bad
+  request line), honours ``Connection: close`` and ``Expect:
+  100-continue``, and a pool raises what the resend, retry and failover
+  paths catch (``RemoteDisconnected``, ``http.client.HTTPException``).
 * **Resend once on a stale connection.**  A server may close a pooled
   connection while it sits idle (a restart, or ``stop()``).  A request that
   fails on a *reused* connection before any reply arrives
@@ -30,17 +40,21 @@ The rules:
   content-addressed and duplicate submissions coalesce.  A failure on a
   fresh connection propagates, so the client's retry and the gateway's
   failover paths see exactly what they saw before pooling.
-* A reply carrying ``Connection: close`` is never pooled.
+* A reply carrying ``Connection: close``, or no ``Content-Length``, is never
+  pooled.
 * **One write per message.**  A handler buffers its reply and sends the
   header block and the body together when it flushes (a body larger than
-  the buffer follows in a second write); a pooled connection collects what
-  ``http.client`` sends for one request, header block and body, and writes
-  it at once.  Each message thus costs one syscall and, when small, one
-  TCP segment.
+  the buffer follows in a second write); a pool sends a request's header
+  block and body in one ``sendall``.  Each message thus costs one syscall
+  and, when small, one TCP segment.
 * **No Nagle.**  Should a message still leave in two writes, the second
   must not wait for the peer's delayed ACK.  Handlers set
-  ``disable_nagle_algorithm``, and ``http.client`` sets ``TCP_NODELAY`` on
-  every socket it connects.
+  ``disable_nagle_algorithm``, and a pool sets ``TCP_NODELAY`` on every
+  socket it connects.
+* **A body is read by its ``Content-Length``.**  A request whose body
+  length cannot be read (no number, or ``Transfer-Encoding``) is refused
+  with a JSON 400 or 411 and ``Connection: close``: its unread bytes would
+  otherwise be read as the next request.
 * **Stopping closes idle connections.**  ``server_close()`` (called by
   both servers' ``stop()``) shuts down every connection waiting for its
   next request, so a pooled peer fails over or reconnects instead of
@@ -52,6 +66,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import re
 import socket
 import threading
 import time
@@ -74,6 +89,16 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: block included, leaves in one write.
 REPLY_BUFFER_BYTES = 64 * 1024
 
+#: The stdlib's head limits (``http.client``): bytes in one line, and lines
+#: in one head, its blank last line included.
+_MAX_LINE = 65536
+_MAX_HEAD_LINES = 100
+#: A field line: a name of printable ASCII other than ``:``, then ``:``
+#: (the ``email`` package's test; any other line ends the fields).
+_FIELD_NAME = re.compile(r"[!-9;-~]*:")
+#: What a request target may not hold (``http.client`` refuses the same).
+_UNSAFE_TARGET = re.compile(r"[\x00-\x20\x7f]")
+
 #: How a reused connection fails when the server closed it while idle
 #: (``RemoteDisconnected`` is a ``ConnectionResetError``).
 _STALE = (ConnectionResetError, BrokenPipeError)
@@ -81,13 +106,149 @@ _STALE = (ConnectionResetError, BrokenPipeError)
 _LOG = get_logger("server.transport")
 
 
+class Fields:
+    """The header fields of one HTTP head, by case-insensitive name.
+
+    :meth:`get` returns the first value of a repeated name, as
+    ``http.client.HTTPMessage.get`` does; :meth:`items` keeps every field in
+    arrival order.
+    """
+
+    __slots__ = ("_items", "_first")
+
+    def __init__(self, items: list[tuple[str, str]]):
+        self._items = items
+        self._first: dict[str, str] = {}
+        for name, value in items:
+            self._first.setdefault(name.lower(), value)
+
+    def get(self, name: str, default: str | None = None) -> str | None:
+        return self._first.get(name.lower(), default)
+
+    def items(self) -> list[tuple[str, str]]:
+        return list(self._items)
+
+
+def read_head(rfile) -> Fields:
+    """Read header lines from ``rfile`` up to the blank line ending a head.
+
+    A field is ``name: value``: the value loses its leading blanks and its
+    line break, and a line starting with a blank continues the previous
+    field.  A line that is no field ends the fields, and ``From `` lines
+    are skipped, as in ``http.client.parse_headers``; the rest of the head
+    is still read.  Raises ``http.client.LineTooLong`` for a line over
+    65,536 bytes and ``http.client.HTTPException`` for over 100 lines.
+    """
+    fields: list[list[str]] = []
+    current: list[str] | None = None  # the field a continuation extends
+    ended = False
+    lines = 0
+    while True:
+        line = rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise http.client.LineTooLong("header line")
+        lines += 1
+        if lines > _MAX_HEAD_LINES:
+            raise http.client.HTTPException(
+                f"got more than {_MAX_HEAD_LINES} headers")
+        if line in (b"\r\n", b"\n", b""):
+            return Fields([(name, value.rstrip("\r\n"))
+                           for name, value in fields])
+        if ended:
+            continue
+        text = line.decode("iso-8859-1")
+        if text[0] in " \t":
+            if current is not None:
+                current[1] += text
+            continue
+        current = None
+        if text.startswith("From "):
+            continue
+        match = _FIELD_NAME.match(text)
+        if match is None:
+            ended = True
+        elif match.end() > 1:
+            current = [text[:match.end() - 1],
+                       text[match.end():].lstrip(" \t")]
+            fields.append(current)
+
+
+def _byte_count(value: str) -> int | None:
+    """A ``Content-Length`` value as a byte count; ``None`` if it is none."""
+    value = value.strip()
+    return int(value) if value.isdecimal() else None
+
+
+def _version_number(version: str) -> tuple[int, int] | None:
+    """``(major, minor)`` of an ``HTTP/x.y`` token; ``None`` when the
+    stdlib would refuse it (at most ten digits a number)."""
+    if not version.startswith("HTTP/"):
+        return None
+    numbers = version[5:].split(".")
+    if len(numbers) != 2 or not all(number.isdecimal() and len(number) <= 10
+                                    for number in numbers):
+        return None
+    return int(numbers[0]), int(numbers[1])
+
+
 class Reply(NamedTuple):
     """One complete HTTP reply."""
 
     status: int
     reason: str
-    headers: http.client.HTTPMessage
+    headers: Fields
     body: bytes
+
+
+class _Connection:
+    """One keep-alive socket of a :class:`ConnectionPool`."""
+
+    __slots__ = ("sock", "_rfile")
+
+    def __init__(self, address: tuple[str, int], timeout: float):
+        self.sock = socket.create_connection(address, timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._rfile = self.sock.makefile("rb")
+
+    def exchange(self, message: bytes, timeout: float) -> tuple[Reply, bool]:
+        """Send one request in one write; return its reply and whether the
+        connection must close after it."""
+        self.sock.settimeout(timeout)
+        self.sock.sendall(message)
+        line = self._rfile.readline(_MAX_LINE + 1)
+        if not line:
+            raise http.client.RemoteDisconnected(
+                "Remote end closed connection without response")
+        if len(line) > _MAX_LINE:
+            raise http.client.LineTooLong("status line")
+        version, _, rest = line.decode("iso-8859-1").rstrip("\r\n").partition(
+            " ")
+        code, _, reason = rest.partition(" ")
+        if (not version.startswith("HTTP/") or len(code) != 3
+                or not code.isdigit()):
+            raise http.client.BadStatusLine(repr(line))
+        headers = read_head(self._rfile)
+        length = headers.get("Content-Length")
+        if headers.get("Transfer-Encoding") is not None:
+            raise http.client.HTTPException(
+                "reply uses Transfer-Encoding; only Content-Length bodies "
+                "are read")
+        if length is None:
+            return Reply(int(code), reason, headers, self._rfile.read()), True
+        size = _byte_count(length)
+        if size is None:
+            raise http.client.HTTPException(
+                f"invalid Content-Length {length!r}")
+        body = self._rfile.read(size)
+        if len(body) < size:
+            raise http.client.IncompleteRead(body, size - len(body))
+        closing = (version != "HTTP/1.1"
+                   or "close" in (headers.get("Connection") or "").lower())
+        return Reply(int(code), reason, headers, body), closing
+
+    def close(self) -> None:
+        self._rfile.close()
+        self.sock.close()
 
 
 class ConnectionPool:
@@ -99,8 +260,9 @@ class ConnectionPool:
         self._address = ((parts.hostname, parts.port or 80)
                          if parts.scheme == "http" and parts.hostname
                          else None)
+        self._host = parts.netloc
         self._lock = threading.Lock()
-        self._idle: list[http.client.HTTPConnection] = []  #: guarded by self._lock
+        self._idle: list[_Connection] = []  #: guarded by self._lock
         # A dropped pool (say, a throwaway client's) closes what it still
         # holds instead of leaving open sockets to the garbage collector.
         weakref.finalize(self, _close_all, self._idle)
@@ -112,42 +274,49 @@ class ConnectionPool:
         The active trace context and ``tenant`` ride along as the
         ``X-Repro-Trace`` / ``X-Repro-Tenant`` headers; a body is JSON.
         """
-        headers = {}
+        if self._address is None:
+            raise ValueError(f"not an http:// base URL: {self.base_url!r}")
+        if _UNSAFE_TARGET.search(path):
+            raise http.client.InvalidURL(
+                f"request path can't contain control characters or "
+                f"spaces: {path!r}")
+        head = [f"{method} {path} HTTP/1.1", f"Host: {self._host}"]
         context = current_trace()
         if context is not None:
-            headers[TRACE_HEADER] = context.to_header()
+            head.append(f"{TRACE_HEADER}: {context.to_header()}")
         if tenant is not None:
-            headers[TENANT_HEADER] = tenant
+            head.append(f"{TENANT_HEADER}: {tenant}")
         if body is not None:
-            headers["Content-Type"] = "application/json"
+            head.append("Content-Type: application/json")
+            head.append(f"Content-Length: {len(body)}")
+        message = ("\r\n".join(head) + "\r\n\r\n").encode("ascii")
+        if body:
+            message += body
         with self._lock:
             connection = self._idle.pop() if self._idle else None
         reused = connection is not None
-        if connection is None:
-            connection = self._connection()
         try:
+            if connection is None:
+                connection = _Connection(self._address, timeout)
             try:
-                response = _exchange(connection, method, path, body, headers,
-                                     timeout)
+                reply, closing = connection.exchange(message, timeout)
             except _STALE:
                 if not reused:
                     raise
                 connection.close()
-                connection = self._connection()
-                response = _exchange(connection, method, path, body, headers,
-                                     timeout)
-            data = response.read()
+                connection = _Connection(self._address, timeout)
+                reply, closing = connection.exchange(message, timeout)
         except BaseException:
-            connection.close()
+            if connection is not None:
+                connection.close()
             raise
         with self._lock:
-            pooled = (not response.will_close
-                      and len(self._idle) < MAX_IDLE_CONNECTIONS)
+            pooled = not closing and len(self._idle) < MAX_IDLE_CONNECTIONS
             if pooled:
                 self._idle.append(connection)
         if not pooled:
             connection.close()
-        return Reply(response.status, response.reason, response.headers, data)
+        return reply
 
     def close(self) -> None:
         """Close the idle connections (the pool stays usable)."""
@@ -156,52 +325,10 @@ class ConnectionPool:
             self._idle.clear()
         _close_all(idle)
 
-    def _connection(self) -> http.client.HTTPConnection:
-        if self._address is None:
-            raise ValueError(f"not an http:// base URL: {self.base_url!r}")
-        return _OneWriteConnection(*self._address)
 
-
-class _OneWriteConnection(http.client.HTTPConnection):
-    """An ``HTTPConnection`` that sends each request in one write.
-
-    ``http.client`` hands a request's header block and its body to
-    :meth:`send` separately; what one :meth:`request` sends is collected
-    and written once it has all been produced.
-    """
-
-    _held: list[bytes] | None = None
-
-    def request(self, *args, **kwargs) -> None:
-        self._held = []
-        try:
-            super().request(*args, **kwargs)
-            data = b"".join(self._held)
-        finally:
-            self._held = None
-        super().send(data)
-
-    def send(self, data) -> None:
-        if self._held is None:
-            super().send(data)
-        else:
-            self._held.append(data)
-
-
-def _close_all(connections: list[http.client.HTTPConnection]) -> None:
+def _close_all(connections: list[_Connection]) -> None:
     for connection in connections:
         connection.close()
-
-
-def _exchange(connection: http.client.HTTPConnection, method: str,
-              path: str, body: bytes | None, headers: dict[str, str],
-              timeout: float) -> http.client.HTTPResponse:
-    """Send the request; return the reply once its headers arrived."""
-    connection.timeout = timeout
-    if connection.sock is not None:
-        connection.sock.settimeout(timeout)
-    connection.request(method, path, body=body, headers=headers)
-    return connection.getresponse()
 
 
 class KeepAliveServer(ThreadingHTTPServer):
@@ -394,10 +521,60 @@ class JSONHandler(BaseHTTPRequestHandler):
             self.server.mark_busy(self.connection)  # leave the idle set
 
     def parse_request(self) -> bool:
+        """The stdlib's ``parse_request``, with the head read by
+        :func:`read_head`: the same 400, 505 and 431 replies, ``Connection``
+        handling and ``Expect: 100-continue``."""
         self.server.mark_busy(self.connection)
         self._trace = None
         self._span = None
-        return super().parse_request()
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline,
+                               "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            number = _version_number(version)
+            if number is None:
+                self.send_error(400, f"Bad request version ({version!r})")
+                return False
+            if number >= (2, 0):
+                self.send_error(505, f"Invalid HTTP version ({version[5:]})")
+                return False
+            self.close_connection = number < (1, 1)
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(400, f"Bad request syntax ({self.requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(400, f"Bad HTTP/0.9 request type ({command!r})")
+                return False
+        self.command = command
+        # A leading "//" would read as a scheme-relative URL (gh-87389).
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        try:
+            self.headers = read_head(self.rfile)
+        except http.client.LineTooLong as exc:
+            self.send_error(431, "Line too long", str(exc))
+            return False
+        except http.client.HTTPException as exc:
+            self.send_error(431, "Too many headers", str(exc))
+            return False
+        connection = (self.headers.get("Connection") or "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if ((self.headers.get("Expect") or "").lower() == "100-continue"
+                and self.request_version >= "HTTP/1.1"):
+            return self.handle_expect_100()
+        return True
 
     def handle_expect_100(self) -> bool:
         # The interim reply must leave before the client sends its body.
@@ -442,14 +619,24 @@ class JSONHandler(BaseHTTPRequestHandler):
 
         The raw bytes stay on ``self._body`` for handlers that forward them.
         """
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+        # A body left unread desyncs the keep-alive stream: each refusal
+        # below that leaves one closes the connection, so the client
+        # reconnects instead of its body bytes being read as a request.
+        if self.headers.get("Transfer-Encoding") is not None:
+            self.close_connection = True
+            self._error(411, "request body needs a Content-Length; "
+                             "Transfer-Encoding is not accepted")
+            return None
+        declared = self.headers.get("Content-Length", "0")
+        length = _byte_count(declared)
+        if length is None:
+            self.close_connection = True
+            self._error(400, f"invalid Content-Length {declared!r}")
+            return None
+        if length == 0:
             self._error(400, "request body required")
             return None
         if length > MAX_BODY_BYTES:
-            # The body stays unread, so the keep-alive stream is desynced;
-            # make the client reconnect instead of parsing body bytes as a
-            # request line.
             self.close_connection = True
             self._error(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
             return None

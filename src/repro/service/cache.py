@@ -11,6 +11,12 @@ The on-disk tier is a two-level directory of JSON files written atomically
 truncated entries are treated as misses, counted in ``stats.corrupt`` and
 deleted so the slot heals on the next put; a bad cache can cost a recompute
 but never a crash.
+
+Every entry is stored as its canonical JSON text,
+``json.dumps(outcome, sort_keys=True)``.  :meth:`ResultCache.get_text`
+returns that text as is, so a caller that only forwards an outcome (the
+online server answering a hit) splices it into its reply without decoding
+and re-encoding it; :meth:`ResultCache.get` decodes it.
 """
 
 from __future__ import annotations
@@ -105,13 +111,24 @@ class ResultCache:
 
     def get(self, key: str) -> dict | None:
         """The stored outcome dict, or ``None`` (counted as hit/miss)."""
+        encoded = self.get_text(key)
+        return json.loads(encoded) if encoded is not None else None
+
+    def get_text(self, key: str) -> str | None:
+        """The stored outcome's canonical JSON text, or ``None`` (counted as
+        hit/miss like :meth:`get`).
+
+        A memory hit returns the text the tier holds; a disk hit is decoded
+        to check it against its key, re-encoded canonically and kept in the
+        memory tier.
+        """
         if self._memory is not None:
             with self._lock:
                 encoded = self._memory.get(key)
                 if encoded is not None:
                     self._memory.move_to_end(key)  # refresh LRU recency
                     self.stats.hits += 1
-                    return json.loads(encoded)
+                    return encoded
         if self.directory is not None:
             path = self._path(key)
             try:
@@ -130,11 +147,12 @@ class ResultCache:
                 except OSError:
                     pass
             else:
+                encoded = json.dumps(data, sort_keys=True)
                 if self._memory is not None:
-                    self._remember(key, json.dumps(data, sort_keys=True))
+                    self._remember(key, encoded)
                 with self._lock:
                     self.stats.hits += 1
-                return data
+                return encoded
         with self._lock:
             self.stats.misses += 1
         return None

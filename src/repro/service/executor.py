@@ -11,6 +11,7 @@ nothing but the importable ``repro`` package.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
@@ -128,10 +129,33 @@ class CompilationService:
         self.workers = workers
         self.cache = cache
         self.stats = ServiceStats()
+        # The online scheduler counts from its request and worker threads.
+        self._stats_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     def compile_one(self, job: CompileJob) -> CompileOutcome:
         return self.compile_batch([job])[0]
+
+    def replay(self, key: str) -> str | None:
+        """The cached outcome of ``key`` as the cache's canonical JSON text
+        (see :meth:`ResultCache.get_text`), or ``None`` on a miss.
+
+        A hit counts as a job served from the cache, as in
+        :meth:`compile_batch`.  The online scheduler looks every submission
+        up here and answers a hit with the text, never decoding it.
+        """
+        encoded = self.cache.get_text(key) if self.cache is not None else None
+        if encoded is not None:
+            self._count(jobs=1, cache_hits=1)
+        return encoded
+
+    def execute(self, job: CompileJob, key: str) -> CompileOutcome:
+        """Run a job whose ``key`` already missed the cache; cache an ok
+        outcome.  The scheduler's worker path, after :meth:`replay`."""
+        self._count(jobs=1)
+        outcome = execute_job(job, cache=self.cache)
+        self._store(key, outcome)
+        return outcome
 
     def compile_batch(self, jobs: Iterable[CompileJob],
                       progress: ProgressFn | None = None
@@ -140,7 +164,7 @@ class CompilationService:
         jobs = list(jobs)
         keys = [job.key for job in jobs]
         outcomes: list[CompileOutcome | None] = [None] * len(jobs)
-        self.stats.jobs += len(jobs)
+        self._count(jobs=len(jobs))
 
         pending: list[int] = []
         for index, (job, key) in enumerate(zip(jobs, keys)):
@@ -149,7 +173,7 @@ class CompilationService:
                 outcome = CompileOutcome.from_dict(cached)
                 outcome.cache_hit = True
                 outcomes[index] = outcome
-                self.stats.cache_hits += 1
+                self._count(cache_hits=1)
                 self._progress(progress, job, outcome)
             else:
                 pending.append(index)
@@ -187,13 +211,19 @@ class CompilationService:
                 outcomes: list[CompileOutcome | None],
                 progress: ProgressFn | None) -> None:
         outcomes[index] = outcome
-        self.stats.executed += 1
-        if outcome.ok:
-            if self.cache is not None:
-                self.cache.put(keys[index], outcome.to_dict())
-        else:
-            self.stats.errors += 1
+        self._store(keys[index], outcome)
         self._progress(progress, jobs[index], outcome)
+
+    def _store(self, key: str, outcome: CompileOutcome) -> None:
+        """Count one executed job; cache its outcome if it is ok."""
+        self._count(executed=1, errors=0 if outcome.ok else 1)
+        if outcome.ok and self.cache is not None:
+            self.cache.put(key, outcome.to_dict())
+
+    def _count(self, **deltas: int) -> None:
+        with self._stats_lock:
+            for name, delta in deltas.items():
+                setattr(self.stats, name, getattr(self.stats, name) + delta)
 
     @staticmethod
     def _progress(progress: ProgressFn | None, job: CompileJob,

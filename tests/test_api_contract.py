@@ -11,6 +11,7 @@ here too, so a change to any endpoint's shape fails this module.
 import http.client
 import json
 import re
+import socket
 
 import pytest
 
@@ -51,7 +52,8 @@ HEALTH_KEYS = {
 }
 
 #: ``(path, body, status)`` of every POST the API refuses; ``None`` sends
-#: no body and ``int`` announces a body of that length without sending it.
+#: no body, ``int`` announces a body of that length without sending it and
+#: a ``(fields, data)`` pair sends those header fields, then ``data``.
 REFUSED_POSTS = {
     "unknown_path": ("/nope", b"{}", 404),
     "no_body": ("/jobs", None, 400),
@@ -60,7 +62,17 @@ REFUSED_POSTS = {
     "json_not_an_object": ("/jobs", b"[1, 2]", 400),
     "bad_job_payload": ("/jobs", b'{"qasm": "OPENQASM 2.0;"}', 400),
     "bad_portfolio_payload": ("/portfolio", b'{"job": {}}', 400),
+    "unreadable_content_length": ("/jobs", ({"Content-Length": "abc"}, b"{}"),
+                                  400),
+    "chunked_body": ("/jobs", ({"Transfer-Encoding": "chunked"},
+                               b"2\r\n{}\r\n0\r\n\r\n"), 411),
 }
+#: Refusals that leave the body unread, so the connection must close.
+UNREAD_BODIES = ("oversized_body", "unreadable_content_length",
+                 "chunked_body")
+#: Top-level keys of a blocking submit's ``200`` reply.
+OUTCOME_REPLY_KEYS = {"cache_hit", "coalesced", "key", "outcome", "tenant",
+                      "trace_id"}
 
 
 @pytest.fixture(scope="module", params=["server", "gateway"])
@@ -90,14 +102,25 @@ def _call(app, method: str, path: str, body=None):
 
     ``payload`` is the decoded JSON object, or the text of a non-JSON reply.
     """
+    status, headers, data = _request(app, method, path, body)
+    payload = (json.loads(data) if headers["Content-Type"] == JSON
+               else data)
+    return status, headers, payload
+
+
+def _request(app, method: str, path: str, body=None):
+    """``(status, headers, text)`` of one request on a fresh connection."""
     host, port = app.address
     connection = http.client.HTTPConnection(host, port, timeout=60)
     try:
-        if isinstance(body, int):
+        if isinstance(body, (int, tuple)):
+            fields, data = (({"Content-Length": str(body)}, None)
+                            if isinstance(body, int) else body)
             connection.putrequest(method, path)
             connection.putheader("Content-Type", "application/json")
-            connection.putheader("Content-Length", str(body))
-            connection.endheaders()
+            for name, value in fields.items():
+                connection.putheader(name, value)
+            connection.endheaders(data)
         else:
             connection.request(method, path, body=body,
                                headers={"Content-Type": "application/json"})
@@ -105,9 +128,7 @@ def _call(app, method: str, path: str, body=None):
         data = reply.read().decode("utf-8")
     finally:
         connection.close()
-    payload = (json.loads(data) if reply.headers["Content-Type"] == JSON
-               else data)
-    return reply.status, reply.headers, payload
+    return reply.status, reply.headers, data
 
 
 def _ident(template: str) -> str:
@@ -166,6 +187,54 @@ class TestRefusedPosts:
         if expected == 413:
             # The body was never read: the connection cannot be reused.
             assert headers["Connection"] == "close"
+
+    @pytest.mark.parametrize("case", UNREAD_BODIES)
+    def test_an_unread_body_gets_one_reply_then_eof(self, app, case):
+        """Nothing after the refusal: no body byte is read as a request."""
+        path, body, expected = REFUSED_POSTS[case]
+        if isinstance(body, int):
+            fields, data = {"Content-Length": str(body)}, b"x" * 64
+        else:
+            fields, data = body
+        head = "".join(f"{name}: {value}\r\n"
+                       for name, value in fields.items())
+        request = (f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+                   f"Content-Type: application/json\r\n{head}\r\n"
+                   ).encode("ascii") + data
+        received = b""
+        with socket.create_connection(app.address, timeout=10) as sock:
+            sock.sendall(request)
+            try:
+                while chunk := sock.recv(65536):
+                    received += chunk
+            except ConnectionResetError:
+                pass  # the server hung up on the unread body: still EOF
+        assert received.count(b"HTTP/1.1 ") == 1, received
+        assert received.startswith(f"HTTP/1.1 {expected} ".encode())
+        head, _, text = received.partition(b"\r\n\r\n")
+        assert b"\r\nConnection: close\r\n" in head + b"\r\n"
+        assert set(json.loads(text)) == {"error"}
+
+
+class TestOutcomeReplies:
+    def test_computed_then_cached_reply(self, app):
+        """A blocking submit, computed and then replayed from the cache:
+        the same keys and outcome, and a canonical JSON body both times."""
+        job = make_job(ghz(4), "ibm_q20_tokyo", "codar", seed=11)
+        body = json.dumps({"job": job.to_dict(), "wait": True,
+                           "timeout": 60}).encode("utf-8")
+        replies = []
+        for _ in range(2):
+            status, headers, text = _request(app, "POST", "/jobs", body)
+            assert (status, headers["Content-Type"]) == (200, JSON)
+            assert text == json.dumps(json.loads(text), sort_keys=True)
+            replies.append(json.loads(text))
+        computed, cached = replies
+        assert set(computed) == set(cached) == OUTCOME_REPLY_KEYS
+        assert (computed["cache_hit"], cached["cache_hit"]) == (False, True)
+        assert computed["outcome"] == cached["outcome"]
+        assert computed["outcome"]["status"] == "ok"
+        assert computed["key"] == cached["key"] == job.key
 
 
 def test_gateway_counts_requests_and_bad_requests():

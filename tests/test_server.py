@@ -5,6 +5,8 @@ ephemeral port inside the test process and talk to it through the real
 keep-alive client — the full request path, not a mocked handler.
 """
 
+import json
+import sys
 import threading
 import time
 
@@ -14,7 +16,7 @@ from repro.server import (CompileClient, CompileServer, Histogram, JobQueue,
                           QueueClosedError, QueueFullError, Scheduler,
                           ServerError, ServerMetrics)
 from repro.service import CompilationService, ResultCache, make_job
-from repro.service.jobs import CompileOutcome
+from repro.service.jobs import CompileJob, CompileOutcome
 from repro.workloads.generators import ghz, qft
 
 
@@ -390,13 +392,11 @@ class TestScheduler:
         assert any(t.outcome.error_type == "QueueClosedError" for t in tickets)
 
     def test_job_timeout_produces_timeout_outcome(self):
-        class SlowService:
-            cache = None
-
+        class SlowService(CompilationService):
             @staticmethod
-            def compile_one(job):
+            def execute(job, key):
                 time.sleep(0.5)  # sleep-ok: fake service simulating a slow compile
-                return CompileOutcome(job_key=job.key, status="ok",
+                return CompileOutcome(job_key=key, status="ok",
                                       summary={}, routed_qasm="")
 
         scheduler = Scheduler(SlowService(), workers=1, job_timeout=0.05)
@@ -598,6 +598,179 @@ class TestHttpApi:
             payload = CompileClient(second.url).result(job.key)
         assert payload["cache_hit"] is True
         assert payload["outcome"] == cold.to_dict()
+
+
+# --------------------------------------------------------------------------- #
+# Result-cache hits are answered on the request thread
+# --------------------------------------------------------------------------- #
+def _count_key_calls(monkeypatch) -> list:
+    """Wrap ``CompileJob.key`` so every computation appends to the list."""
+    calls = []
+    original = CompileJob.key.fget
+
+    def counted(job):
+        calls.append(1)
+        return original(job)
+
+    monkeypatch.setattr(CompileJob, "key", property(counted))
+    return calls
+
+
+class TestCacheHits:
+    @pytest.mark.parametrize("blocker", ["paused", "queue_full",
+                                         "tenant_at_quota"])
+    def test_a_cached_key_is_answered_when_nothing_can_queue(self, blocker):
+        """A hit takes no queue slot and no worker."""
+        with CompileServer(port=0, workers=1, max_depth=2, monitor=False,
+                           tenant_quotas={"alice": 1}) as server:
+            alice = CompileClient(server.url, retries=0, tenant="alice")
+            cached = _job(3)
+            assert alice.submit(cached, wait=True, timeout=60.0)[
+                "outcome"]["status"] == "ok"
+            server.scheduler.pause()
+            time.sleep(0.2)  # sleep-ok: let in-pop workers settle behind the pause gate
+            if blocker == "queue_full":
+                bob = CompileClient(server.url, retries=0, tenant="bob")
+                bob.submit(_job(4))
+                bob.submit(_job(5))
+            elif blocker == "tenant_at_quota":
+                alice.submit(_job(4))
+            if blocker != "paused":
+                with pytest.raises(ServerError) as excinfo:
+                    alice.submit(_job(6))
+                assert excinfo.value.status == 429
+            reply = alice.submit(cached, wait=True, timeout=5.0)
+            assert reply["cache_hit"] is True
+            assert reply["outcome"]["status"] == "ok"
+            server.scheduler.resume()
+
+    def test_a_cached_key_gets_503_once_shutdown_began(self):
+        with CompileServer(port=0, workers=1, monitor=False) as server:
+            client = CompileClient(server.url, retries=0)
+            cached = _job(3)
+            client.submit(cached, wait=True, timeout=60.0)
+            server.queue.close()  # what stop() does to the scheduler's queue
+            with pytest.raises(ServerError) as excinfo:
+                client.submit(cached, wait=True, timeout=5.0)
+            assert excinfo.value.status == 503
+            assert server.metrics.counter("rejected") == 1
+
+    def test_a_replayed_hit_is_done_and_remembered(self, client):
+        job = _job(3)
+        client.submit(job, wait=True, timeout=60.0)
+        reply = client.submit(job)  # asynchronous: a hit is done already
+        assert reply["status"] == "done"
+        record = client.status(job.key)
+        assert record["status"] == "done" and record["cache_hit"] is True
+        assert record["wait_s"] == 0.0
+        result = client.result(job.key)
+        assert result["cache_hit"] is True
+        assert result["outcome"]["status"] == "ok"
+
+    def test_each_submission_moves_each_count_by_one(self, server, client):
+        job = _job(3)
+        tenant = "alice"
+
+        def counts() -> tuple:
+            metrics = server.metrics.snapshot()
+            own = metrics["tenants"].get(tenant, {})
+            return (metrics["submitted"], metrics["completed"],
+                    metrics["cache_hits"], own.get("submitted", 0),
+                    own.get("completed", 0), own.get("cache_hits", 0),
+                    server.cache.stats.hits, server.cache.stats.misses)
+
+        before = counts()
+        client.submit(job, wait=True, timeout=60.0, tenant=tenant)
+        computed = counts()
+        assert [b - a for a, b in zip(before, computed)] == [
+            1, 1, 0, 1, 1, 0, 0, 1]
+        for _ in range(2):
+            start = counts()
+            assert client.submit(job, wait=True, timeout=60.0,
+                                 tenant=tenant)["cache_hit"] is True
+            assert [b - a for a, b in zip(start, counts())] == [
+                1, 1, 1, 1, 1, 1, 1, 0]
+
+    def test_a_hit_traces_one_execute_span_and_no_queue_wait(self, client):
+        job = _job(3)
+        client.submit(job, wait=True, timeout=60.0)
+        reply = client.submit(job, wait=True, timeout=60.0)
+        spans = client.trace(reply["trace_id"])["spans"]
+        names = [row["name"] for row in spans]
+        assert "queue.wait" not in names
+        (execute,) = [row for row in spans if row["name"] == "job.execute"]
+        (request,) = [row for row in spans if row["name"] == "server.request"]
+        assert execute["parent_id"] == request["span_id"]
+        assert execute["attributes"]["cache_hit"] is True
+        assert execute["attributes"]["job_key"] == job.key
+
+    def test_the_spliced_reply_is_the_canonical_encoding(self):
+        from repro.server.http import _with_outcome
+
+        outcome = {"job_key": "k", "status": "ok", "elapsed_s": 0.1,
+                   "summary": {"swaps": 3, "z": [1.5, None], "a": "q\u00e9\n"},
+                   "routed_qasm": 'cx q[0],q[1];\n"', "error": None,
+                   "error_type": None}
+        reply = {"key": "k", "coalesced": False, "cache_hit": True,
+                 "trace_id": "ab", "tenant": "alice"}
+        assert _with_outcome(reply, json.dumps(outcome, sort_keys=True)) == (
+            json.dumps(dict(reply, outcome=outcome), sort_keys=True))
+
+    def test_concurrent_hits_lose_no_count(self):
+        """Hits are counted on the submitting threads: many at once, with
+        a tiny switch interval, must still add up."""
+        service = CompilationService(cache=ResultCache())
+        scheduler = Scheduler(service, workers=1)
+        scheduler.start()
+        try:
+            job = _job(3)
+            assert scheduler.submit(job)[0].wait(30.0).ok
+            threads, rounds = 8, 50
+            misses = []
+
+            def replay() -> None:
+                for _ in range(rounds):
+                    ticket, coalesced = scheduler.submit(job)
+                    if coalesced or ticket.stored is None:
+                        misses.append(ticket)
+
+            pool = [threading.Thread(target=replay) for _ in range(threads)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in pool:
+                    thread.start()
+                for thread in pool:
+                    thread.join(60.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in pool)
+            assert not misses
+            hits = threads * rounds
+            assert (service.stats.jobs, service.stats.cache_hits) == (
+                hits + 1, hits)
+            assert service.cache.stats.hits == hits
+            assert [scheduler.metrics.counter(name) for name in (
+                "submitted", "completed", "cache_hits")] == [
+                    hits + 1, hits + 1, hits]
+        finally:
+            scheduler.stop()
+
+    def test_a_hit_computes_the_job_key_once_per_hop(self, server,
+                                                     monkeypatch):
+        """Once on the shard; through a gateway, once more there."""
+        from repro.cluster import ClusterGateway
+
+        job = _job(3)
+        CompileClient(server.url).submit(job, wait=True, timeout=60.0)
+        with ClusterGateway([server.url], health_interval=60.0) as gateway:
+            for url, hops in ((server.url, 1), (gateway.url, 2)):
+                client = CompileClient(url)
+                calls = _count_key_calls(monkeypatch)
+                reply = client.submit(job, wait=True, timeout=60.0)
+                monkeypatch.undo()
+                assert reply["cache_hit"] is True
+                assert len(calls) == hops
 
 
 # --------------------------------------------------------------------------- #

@@ -1,15 +1,20 @@
 """Keep-alive transport: pooled connections, stale resends, stop(), no Nagle,
-one write per message.
+one write per message, and the HTTP head reader held to the stdlib's.
 
 Real :class:`~repro.server.http.CompileServer` shards and a real
 :class:`~repro.cluster.gateway.ClusterGateway` run on ephemeral ports in the
 test process.  Connections a server accepts are counted by wrapping its
 ``process_request``, so "one connection" is observed on the server side;
 socket writes are counted by wrapping ``socket.socket.send`` and
-``sendall``.
+``sendall``.  The head reader's fields are checked against
+``http.client.parse_headers``, and raw requests against the statuses the
+stdlib's request parsing answers.
 """
 
+import email.feedparser
+import email.parser
 import http.client
+import io
 import json
 import socket
 import sys
@@ -21,6 +26,7 @@ import pytest
 
 from repro.cluster import ClusterGateway
 from repro.server import CompileClient, CompileServer, ServerError, transport
+from repro.server.transport import read_head
 from repro.service import make_job
 from repro.workloads.generators import ghz
 
@@ -271,3 +277,133 @@ def test_stop_answers_a_request_in_flight_with_connection_close(front,
     ((status, header, payload),) = replies
     assert status == 200 and payload["outcome"]["status"] == "ok"
     assert header == "close"
+
+
+# --------------------------------------------------------------------------- #
+# The head reader, with the stdlib as its oracle
+# --------------------------------------------------------------------------- #
+#: Heads (blank last line included) whose fields must equal the stdlib's.
+HEADS = {
+    "mixed_case_names": (b"content-TYPE: application/json\r\n"
+                         b"Content-Length: 12\r\nx-repro-trace: ab-cd\r\n"
+                         b"\r\n"),
+    "duplicate_names": (b"X-Repro-Tenant: alice\r\nHost: h\r\n"
+                        b"x-repro-tenant: bob\r\n\r\n"),
+    "surrounding_whitespace": (b"Connection:   close  \r\n"
+                               b"X-Tab:\t value\t\r\nX-Tight:v\r\n\r\n"),
+    "empty_values": b"X-Empty:\r\nX-Blank:   \r\nHost: h\r\n\r\n",
+    "content_type_parameters": (b"Content-Type: application/json; "
+                                b"charset=utf-8; q=\"a;b\"\r\n\r\n"),
+    "colon_in_value": b"Host: 127.0.0.1:8642\r\nX-Url: http://a/b\r\n\r\n",
+    "folded_value": b"X-Long: first\r\n  second\r\n\tthird\r\nHost: h\r\n\r\n",
+    "bare_line_feeds": b"Host: h\nX-A: b\n\n",
+    "no_fields": b"\r\n",
+    "latin1_value": "X-Name: caf\xe9\r\n\r\n".encode("latin-1"),
+    "line_without_a_colon_ends_the_fields": (b"Host: h\r\nnot a field\r\n"
+                                             b"X-After: gone\r\n\r\n"),
+    "space_before_the_colon": b"X-Bad : v\r\nHost: h\r\n\r\n",
+    "missing_name": b": orphan\r\n  folded\r\nHost: h\r\n\r\n",
+    "leading_continuation": b"  stray\r\nHost: h\r\n\r\n",
+    "envelope_line": b"Host: h\r\nFrom someone\r\nX-A: b\r\n\r\n",
+    "ninety_nine_fields": b"".join(b"X-%d: %d\r\n" % (i, i)
+                                   for i in range(99)) + b"\r\n",
+}
+
+
+@pytest.mark.parametrize("head", sorted(HEADS))
+def test_head_fields_equal_the_stdlib_fields(head):
+    data = HEADS[head] + b"BODY"
+    expected_file, actual_file = io.BytesIO(data), io.BytesIO(data)
+    expected = http.client.parse_headers(expected_file)
+    actual = read_head(actual_file)
+    assert actual.items() == expected.items()
+    names = {name for name, _ in expected.items()} | {"Missing", "host"}
+    for name in names:
+        for variant in (name, name.lower(), name.upper()):
+            assert actual.get(variant) == expected.get(variant), variant
+    assert actual.get("Missing", "fallback") == "fallback"
+    # Both stop right after the head's blank line.
+    assert actual_file.read() == expected_file.read() == b"BODY"
+
+
+@pytest.mark.parametrize("head, error", [
+    (b"X-Long: " + b"a" * (65537 - 10) + b"\r\n\r\n", http.client.LineTooLong),
+    (b"".join(b"X-%d: %d\r\n" % (i, i) for i in range(100)) + b"\r\n",
+     http.client.HTTPException),
+], ids=["line_over_65536_bytes", "hundred_fields"])
+def test_head_limits_raise_the_stdlib_errors(head, error):
+    with pytest.raises(error):
+        http.client.parse_headers(io.BytesIO(head))
+    with pytest.raises(error):
+        read_head(io.BytesIO(head))
+
+
+def _raw_exchange(address, request: bytes) -> bytes:
+    """Everything the peer sends back to ``request`` until it hangs up."""
+    received = b""
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(request)
+        try:
+            while chunk := sock.recv(65536):
+                received += chunk
+        except ConnectionResetError:
+            pass  # the peer hung up with request bytes unread: still EOF
+    return received
+
+
+def _fields(count: int) -> bytes:
+    return b"".join(b"X-%d: %d\r\n" % (i, i) for i in range(count))
+
+
+#: Raw requests and the status the stdlib's request parsing answers; each
+#: one ends with the connection closed.  ``HTTP/2.0`` and a two-word
+#: ``POST`` line are answered as HTTP/0.9 requests.
+RAW_REQUESTS = {
+    "header_line_of_65537_bytes": (
+        b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * (65537 - 10)
+        + b"\r\n\r\n", 431),
+    "hundred_fields": (b"GET /healthz HTTP/1.1\r\n" + _fields(100) + b"\r\n",
+                       431),
+    "ninety_nine_fields": (b"GET /healthz HTTP/1.1\r\n" + _fields(98)
+                           + b"Connection: close\r\n\r\n", 200),
+    "http_2": (b"GET /healthz HTTP/2.0\r\n\r\n", 505),
+    "two_word_post": (b"POST /jobs\r\n\r\n", 400),
+    "four_words": (b"GET /healthz extra HTTP/1.1\r\n\r\n", 400),
+    "connection_close": (b"GET /healthz HTTP/1.1\r\nHost: h\r\n"
+                         b"connection: Close\r\n\r\n", 200),
+    "http_1_0": (b"GET /healthz HTTP/1.0\r\n\r\n", 200),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAW_REQUESTS))
+def test_raw_requests_get_the_stdlib_status(front, case):
+    request, expected = RAW_REQUESTS[case]
+    received = _raw_exchange(front.address, request)
+    if not received.startswith(b"HTTP/"):
+        # The stdlib answers a request line it cannot take as HTTP/1.x the
+        # HTTP/0.9 way: the error page alone, with no status line.
+        assert b"<p>Error code: %d</p>" % expected in received, received
+        return
+    head, _, body = received.partition(b"\r\n\r\n")
+    status_line, *lines = head.split(b"\r\n")
+    assert status_line.split(b" ", 2)[1] == str(expected).encode(), head
+    # One reply, then the connection closed (the read above hit EOF).
+    (length,) = [int(line.split(b":", 1)[1]) for line in lines
+                 if line.lower().startswith(b"content-length:")]
+    assert len(body) == length, received[-200:]
+
+
+def test_no_hop_parses_a_head_with_the_email_package(front, monkeypatch):
+    """Client, gateway and shard read every head without ``email``."""
+    class Refused:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("an HTTP head went through email.feedparser")
+
+    client = CompileClient(front.url, retries=0)
+    monkeypatch.setattr(email.feedparser, "FeedParser", Refused)
+    monkeypatch.setattr(email.parser, "FeedParser", Refused)
+    with pytest.raises(AssertionError):
+        http.client.parse_headers(io.BytesIO(b"Host: h\r\n\r\n"))
+    reply = client.submit(_job(0), wait=True, timeout=60.0)
+    assert reply["outcome"]["status"] == "ok"
+    assert client.health()["status"] == "ok"
