@@ -1,16 +1,17 @@
 """Cold-vs-warm device analysis through the staged compiler pipeline.
 
 Before the compiler refactor every ``Router.run`` recomputed its device's
-all-pairs distance matrix (a batched BFS) because batch jobs rebuild a fresh
-:class:`Device` per job.  The :mod:`repro.compiler.analysis` cache computes it
-once per device model and shares it process-wide.
+all-pairs distance matrix (a batched BFS) because batch jobs rebuilt a fresh
+:class:`Device` per job.  ``get_device`` now builds each device model once
+per process, and its coupling graph derives the matrix once
+(``clear_cache`` forgets the built devices, which makes a leg cold).
 
 This harness quantifies that win two ways and writes both into
 ``BENCH_pipeline.json``:
 
-* ``analysis_microbench`` — per-call cost of ``analyze`` on a fresh device
-  build, cold (cache cleared every call — the pre-pipeline behaviour) vs
-  warm (shared cache),
+* ``analysis_microbench`` — per-call cost of ``analyze(get_device(name))``,
+  cold (device cache cleared every call — the pre-pipeline behaviour) vs
+  warm (the shared device),
 * ``routing_suite`` — a suite of small circuits on the two largest
   evaluation devices, executed as pipeline jobs cold (analysis *and* parse
   caches cleared before every job) vs warm, with per-stage timing

@@ -22,9 +22,9 @@ qubit mapping problem on NISQ devices.  This package provides:
   (:mod:`repro.server`), and
 * a racing router portfolio — candidate specs and pluggable cost models
   (:mod:`repro.portfolio`), and
-* a staged pass-pipeline compiler — declarative JSON stage specs, a shared
-  per-device analysis cache and content-addressed pipeline keys
-  (:mod:`repro.compiler`), and
+* a staged pass-pipeline compiler — declarative JSON stage specs over
+  device models built once per process, and content-addressed pipeline
+  keys (:mod:`repro.compiler`), and
 * a sharded cluster gateway — consistent-hash shard routing on job keys,
   health-checked failover and aggregated metrics over N compile servers
   (:mod:`repro.cluster`), and

@@ -15,7 +15,7 @@ model").
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -25,6 +25,13 @@ UNREACHABLE = 10**9
 
 class CouplingGraph:
     """Undirected physical-qubit connectivity with cached distances.
+
+    Every derived table (distances, predecessors, neighbours, incident
+    edges, connectivity) is computed on first use and kept until
+    :meth:`add_edge` changes the graph.  The device models of
+    :func:`~repro.arch.devices.get_device` share one graph across threads:
+    two threads racing on a cold table each compute the same value, and
+    either result is kept.
 
     Parameters
     ----------
@@ -52,6 +59,7 @@ class CouplingGraph:
         self._predecessor: np.ndarray | None = None
         self._neighbors: list[frozenset[int]] | None = None
         self._incident: list[tuple[tuple[int, int], ...]] | None = None
+        self._connected: bool | None = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -71,6 +79,7 @@ class CouplingGraph:
         self._predecessor = None
         self._neighbors = None
         self._incident = None
+        self._connected = None
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -109,18 +118,18 @@ class CouplingGraph:
         return b in self._adjacency[a]
 
     def is_connected(self) -> bool:
-        """True when every qubit can reach every other qubit."""
-        if self.num_qubits == 1:
-            return True
-        seen = {0}
-        frontier = deque([0])
-        while frontier:
-            node = frontier.popleft()
-            for nxt in self._adjacency[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return len(seen) == self.num_qubits
+        """True when every qubit can reach every other qubit, cached."""
+        if self._connected is None:
+            seen = {0}
+            frontier = deque([0])
+            while frontier:
+                node = frontier.popleft()
+                for nxt in self._adjacency[node]:
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        frontier.append(nxt)
+            self._connected = len(seen) == self.num_qubits
+        return self._connected
 
     # ------------------------------------------------------------------ #
     # Distances
@@ -164,10 +173,10 @@ class CouplingGraph:
         """All-pairs BFS predecessors ``P`` (``P[s, t]`` = penultimate node on
         the shortest ``s → t`` path), cached.
 
-        The per-source BFS visits neighbours in *sorted* order — exactly the
-        order :meth:`shortest_path` uses — so a walk over this matrix
-        reproduces the per-call BFS path node-for-node.  Unreachable targets
-        (and ``t == s``) hold ``-1``.
+        The per-source BFS visits neighbours in *sorted* order, so the walk
+        in :meth:`shortest_path` finds the path a per-call BFS over sorted
+        neighbours would, node for node.  Unreachable targets (and
+        ``t == s``) hold ``-1``.
         """
         if self._predecessor is None:
             n = self.num_qubits
@@ -188,34 +197,18 @@ class CouplingGraph:
         return self._predecessor
 
     def shortest_path(self, a: int, b: int) -> list[int]:
-        """One shortest path from ``a`` to ``b`` (inclusive); used by the trivial router."""
+        """One shortest path from ``a`` to ``b`` (inclusive), walked backwards
+        from ``b`` over :meth:`predecessor_matrix`; used by the trivial and
+        A* routers."""
         if a == b:
             return [a]
-        if self._predecessor is not None:
-            # Warm path: walk the cached predecessor matrix backwards from
-            # ``b`` — same path the BFS below would find (same visit order).
-            row = self._predecessor[a]
-            if row[b] < 0:
-                raise ValueError(f"qubits {a} and {b} are not connected")
-            path = [b]
-            while path[-1] != a:
-                path.append(int(row[path[-1]]))
-            return list(reversed(path))
-        parent: dict[int, int] = {a: a}
-        frontier = deque([a])
-        while frontier:
-            node = frontier.popleft()
-            for nxt in sorted(self._adjacency[node]):
-                if nxt in parent:
-                    continue
-                parent[nxt] = node
-                if nxt == b:
-                    path = [b]
-                    while path[-1] != a:
-                        path.append(parent[path[-1]])
-                    return list(reversed(path))
-                frontier.append(nxt)
-        raise ValueError(f"qubits {a} and {b} are not connected")
+        row = self.predecessor_matrix()[a]
+        if row[b] < 0:
+            raise ValueError(f"qubits {a} and {b} are not connected")
+        path = [b]
+        while path[-1] != a:
+            path.append(int(row[path[-1]]))
+        return list(reversed(path))
 
     # ------------------------------------------------------------------ #
     # Lattice geometry
@@ -268,12 +261,6 @@ class CouplingGraph:
                 if r + 1 < rows:
                     edges.append((index(r, c), index(r + 1, c)))
         return cls(rows * cols, edges, coords)
-
-    @classmethod
-    def from_edge_list(cls, num_qubits: int, edges: Sequence[tuple[int, int]],
-                       coordinates: Mapping[int, tuple[int, int]] | None = None
-                       ) -> "CouplingGraph":
-        return cls(num_qubits, edges, coordinates)
 
     def to_networkx(self):
         """Export as a :class:`networkx.Graph` for analysis and plotting."""

@@ -15,10 +15,16 @@ Generic parametric models (``line``, ``ring``, ``grid``) are provided for
 tests, examples and ablations.  Every device bundles a coupling graph, a gate
 duration map (superconducting preset by default, matching the paper) and
 optionally a :class:`~repro.arch.calibration.DeviceCalibration` entry.
+
+:func:`get_device` builds each model once per process and hands every caller
+the same :class:`Device`, so the tables its coupling graph memoises (the
+distance matrix ``D`` above all) are derived once per model, not once per
+job.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -218,6 +224,39 @@ def list_devices() -> list[str]:
     return sorted(_FIXED_DEVICES)
 
 
+#: Most device models :func:`get_device` keeps; the least recently used
+#: one makes room.  Far above the fixed models plus any realistic set of
+#: parametric sizes.
+_DEVICE_CACHE_LIMIT = 128
+
+_lock = threading.Lock()
+_devices: dict[tuple, Device] = {}  #: guarded by _lock
+_stats = {"hits": 0, "misses": 0, "evictions": 0}  #: guarded by _lock
+
+
+def _build_device(name: str, rows: int | None, cols: int | None,
+                  num_qubits: int | None) -> Device:
+    if name in _FIXED_DEVICES:
+        return _FIXED_DEVICES[name]()
+    if name == "grid":
+        if rows is None or cols is None:
+            raise ValueError("grid devices need rows= and cols=")
+        return Device(f"grid_{rows}x{cols}", CouplingGraph.grid(rows, cols),
+                      _SUPERCONDUCTING, description=f"{rows}x{cols} square lattice")
+    if name == "line":
+        if num_qubits is None:
+            raise ValueError("line devices need num_qubits=")
+        return Device(f"line_{num_qubits}", CouplingGraph.line(num_qubits),
+                      _SUPERCONDUCTING, description=f"{num_qubits}-qubit chain")
+    if name == "ring":
+        if num_qubits is None:
+            raise ValueError("ring devices need num_qubits=")
+        return Device(f"ring_{num_qubits}", CouplingGraph.ring(num_qubits),
+                      _SUPERCONDUCTING, description=f"{num_qubits}-qubit ring")
+    raise KeyError(f"unknown device {name!r}; known: {list_devices()} "
+                   "or parametric 'grid'/'line'/'ring'")
+
+
 def get_device(name: str, *, rows: int | None = None, cols: int | None = None,
                num_qubits: int | None = None,
                durations: GateDurationMap | None = None) -> Device:
@@ -227,30 +266,43 @@ def get_device(name: str, *, rows: int | None = None, cols: int | None = None,
     of the parametric families ``"grid"`` (requires ``rows`` and ``cols``),
     ``"line"`` or ``"ring"`` (require ``num_qubits``).  ``durations``
     overrides the default superconducting timing.
+
+    Each model is built once per process: every call with the same
+    ``(name, rows, cols, num_qubits)`` returns the same :class:`Device`, and
+    a ``durations`` variant shares its coupling graph, so the graph's tables
+    are derived once per model.  The returned device is shared: treat it and
+    its coupling graph as read-only (build a :class:`CouplingGraph` of your
+    own to add edges to).
     """
-    if name in _FIXED_DEVICES:
-        device = _FIXED_DEVICES[name]()
-    elif name == "grid":
-        if rows is None or cols is None:
-            raise ValueError("grid devices need rows= and cols=")
-        device = Device(f"grid_{rows}x{cols}", CouplingGraph.grid(rows, cols),
-                        _SUPERCONDUCTING, description=f"{rows}x{cols} square lattice")
-    elif name == "line":
-        if num_qubits is None:
-            raise ValueError("line devices need num_qubits=")
-        device = Device(f"line_{num_qubits}", CouplingGraph.line(num_qubits),
-                        _SUPERCONDUCTING, description=f"{num_qubits}-qubit chain")
-    elif name == "ring":
-        if num_qubits is None:
-            raise ValueError("ring devices need num_qubits=")
-        device = Device(f"ring_{num_qubits}", CouplingGraph.ring(num_qubits),
-                        _SUPERCONDUCTING, description=f"{num_qubits}-qubit ring")
-    else:
-        raise KeyError(f"unknown device {name!r}; known: {list_devices()} "
-                       "or parametric 'grid'/'line'/'ring'")
+    key = (name, rows, cols, num_qubits)
+    with _lock:
+        device = _devices.get(key)
+        if device is not None:
+            _stats["hits"] += 1
+            _devices[key] = _devices.pop(key)  # most recently used goes last
+        else:
+            device = _build_device(name, rows, cols, num_qubits)
+            _stats["misses"] += 1
+            while len(_devices) >= _DEVICE_CACHE_LIMIT:
+                del _devices[next(iter(_devices))]
+                _stats["evictions"] += 1
+            _devices[key] = device
     if durations is not None:
         device = device.with_durations(durations)
     return device
+
+
+def cache_stats() -> dict:
+    """Device-cache counters: ``misses`` counts devices built."""
+    with _lock:
+        return dict(_stats)
+
+
+def clear_cache() -> None:
+    """Forget every built device and reset the counters (tests, benchmarks)."""
+    with _lock:
+        _devices.clear()
+        _stats.update(hits=0, misses=0, evictions=0)
 
 
 def paper_devices(durations: GateDurationMap | None = None) -> list[Device]:

@@ -447,7 +447,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                            workers=args.server_workers, cache=cache,
                            max_depth=args.max_depth,
                            job_timeout=args.job_timeout,
-                           verbose=args.verbose,
                            slow_request_s=args.slow_request_s,
                            profile_slow_s=args.profile_slow_s,
                            trace_max_spans=args.trace_spans,
@@ -470,8 +469,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 @contextlib.contextmanager
 def _local_cluster(shards: int, *, monitor: dict | bool,
                    host: str = "127.0.0.1", port: int = 0,
-                   health_interval: float = 1.0,
-                   verbose: bool = False, **shard_options):
+                   health_interval: float = 1.0, **shard_options):
     """``shards`` local shard processes behind a started gateway.
 
     Both stop when the block ends, or when either fails to start; that
@@ -490,7 +488,7 @@ def _local_cluster(shards: int, *, monitor: dict | bool,
         try:
             gateway = ClusterGateway(urls, host=host, port=port,
                                      health_interval=health_interval,
-                                     verbose=verbose, monitor=monitor)
+                                     monitor=monitor)
         except OSError as exc:  # e.g. the gateway port is already taken
             raise OSError(f"could not start the gateway: {exc}") from exc
         with gateway:
@@ -507,7 +505,7 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
     with _local_cluster(args.shards, monitor=_monitor_config(args),
                         host=args.host, port=args.port,
                         health_interval=args.health_interval,
-                        verbose=args.verbose, workers=args.server_workers,
+                        workers=args.server_workers,
                         max_depth=args.max_depth,
                         job_timeout=args.job_timeout,
                         **_tenant_options(args)) as gateway:

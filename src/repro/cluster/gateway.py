@@ -294,9 +294,8 @@ class ClusterGateway(KeepAliveApp):
     def __init__(self, shards, host: str = "127.0.0.1", port: int = 0, *,
                  health_interval: float = 1.0, probe_timeout: float = 2.0,
                  fail_threshold: int = 2, ok_threshold: int = 1,
-                 proxy_timeout: float = 30.0, verbose: bool = False,
+                 proxy_timeout: float = 30.0,
                  monitor: MonitorConfig | dict | bool | None = None):
-        self.verbose = verbose
         self.proxy_timeout = proxy_timeout
         self.ring = ShardRing(shards)
         self.health_monitor = HealthMonitor(

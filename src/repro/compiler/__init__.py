@@ -5,9 +5,10 @@ declarative, JSON-serialisable *pipeline* of stages — the PassManager design
 of production compilers (Qiskit's transpiler, t|ket⟩) applied to the paper's
 context-aware flow:
 
-* :mod:`repro.compiler.analysis` — a process-wide per-device cache of
-  distance matrices, adjacency and duration tables, shared by every router,
-  pipeline and portfolio leg (previously recomputed per ``Router.run``),
+* :mod:`repro.compiler.analysis` — a read-only summary of a device model's
+  coupling graph (distance, degree and duration tables, diameter), and the
+  counters of the process-wide device cache behind
+  :func:`~repro.arch.devices.get_device`,
 * :mod:`repro.compiler.context` — the :class:`PipelineContext` property set
   a compilation carries between stages, including per-stage timings,
 * :mod:`repro.compiler.stages` — the :class:`Pass` protocol, the
@@ -23,7 +24,7 @@ context-aware flow:
 """
 
 from repro.compiler.analysis import (DeviceAnalysis, analyze, cache_stats,
-                                     clear_cache, device_fingerprint)
+                                     clear_cache)
 from repro.compiler.context import PipelineContext, StageRecord
 from repro.compiler.parse_cache import cache_stats as parse_cache_stats
 from repro.compiler.parse_cache import clear_cache as clear_parse_cache
@@ -42,7 +43,6 @@ __all__ = [
     "analyze",
     "cache_stats",
     "clear_cache",
-    "device_fingerprint",
     "parse_cached",
     "parse_cache_stats",
     "clear_parse_cache",

@@ -1,74 +1,41 @@
-"""Per-device analysis shared across routers, pipelines and portfolio legs.
+"""A read-only summary of one device model's coupling graph.
 
-Every ``Router.run`` used to recompute the same facts about its target device:
-the all-pairs shortest-path matrix (a batched BFS per physical qubit), the
-degree table behind the ``degree`` layout strategy and the per-gate duration
-table.  Because the service layer rebuilds a fresh :class:`Device` from its
-spec for *every job* (that is what makes jobs declarative and process-safe),
-those facts were recomputed per job — a measurable hot-path cost once the
-batch and server layers push thousands of small jobs through one device.
+:func:`~repro.arch.devices.get_device` builds each device model once per
+process, and its :class:`~repro.arch.coupling.CouplingGraph` memoises every
+table the routers read (the distance matrix ``D``, neighbours, incident
+edges, connectivity), so no job re-derives them.  :func:`analyze` gathers
+those tables, plus the degree and duration tables and the diameter, into one
+:class:`DeviceAnalysis` for reports such as Table I.
 
-:func:`analyze` fixes that with a process-wide, thread-safe cache keyed by the
-device *fingerprint* (qubit count + coupling edges + duration parameters).
-The analysis is computed once per distinct device model and shared by every
-subsequent job, router, portfolio candidate and pipeline stage; devices that
-share a topology but differ in gate timings additionally share the distance
-matrix through a second topology-keyed cache.
-
-Calling :func:`analyze` also *primes* the device's own
-``CouplingGraph.distance_matrix()`` memo with the shared matrix, so all
-existing call sites (CODAR's SWAP priority, SABRE's heuristic, A*'s bound)
-become warm without changing a line of router code.
+:func:`cache_stats` and :func:`clear_cache` report and reset the device
+cache itself; ``misses`` counts devices built.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from repro.arch.coupling import UNREACHABLE
-from repro.arch.devices import Device
+from repro.arch.devices import Device, cache_stats, clear_cache
 
-#: Bounded cache sizes — far above any realistic device-model working set.
-_DISTANCE_CACHE_LIMIT = 128
-_ANALYSIS_CACHE_LIMIT = 128
-
-
-def coupling_fingerprint(device: Device) -> tuple:
-    """Hashable identity of a device's topology (qubits + undirected edges)."""
-    return (device.coupling.num_qubits, tuple(device.coupling.edges))
-
-
-def device_fingerprint(device: Device) -> tuple:
-    """Hashable identity of everything routing consumes: topology + timing."""
-    durations = device.durations
-    return coupling_fingerprint(device) + (
-        durations.single, durations.two, durations.swap, durations.measure,
-        tuple(sorted(durations.overrides.items())),
-    )
+__all__ = ["DeviceAnalysis", "analyze", "cache_stats", "clear_cache"]
 
 
 @dataclass(frozen=True)
 class DeviceAnalysis:
-    """Precomputed device facts shared by every consumer of one device model.
+    """Device facts read off a coupling graph's cached tables.
 
-    Instances are immutable and safe to share across threads; the distance
-    matrix is a shared read-only array (writing to it would corrupt every
-    holder — treat it as const, as all routers do).
+    ``distance`` is the graph's own cached matrix, shared with every router
+    on the device: treat it as read-only.
     """
 
-    fingerprint: tuple
     num_qubits: int
     #: All-pairs shortest-path matrix (hops); disconnected pairs hold
     #: :data:`repro.arch.coupling.UNREACHABLE`.
     distance: np.ndarray
-    #: All-pairs BFS predecessor matrix (``predecessor[s, t]`` = penultimate
-    #: node on the shortest ``s → t`` path, ``-1`` when unreachable/trivial);
-    #: lets ``shortest_path`` become an array walk instead of a BFS per call.
-    predecessor: np.ndarray
     #: ``neighbors[q]`` — sorted physical neighbours of qubit ``q``.
     neighbors: tuple[tuple[int, ...], ...]
     #: ``degrees[q]`` — coupling degree of qubit ``q``.
@@ -85,114 +52,19 @@ class DeviceAnalysis:
                 f"diameter={self.diameter}, connected={self.connected})")
 
 
-@dataclass
-class AnalysisStats:
-    """Cache counters (exposed so benchmarks can prove the warm-path win)."""
-
-    hits: int = 0
-    misses: int = 0
-    distance_reuses: int = 0
-    evictions: int = 0
-
-    def as_dict(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses,
-                "distance_reuses": self.distance_reuses,
-                "evictions": self.evictions}
-
-
-_lock = threading.Lock()
-_distance_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  #: guarded by _lock
-_analysis_cache: dict[tuple, DeviceAnalysis] = {}  #: guarded by _lock
-stats = AnalysisStats()  #: guarded by _lock
-
-
-def _evict_oldest(cache: dict, limit: int) -> None:
-    """Pop insertion-order-oldest entries down to ``limit`` (lock held)."""
-    while len(cache) >= limit:
-        cache.pop(next(iter(cache)))
-        stats.evictions += 1
-
-
-def _touch(cache: dict, key) -> None:
-    """Move a hit to the back so eviction order is true LRU, not insertion
-    order — a hot device model must survive a parade of one-shot specs.
-    Lock held by caller."""
-    cache[key] = cache.pop(key)
-
-
-def _topology_arrays(device: Device,
-                     topology_key: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Shared (distance, predecessor) matrices for a topology, computed at
-    most once (lock held by :func:`analyze`)."""
-    cached = _distance_cache.get(topology_key)
-    if cached is not None:
-        stats.distance_reuses += 1
-        _touch(_distance_cache, topology_key)
-        return cached
-    arrays = (device.coupling.distance_matrix(),
-              device.coupling.predecessor_matrix())
-    _evict_oldest(_distance_cache, _DISTANCE_CACHE_LIMIT)
-    _distance_cache[topology_key] = arrays
-    return arrays
-
-
 def analyze(device: Device) -> DeviceAnalysis:
-    """The (cached) :class:`DeviceAnalysis` for ``device``.
-
-    Also primes ``device.coupling``'s own distance memo with the shared
-    matrix, so every later ``coupling.distance(...)`` call on this instance
-    is warm even though the instance was built fresh from a job spec.
-    """
-    key = device_fingerprint(device)
-    with _lock:
-        analysis = _analysis_cache.get(key)
-        if analysis is not None:
-            stats.hits += 1
-            _touch(_analysis_cache, key)
-            _prime(device, analysis)
-            return analysis
-        stats.misses += 1
-        distance, predecessor = _topology_arrays(device,
-                                                 coupling_fingerprint(device))
-        finite = distance[distance < UNREACHABLE]
-        analysis = DeviceAnalysis(
-            fingerprint=key,
-            num_qubits=device.num_qubits,
-            distance=distance,
-            predecessor=predecessor,
-            neighbors=tuple(
-                tuple(sorted(device.coupling.neighbors(q)))
-                for q in range(device.num_qubits)),
-            degrees=tuple(device.coupling.degree(q)
-                          for q in range(device.num_qubits)),
-            duration_table=dict(device.durations.as_dict()),
-            connected=bool((distance < UNREACHABLE).all()),
-            diameter=int(finite.max()) if finite.size else 0,
-        )
-        _evict_oldest(_analysis_cache, _ANALYSIS_CACHE_LIMIT)
-        _analysis_cache[key] = analysis
-        _prime(device, analysis)
-        return analysis
-
-
-def _prime(device: Device, analysis: DeviceAnalysis) -> None:
-    """Point the device's own distance/predecessor memos at the shared arrays."""
-    if device.coupling._distance is None:
-        device.coupling._distance = analysis.distance
-    if device.coupling._predecessor is None:
-        device.coupling._predecessor = analysis.predecessor
-
-
-def clear_cache() -> None:
-    """Drop every cached analysis and reset the counters (tests/benchmarks)."""
-    global stats
-    with _lock:
-        _distance_cache.clear()
-        _analysis_cache.clear()
-        stats = AnalysisStats()
-
-
-def cache_stats() -> dict:
-    """Snapshot of the cache counters."""
-    with _lock:
-        return stats.as_dict()
+    """The :class:`DeviceAnalysis` of ``device``, read off its coupling
+    graph's cached tables (the first call on a graph derives them)."""
+    coupling = device.coupling
+    distance = coupling.distance_matrix()
+    finite = distance[distance < UNREACHABLE]
+    return DeviceAnalysis(
+        num_qubits=device.num_qubits,
+        distance=distance,
+        neighbors=tuple(tuple(sorted(coupling.neighbors(q)))
+                        for q in range(device.num_qubits)),
+        degrees=tuple(coupling.degree(q) for q in range(device.num_qubits)),
+        duration_table=dict(device.durations.as_dict()),
+        connected=coupling.is_connected(),
+        diameter=int(finite.max()) if finite.size else 0,
+    )

@@ -2,12 +2,13 @@
 
 A :class:`PipelineContext` carries one compilation through the pass pipeline:
 the working circuit (rewritten in place of the previous one by each
-transforming stage), the target device and its cached
-:class:`~repro.compiler.analysis.DeviceAnalysis`, the layout chosen by the
-layout stage, the :class:`~repro.mapping.base.RoutingResult` produced by the
-route stage, the final schedule, a free-form ``properties`` dict for anything
-stage-specific, and the per-stage timing records the server's ``/metrics``
-endpoint and ``BENCH_pipeline.json`` are built from.
+transforming stage), the target device (shared by every job on that model,
+so the stages read the tables its coupling graph has already derived), the
+layout chosen by the layout stage, the
+:class:`~repro.mapping.base.RoutingResult` produced by the route stage, the
+final schedule, a free-form ``properties`` dict for anything stage-specific,
+and the per-stage timing records the server's ``/metrics`` endpoint and
+``BENCH_pipeline.json`` are built from.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from repro.core.circuit import Circuit
 from repro.mapping.layout import Layout
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards for type checkers
-    from repro.compiler.analysis import DeviceAnalysis
     from repro.mapping.base import RoutingResult
     from repro.sim.scheduler import Schedule
 
@@ -57,7 +57,6 @@ class PipelineContext:
     seed: int | None = None
     routing: "RoutingResult | None" = None
     schedule: "Schedule | None" = None
-    analysis: "DeviceAnalysis | None" = None
     #: Free-form stage-to-stage property set (verified flags, notes, ...).
     properties: dict = field(default_factory=dict)
     records: list[StageRecord] = field(default_factory=list)

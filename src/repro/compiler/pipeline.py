@@ -206,8 +206,6 @@ class Pipeline:
         if layout is not None:
             context.layout = layout.copy()
             context.layout_strategy = "explicit"
-        # Device analysis is computed on demand by the layout/route stages;
-        # routeless pipelines never pay for it.
         if context.circuit is None and "parse" not in self.stage_names:
             ParseStage().run(context)
         start = time.perf_counter()

@@ -24,7 +24,6 @@ import abc
 import time
 from typing import Iterable, Mapping
 
-from repro.compiler.analysis import analyze
 from repro.compiler.context import PipelineContext
 from repro.service.registry import Registry
 
@@ -176,8 +175,6 @@ class LayoutStage(Pass):
             # The caller supplied a concrete layout; keep it (mirrors the old
             # ``Router.run(initial_layout=...)`` contract).
             return {"strategy": "explicit", "skipped": True}
-        if context.analysis is None:
-            context.analysis = analyze(device)
         if self.strategy == "reverse_traversal":
             from repro.mapping.base import _reverse_traversal_memoized
 
@@ -238,9 +235,7 @@ class RouteStage(Pass):
         circuit = context.require_circuit(self.name)
         device = context.device
         router = self._live_router()
-        if context.analysis is None:
-            context.analysis = analyze(device)
-        check_routable(circuit, device, context.analysis.connected)
+        check_routable(circuit, device, device.coupling.is_connected())
         if context.layout is None:
             from repro.mapping.layout import initial_layout
 

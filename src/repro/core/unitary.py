@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -177,17 +176,6 @@ def gate_unitary(gate: Gate) -> np.ndarray:
         # Ion-trap Mølmer–Sørensen gate XX(π/4) up to convention.
         return _rxx(math.pi / 2.0)
     raise ValueError(f"no unitary defined for gate {name!r}")
-
-
-@lru_cache(maxsize=4096)
-def _cached_unitary(name: str, params: tuple[float, ...]) -> np.ndarray:
-    return gate_unitary(Gate(name, tuple(range(_arity(name))), params))
-
-
-def _arity(name: str) -> int:
-    from repro.core.gates import GATE_SET
-
-    return GATE_SET[name].num_qubits
 
 
 def expand_to(gate_matrix: np.ndarray, gate_qubits: tuple[int, ...],

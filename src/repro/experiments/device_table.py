@@ -23,9 +23,9 @@ def device_table() -> list[dict]:
 def topology_table() -> list[dict]:
     """Topology statistics of every registered device model.
 
-    Derived from the shared :mod:`repro.compiler` device-analysis cache, so
-    the survey and a subsequent routing run pay for each distance matrix only
-    once.
+    Read off each shared device model's coupling graph
+    (:func:`repro.compiler.analyze`), so the survey and a later routing run
+    on that model derive its distance matrix only once.
     """
     from repro.compiler import analyze
 
@@ -65,8 +65,7 @@ def report() -> str:
         })
     lines.append(format_table(duration_rows))
     lines.append("")
-    lines.append("Registered device topologies (from the shared device "
-                 "analysis cache):")
+    lines.append("Registered device topologies:")
     lines.append(format_table(topology_table()))
     return "\n".join(lines)
 

@@ -24,7 +24,6 @@ from typing import Mapping
 from repro.arch.coupling import CouplingGraph
 from repro.arch.devices import Device
 from repro.core.circuit import Circuit
-from repro.core.gates import Gate
 from repro.mapping.codar.remapper import CodarConfig, CodarRouter
 
 
@@ -130,37 +129,12 @@ class NoiseAwareCodarRouter(CodarRouter):
         # when the floor would eliminate them all.
         return filtered or candidates
 
-    def _insert_swaps(self, machine, routed, candidates, unresolved,
-                      require_positive, limit=None, lookahead=None) -> int:
-        """Greedy insertion identical to stock CODAR but fidelity breaks ties."""
-        weight = getattr(self.config, "fidelity_tiebreak_weight", 0.0)
-        if weight <= 0.0:
-            return super()._insert_swaps(machine, routed, candidates, unresolved,
-                                         require_positive, limit=limit,
-                                         lookahead=lookahead)
-        inserted = 0
-        candidates = list(candidates)
-        while candidates:
-            if limit is not None and inserted >= limit:
-                break
-            choice = self._best_swap_with_fidelity(machine, candidates,
-                                                   unresolved, lookahead or [])
-            if choice is None:
-                break
-            (phys_a, phys_b), priority = choice
-            if require_positive and not priority.is_positive:
-                break
-            machine.launch("swap", (phys_a, phys_b))
-            machine.layout.swap_physical(phys_a, phys_b)
-            routed.append(Gate("swap", (phys_a, phys_b), tag="routing"))
-            inserted += 1
-            candidates = [edge for edge in candidates
-                          if phys_a not in edge and phys_b not in edge]
-        return inserted
-
-    def _best_swap_with_fidelity(self, machine, candidates, unresolved,
-                                 lookahead: list[Gate]):
-        """Highest ``(H_basic, H_fine, lookahead, fidelity)`` candidate."""
+    def _select_swap(self, machine, candidates, unresolved, lookahead):
+        """Highest ``(H_basic, H_fine, lookahead, fidelity)`` candidate: edge
+        fidelity breaks the ties the stock priority leaves."""
+        if getattr(self.config, "fidelity_tiebreak_weight", 0.0) <= 0.0:
+            return super()._select_swap(machine, candidates, unresolved,
+                                        lookahead)
         priorities = self.kernels().codar_swap_scores(
             machine.coupling, machine.layout, candidates, unresolved,
             use_fine=self.config.use_fine_priority, lookahead_gates=lookahead)

@@ -221,16 +221,13 @@ class CodarRouter(Router):
                       require_positive: bool, limit: int | None = None,
                       lookahead: list[Gate] | None = None) -> int:
         """Greedy selection loop of Step 3; returns the number of SWAPs inserted."""
-        kernels = self.kernels()
         inserted = 0
         candidates = list(candidates)
         while candidates:
             if limit is not None and inserted >= limit:
                 break
-            choice = kernels.codar_best_swap(
-                machine.coupling, machine.layout, candidates, unresolved,
-                use_fine=self.config.use_fine_priority,
-                lookahead_gates=lookahead or [])
+            choice = self._select_swap(machine, candidates, unresolved,
+                                       lookahead or [])
             if choice is None:
                 break
             (phys_a, phys_b), priority = choice
@@ -247,3 +244,11 @@ class CodarRouter(Router):
             # but re-scoring handles that implicitly (their distance term is 0
             # change for further swaps touching them is still valid).
         return inserted
+
+    def _select_swap(self, machine: MaQAM, candidates: list[tuple[int, int]],
+                     unresolved: list[Gate], lookahead: list[Gate]):
+        """The highest-priority candidate SWAP (Equation 1) as
+        ``(edge, priority)``, or ``None`` when there is none."""
+        return self.kernels().codar_best_swap(
+            machine.coupling, machine.layout, candidates, unresolved,
+            use_fine=self.config.use_fine_priority, lookahead_gates=lookahead)

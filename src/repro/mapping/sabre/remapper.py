@@ -231,13 +231,11 @@ def reverse_traversal_layout(circuit: Circuit, device: Device,
     The paper uses this same initial mapping for CODAR and SABRE so that the
     comparison isolates the routing policy.
     """
-    from repro.compiler.analysis import analyze
-
     router = router or SabreRouter()
     layout = initial_layout(circuit, device.coupling, "degree", seed=seed)
     if rounds < 1 or not circuit.two_qubit_gates():
         return layout
-    check_routable(circuit, device, analyze(device).connected)
+    check_routable(circuit, device, device.coupling.is_connected())
     forward = circuit.without_measurements()
     backward = forward.reversed_order()
     for _ in range(rounds):

@@ -322,7 +322,6 @@ class CompileServer(KeepAliveApp):
                  max_depth: int | None = 256,
                  job_timeout: float | None = None,
                  default_cache_entries: int = 1024,
-                 verbose: bool = False,
                  slow_request_s: float | None = 5.0,
                  profile_slow_s: float | None = None,
                  trace_max_spans: int | None = None,
@@ -330,7 +329,6 @@ class CompileServer(KeepAliveApp):
                  tenant_weights: dict[str, float] | None = None,
                  tenant_quotas: dict[str, int] | None = None,
                  default_tenant_quota: int | None = None):
-        self.verbose = verbose
         self.slow_request_s = slow_request_s
         if trace_max_spans is not None:
             configure_store(trace_max_spans)

@@ -379,10 +379,6 @@ class ServerMetrics:
                            "seconds": round(self._stage_seconds[name], 6)}
                     for name in sorted(self._stage_runs)}
 
-    def portfolio_counter(self, name: str) -> int:
-        with self._lock:
-            return self._portfolio[name]
-
     def wins(self) -> dict[str, int]:
         """Portfolio win counts keyed by router name (copy)."""
         with self._lock:

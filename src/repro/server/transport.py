@@ -523,7 +523,8 @@ class JSONHandler(BaseHTTPRequestHandler):
     def parse_request(self) -> bool:
         """The stdlib's ``parse_request``, with the head read by
         :func:`read_head`: the same 400, 505 and 431 replies, ``Connection``
-        handling and ``Expect: 100-continue``."""
+        handling and ``Expect: 100-continue``.  Unlike the stdlib, a refused
+        request line gets a status line and headers (:meth:`_refuse`)."""
         self.server.mark_busy(self.connection)
         self._trace = None
         self._span = None
@@ -539,22 +540,21 @@ class JSONHandler(BaseHTTPRequestHandler):
             version = words[-1]
             number = _version_number(version)
             if number is None:
-                self.send_error(400, f"Bad request version ({version!r})")
-                return False
+                return self._refuse(400, f"Bad request version ({version!r})")
             if number >= (2, 0):
-                self.send_error(505, f"Invalid HTTP version ({version[5:]})")
-                return False
+                return self._refuse(505,
+                                    f"Invalid HTTP version ({version[5:]})")
             self.close_connection = number < (1, 1)
             self.request_version = version
         if not 2 <= len(words) <= 3:
-            self.send_error(400, f"Bad request syntax ({self.requestline!r})")
-            return False
+            return self._refuse(400,
+                                f"Bad request syntax ({self.requestline!r})")
         command, path = words[:2]
         if len(words) == 2:
             self.close_connection = True
             if command != "GET":
-                self.send_error(400, f"Bad HTTP/0.9 request type ({command!r})")
-                return False
+                return self._refuse(
+                    400, f"Bad HTTP/0.9 request type ({command!r})")
         self.command = command
         # A leading "//" would read as a scheme-relative URL (gh-87389).
         self.path = "/" + path.lstrip("/") if path.startswith("//") else path
@@ -575,6 +575,16 @@ class JSONHandler(BaseHTTPRequestHandler):
                 and self.request_version >= "HTTP/1.1"):
             return self.handle_expect_100()
         return True
+
+    def _refuse(self, code: int, message: str) -> bool:
+        """Refuse a request line with a full ``HTTP/1.1`` error reply.
+
+        The stdlib answers a line it refuses before taking its version the
+        HTTP/0.9 way: the error page alone, with no status line or headers.
+        """
+        self.request_version = self.protocol_version
+        self.send_error(code, message)  # sends and sets Connection: close
+        return False
 
     def handle_expect_100(self) -> bool:
         # The interim reply must leave before the client sends its body.

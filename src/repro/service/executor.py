@@ -10,7 +10,6 @@ nothing but the importable ``repro`` package.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -88,11 +87,6 @@ def _execute_payload(payload: dict) -> dict:
         return CompileOutcome(job_key="", status="error", error=str(exc),
                               error_type=type(exc).__name__).to_dict()
     return execute_job(job).to_dict()
-
-
-def default_workers() -> int:
-    """Worker count used when the caller asks for "parallel" without a number."""
-    return max(1, (os.cpu_count() or 2) - 1)
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Tests for the architecture abstraction: coupling graphs, durations, devices."""
 
+from collections import deque
 
 import pytest
 
@@ -7,6 +8,8 @@ from repro.arch.calibration import TABLE_I, table_rows
 from repro.arch.coupling import UNREACHABLE, CouplingGraph
 from repro.arch.devices import (
     PAPER_ARCHITECTURES,
+    cache_stats,
+    clear_cache,
     get_device,
     list_devices,
     paper_devices,
@@ -22,6 +25,22 @@ from repro.arch.maqam import MaQAM, QubitLocks
 from repro.core.gates import Gate
 from repro.mapping.layout import Layout
 from repro.service.registry import build_device
+
+
+def _bfs_path(coupling: CouplingGraph, a: int, b: int) -> list[int]:
+    """Per-call BFS over sorted neighbours: the oracle for ``shortest_path``."""
+    parent = {a: a}
+    frontier = deque([a])
+    while frontier:
+        node = frontier.popleft()
+        for nxt in sorted(coupling.neighbors(node)):
+            if nxt not in parent:
+                parent[nxt] = node
+                frontier.append(nxt)
+    path = [b]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 class TestCouplingGraph:
@@ -106,19 +125,14 @@ class TestCouplingGraph:
 
     @pytest.mark.parametrize("device_name", ("grid_4x4", "ibm_q20_tokyo"))
     def test_shortest_path_via_predecessor_matches_bfs(self, device_name):
-        # Two independent coupling instances: one answers with the per-call
-        # BFS, the other through the predecessor-matrix walk.  Paths must be
-        # node-for-node identical (the matrix BFS visits sorted neighbours,
-        # same as the per-call BFS).
-        bfs_coupling = build_device(device_name).coupling
-        walk_coupling = build_device(device_name).coupling
-        assert bfs_coupling is not walk_coupling
-        walk_coupling.predecessor_matrix()
-        n = bfs_coupling.num_qubits
+        # The predecessor-matrix walk must find the path a per-call BFS over
+        # sorted neighbours finds, node for node.
+        coupling = build_device(device_name).coupling
+        n = coupling.num_qubits
         for a in range(n):
             for b in range(n):
-                assert (walk_coupling.shortest_path(a, b)
-                        == bfs_coupling.shortest_path(a, b)), (a, b)
+                assert (coupling.shortest_path(a, b)
+                        == _bfs_path(coupling, a, b)), (a, b)
 
     def test_predecessor_matrix_invalidated_by_add_edge(self):
         coupling = CouplingGraph(4, [(0, 1), (1, 2), (2, 3)])
@@ -126,6 +140,12 @@ class TestCouplingGraph:
         coupling.predecessor_matrix()
         coupling.add_edge(0, 3)
         assert coupling.shortest_path(0, 3) == [0, 3]
+
+    def test_connectivity_invalidated_by_add_edge(self):
+        coupling = CouplingGraph(4, [(0, 1), (2, 3)])
+        assert not coupling.is_connected()
+        coupling.add_edge(1, 2)
+        assert coupling.is_connected()
 
 
 class TestDurations:
@@ -239,6 +259,38 @@ class TestDevices:
         for device in paper_devices():
             assert device.durations.duration_of("cx") == 2
             assert device.durations.duration_of("swap") == 6
+
+
+class TestSharedDevices:
+    """``get_device`` builds each model once per process."""
+
+    def setup_method(self):
+        clear_cache()
+
+    def test_one_device_per_model(self):
+        tokyo = get_device("ibm_q20_tokyo")
+        assert get_device("ibm_q20_tokyo") is tokyo
+        assert build_device("ibm_q20_tokyo") is tokyo
+        grid = get_device("grid", rows=2, cols=3)
+        assert build_device("grid_2x3") is grid
+        assert get_device("grid", rows=3, cols=2) is not grid
+        assert cache_stats() == {"hits": 3, "misses": 3, "evictions": 0}
+
+    def test_duration_variant_shares_the_coupling_graph(self):
+        stock = get_device("grid_6x6")
+        ion = get_device("grid_6x6", durations=ION_TRAP_DURATIONS)
+        assert ion is not stock
+        assert ion.durations == ION_TRAP_DURATIONS
+        assert stock.durations == SUPERCONDUCTING_DURATIONS
+        assert ion.coupling is stock.coupling
+        assert cache_stats()["misses"] == 1
+
+    def test_a_refused_spec_is_not_cached(self):
+        with pytest.raises(ValueError):
+            get_device("line")
+        with pytest.raises(KeyError):
+            get_device("ibm_q9000")
+        assert cache_stats() == {"hits": 0, "misses": 0, "evictions": 0}
 
 
 class TestCalibration:

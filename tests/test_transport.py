@@ -356,8 +356,9 @@ def _fields(count: int) -> bytes:
 
 
 #: Raw requests and the status the stdlib's request parsing answers; each
-#: one ends with the connection closed.  ``HTTP/2.0`` and a two-word
-#: ``POST`` line are answered as HTTP/0.9 requests.
+#: one ends with the connection closed.  A refused request line (a bad or
+#: unsupported version, a two-word ``POST``) still gets a full ``HTTP/1.1``
+#: reply, where the stdlib sends its error page alone, HTTP/0.9-style.
 RAW_REQUESTS = {
     "header_line_of_65537_bytes": (
         b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * (65537 - 10)
@@ -367,6 +368,7 @@ RAW_REQUESTS = {
     "ninety_nine_fields": (b"GET /healthz HTTP/1.1\r\n" + _fields(98)
                            + b"Connection: close\r\n\r\n", 200),
     "http_2": (b"GET /healthz HTTP/2.0\r\n\r\n", 505),
+    "http_1_x": (b"GET /healthz HTTP/1.x\r\n\r\n", 400),
     "two_word_post": (b"POST /jobs\r\n\r\n", 400),
     "four_words": (b"GET /healthz extra HTTP/1.1\r\n\r\n", 400),
     "connection_close": (b"GET /healthz HTTP/1.1\r\nHost: h\r\n"
@@ -379,14 +381,12 @@ RAW_REQUESTS = {
 def test_raw_requests_get_the_stdlib_status(front, case):
     request, expected = RAW_REQUESTS[case]
     received = _raw_exchange(front.address, request)
-    if not received.startswith(b"HTTP/"):
-        # The stdlib answers a request line it cannot take as HTTP/1.x the
-        # HTTP/0.9 way: the error page alone, with no status line.
-        assert b"<p>Error code: %d</p>" % expected in received, received
-        return
     head, _, body = received.partition(b"\r\n\r\n")
     status_line, *lines = head.split(b"\r\n")
-    assert status_line.split(b" ", 2)[1] == str(expected).encode(), head
+    assert status_line.split(b" ", 2)[:2] == [
+        b"HTTP/1.1", str(expected).encode()], head
+    if expected >= 400:
+        assert b"connection: close" in [line.lower() for line in lines], head
     # One reply, then the connection closed (the read above hit EOF).
     (length,) = [int(line.split(b":", 1)[1]) for line in lines
                  if line.lower().startswith(b"content-length:")]
