@@ -34,6 +34,7 @@ uses larger circuits on purpose: faster scoring pays off once the candidate
 and front sets grow.
 """
 
+import gc
 import time
 from pathlib import Path
 
@@ -111,9 +112,13 @@ def test_routing_suite_cold_vs_warm_analysis(paper_scale):
     jobs = _jobs(paper_scale)
 
     # Cold: every job pays the BFS and re-parses its QASM, like the
-    # pre-pipeline (and pre-parse-cache) per-run behaviour.
+    # pre-pipeline (and pre-parse-cache) per-run behaviour.  Each leg starts
+    # after a full collection: in a whole tier-1 run a gen-2 collection of
+    # the test process's heap takes 40-100 ms, longer than the warm leg, and
+    # one landing inside a leg would time the collector instead of the caches.
     clear_cache()
     clear_parse_cache()
+    gc.collect()
     start = time.perf_counter()
     cold_outcomes = []
     for job in jobs:
@@ -133,6 +138,7 @@ def test_routing_suite_cold_vs_warm_analysis(paper_scale):
     for job in jobs:
         parse_cached(job.qasm, name=job.circuit_name)
     parse_base = parse_cache_stats()
+    gc.collect()
     start = time.perf_counter()
     warm_outcomes = [execute_job(job) for job in jobs]
     warm_s = time.perf_counter() - start

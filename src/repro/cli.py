@@ -870,7 +870,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"router spec; known: {ROUTERS.names()}")
     route.add_argument("--output", help="write routed QASM here instead of stdout")
     route.add_argument("--no-verify", action="store_true",
-                       help="skip coupling/equivalence verification")
+                       help="skip checking that the routed circuit is "
+                       "coupling-compliant and equivalent to its input")
     route.set_defaults(func=_cmd_route)
 
     batch = sub.add_parser(

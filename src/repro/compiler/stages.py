@@ -326,51 +326,46 @@ class ScheduleStage(Pass):
 
 
 class VerifyStage(Pass):
-    """Coupling compliance + (small-circuit) semantic equivalence.
+    """Check that the route stage's output implements its input on the
+    device, at any width.
 
-    Requires a ``route`` stage to have run; records ``verified`` /
-    ``equivalence_checked`` in the context properties.  ``strict=True`` turns
-    a failed check into an error (useful for CI pipelines); the default
-    mirrors ``transpile``, which reports the flag instead of raising.
+    Runs :func:`~repro.mapping.verification.check_structure` on the routing
+    result: coupling compliance, and equivalence to the route stage's input
+    up to commuting reorders and SWAPs.  Stages after ``route`` (the
+    post-route ``optimize``, ``decompose``, ``orientation``) are not checked.
+    Requires a ``route`` stage to have run; records ``verified`` and
+    ``equivalence_checked`` in the context properties.  A failed check is
+    reported as ``verified: false``; ``strict=True`` turns it into an error
+    (useful for CI pipelines).
     """
 
     name = "verify"
 
-    def __init__(self, equivalence_max_qubits: int = 10, samples: int = 2,
-                 strict: bool = False):
-        self.equivalence_max_qubits = int(equivalence_max_qubits)
-        self.samples = int(samples)
+    def __init__(self, strict: bool = False):
         self.strict = bool(strict)
 
     def params(self) -> dict:
-        return {"equivalence_max_qubits": self.equivalence_max_qubits,
-                "samples": self.samples, "strict": self.strict}
+        return {"strict": self.strict}
 
     def run(self, context: PipelineContext) -> dict:
-        if context.routing is None:
+        routing = context.routing
+        if routing is None:
             raise ValueError("verify stage needs a routing result; add a "
                              "'route' stage before 'verify'")
-        from repro.mapping.verification import (check_coupling_compliance,
-                                                check_equivalence)
+        from repro.mapping.verification import check_structure
 
-        violations = check_coupling_compliance(context.routing)
-        verified = not violations
-        equivalence_checked = False
-        original = context.original or context.routing.original
-        if verified and original.num_qubits <= self.equivalence_max_qubits:
-            equivalence_checked = True
-            verified = check_equivalence(context.routing,
-                                         samples=self.samples)
+        failures = check_structure(routing.original, routing.routed,
+                                   routing.initial_layout,
+                                   routing.final_layout,
+                                   routing.device.coupling)
+        verified = not failures
         context.properties["verified"] = verified
-        context.properties["equivalence_checked"] = equivalence_checked
-        context.properties["coupling_violations"] = len(violations)
-        if self.strict and not verified:
-            detail = violations[0] if violations else "equivalence check failed"
+        context.properties["equivalence_checked"] = True
+        if self.strict and failures:
             raise ValueError(f"verification failed for "
-                             f"{context.routing.original.name!r}: {detail}")
-        return {"verified": verified,
-                "equivalence_checked": equivalence_checked,
-                "violations": len(violations)}
+                             f"{routing.original.name!r}: {failures[0]}")
+        return {"verified": verified, "equivalence_checked": True,
+                "failures": len(failures)}
 
 
 # --------------------------------------------------------------------------- #
@@ -392,7 +387,8 @@ STAGES.register("orientation", OrientationStage,
 STAGES.register("schedule", ScheduleStage,
                 "ASAP schedule -> weighted depth")
 STAGES.register("verify", VerifyStage,
-                "coupling compliance + small-circuit equivalence")
+                "coupling compliance + structural equivalence of the route "
+                "stage, at any width")
 
 
 def build_stage(spec: "str | Mapping | Pass") -> Pass:

@@ -10,8 +10,9 @@
 * :mod:`repro.mapping.astar` — the layered A* baseline (Zulehner-style),
 * :mod:`repro.mapping.trivial` — a shortest-path SWAP-chain router used as a
   sanity baseline,
-* :mod:`repro.mapping.verification` — coupling-compliance and semantic
-  equivalence checks for routed circuits.
+* :mod:`repro.mapping.verification` — checks of routed circuits: coupling
+  compliance, a structural equivalence check at any width (commuting
+  reorders and SWAPs only), and a statevector oracle for small circuits.
 """
 
 from repro.mapping.layout import Layout, initial_layout
@@ -24,6 +25,7 @@ from repro.mapping.trivial import TrivialRouter
 from repro.mapping.verification import (
     check_coupling_compliance,
     check_equivalence,
+    check_structure,
     verify_routing,
 )
 
@@ -40,5 +42,6 @@ __all__ = [
     "TrivialRouter",
     "check_coupling_compliance",
     "check_equivalence",
+    "check_structure",
     "verify_routing",
 ]

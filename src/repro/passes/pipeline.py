@@ -10,8 +10,9 @@ reports.  The pipeline stages are:
 3. routing (CODAR by default; SABRE and trivial are pluggable),
 4. optional decomposition into the device technology's native basis,
 5. post-routing peephole optimisation,
-6. verification (coupling compliance always; semantic equivalence for small
-   circuits) and ASAP scheduling for the weighted-depth metric.
+6. verification of the routing step at any width (coupling compliance and
+   equivalence up to commuting reorders and SWAPs) and ASAP scheduling for
+   the weighted-depth metric.
 """
 
 from __future__ import annotations
@@ -83,8 +84,10 @@ def transpile(circuit: Circuit, device: Device,
     optimize:
         Run the peephole passes before routing and after decomposition.
     verify:
-        Check coupling compliance (always cheap) and, for circuits of at most
-        10 qubits, semantic equivalence of the routed circuit.
+        Check that the routed circuit, before decomposition and the
+        post-routing optimisation, is coupling-compliant and equivalent to
+        the routing input (structurally, at any width; see
+        :func:`repro.mapping.verification.check_structure`).
     """
     from repro.compiler.pipeline import Pipeline
     from repro.compiler.stages import (DecomposeStage, LayoutStage,
@@ -103,7 +106,7 @@ def transpile(circuit: Circuit, device: Device,
     if optimize:
         stages.append(OptimizeStage())
     if verify:
-        stages.append(VerifyStage(samples=2))
+        stages.append(VerifyStage())
     stages.append(ScheduleStage())
 
     result = Pipeline(stages, name="transpile").run(circuit, device,

@@ -20,6 +20,7 @@ touching the service code.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import re
 from typing import Any, Callable, Mapping
@@ -33,6 +34,15 @@ from repro.mapping.sabre.remapper import SabreConfig, SabreRouter
 from repro.mapping.trivial import TrivialRouter
 
 
+class SpecError(ValueError, TypeError):
+    """A spec passes a parameter its factory does not take, or leaves out
+    one it needs.
+
+    A :class:`ValueError`, so the CLI and the servers report it as a user
+    error; also a :class:`TypeError`, which the factory call raised before.
+    """
+
+
 class Registry:
     """A name → factory table with canonical spec normalisation.
 
@@ -41,7 +51,8 @@ class Registry:
     ``"params"``.  :meth:`normalize` collapses both forms into the canonical
     ``{"name": str, "params": dict}`` shape used for hashing, and
     :meth:`build` calls the registered factory with the params as keyword
-    arguments (so unknown parameters fail loudly in the factory's signature).
+    arguments; parameters that do not fit the factory's signature raise a
+    :class:`SpecError` naming them.
     """
 
     def __init__(self, kind: str):
@@ -95,37 +106,46 @@ class Registry:
 
     def build(self, spec: str | Mapping) -> Any:
         normalized = self.normalize(spec)
-        return self._factories[normalized["name"]](**normalized["params"])
+        name, params = normalized["name"], normalized["params"]
+        factory = self._factories[name]
+        try:
+            return factory(**params)
+        except TypeError:
+            # Only a spec that does not fit the signature is the caller's
+            # fault; any other TypeError is the factory's own.
+            signature = inspect.signature(factory)
+            try:
+                signature.bind(**params)
+            except TypeError as exc:
+                raise SpecError(
+                    f"{self.kind} {name!r}: {exc}; its parameters: "
+                    f"{list(signature.parameters)}") from None
+            raise
 
 
 # --------------------------------------------------------------------------- #
 # Router registry
 # --------------------------------------------------------------------------- #
-def _codar_factory(**params) -> CodarRouter:
-    return CodarRouter(CodarConfig(**params)) if params else CodarRouter()
+def _config_factory(router_cls: type, config_cls: type) -> Callable[..., Router]:
+    """A factory building ``router_cls`` from the fields of its config
+    dataclass, whose signature it takes on (so a bad parameter is named)."""
+    def factory(**params) -> Router:
+        return router_cls(config=config_cls(**params))
 
-
-def _noise_aware_factory(**params) -> NoiseAwareCodarRouter:
-    if params:
-        return NoiseAwareCodarRouter(config=NoiseAwareConfig(**params))
-    return NoiseAwareCodarRouter()
-
-
-def _sabre_factory(**params) -> SabreRouter:
-    return SabreRouter(SabreConfig(**params)) if params else SabreRouter()
-
-
-def _astar_factory(**params) -> AStarRouter:
-    return AStarRouter(AStarConfig(**params)) if params else AStarRouter()
+    factory.__signature__ = inspect.signature(config_cls)
+    return factory
 
 
 ROUTERS = Registry("router")
-ROUTERS.register("codar", _codar_factory,
+ROUTERS.register("codar", _config_factory(CodarRouter, CodarConfig),
                  "context-sensitive duration-aware remapper (the paper)")
-ROUTERS.register("codar_noise_aware", _noise_aware_factory,
+ROUTERS.register("codar_noise_aware",
+                 _config_factory(NoiseAwareCodarRouter, NoiseAwareConfig),
                  "CODAR with per-edge fidelity filtering")
-ROUTERS.register("sabre", _sabre_factory, "SWAP-based bidirectional heuristic")
-ROUTERS.register("astar", _astar_factory, "layer-by-layer A* search")
+ROUTERS.register("sabre", _config_factory(SabreRouter, SabreConfig),
+                 "SWAP-based bidirectional heuristic")
+ROUTERS.register("astar", _config_factory(AStarRouter, AStarConfig),
+                 "layer-by-layer A* search")
 ROUTERS.register("trivial", lambda: TrivialRouter(),
                  "shortest-path SWAP chains")
 

@@ -30,6 +30,17 @@ class TestLayout:
         for logical in range(4):
             assert layout.logical(layout.physical(logical)) == logical
 
+    def test_copy_is_equal_and_independent(self):
+        layout = Layout([2, 0, 3, 1])
+        copy = layout.copy()
+        assert copy == layout and copy is not layout
+        copy.swap_physical(0, 2)
+        assert layout.physical_list() == [2, 0, 3, 1]
+        assert layout.logical(2) == 0 and copy.logical(2) == 1
+        assert copy.physical_list() == [0, 2, 3, 1]
+        for logical in range(4):
+            assert copy.logical(copy.physical(logical)) == logical
+
     def test_swap_physical(self):
         layout = Layout.identity(4)
         layout.swap_physical(0, 3)

@@ -7,8 +7,9 @@ These cover the invariants the rest of the system leans on:
 * the ASAP scheduler never overlaps gates on a qubit and its makespan is
   bounded by serial execution,
 * the Commutative-Front set always contains the plain dependency front,
-* routed circuits (CODAR and SABRE) are coupling-compliant and semantically
-  equivalent to their input for random small circuits.
+* routed circuits (CODAR, SABRE and A*) pass ``verify_routing`` for random
+  small circuits: coupling compliance, the structural check and the
+  statevector oracle.
 """
 
 
@@ -24,7 +25,7 @@ from repro.core.unitary import expand_to, gate_unitary, matrices_commute
 from repro.mapping.codar.remapper import CodarRouter
 from repro.mapping.layout import Layout
 from repro.mapping.sabre.remapper import SabreRouter
-from repro.mapping.verification import check_coupling_compliance, check_equivalence
+from repro.mapping.verification import verify_routing
 from repro.sim.scheduler import asap_schedule
 
 DUR = GateDurationMap(single=1, two=2, swap=6)
@@ -203,8 +204,7 @@ class TestRoutingProperties:
             get_device("ring", num_qubits=6),
         ]))
         result = CodarRouter().run(circuit, device)
-        assert check_coupling_compliance(result) == []
-        assert check_equivalence(result, samples=2)
+        verify_routing(result, samples=2)
 
     @settings(suppress_health_check=[HealthCheck.too_slow], deadline=None,
               max_examples=25)
@@ -212,8 +212,7 @@ class TestRoutingProperties:
     def test_sabre_output_is_compliant_and_equivalent(self, circuit):
         device = get_device("grid", rows=2, cols=3)
         result = SabreRouter().run(circuit, device)
-        assert check_coupling_compliance(result) == []
-        assert check_equivalence(result, samples=2)
+        verify_routing(result, samples=2)
 
     @settings(suppress_health_check=[HealthCheck.too_slow], deadline=None,
               max_examples=20)
@@ -234,8 +233,7 @@ class TestRoutingProperties:
 
         device = get_device("grid", rows=2, cols=3)
         result = AStarRouter().run(circuit, device)
-        assert check_coupling_compliance(result) == []
-        assert check_equivalence(result, samples=2)
+        verify_routing(result, samples=2)
 
 
 # --------------------------------------------------------------------------- #

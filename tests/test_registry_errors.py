@@ -8,9 +8,10 @@ types are API.
 
 import pytest
 
+from repro.compiler.stages import STAGES
 from repro.mapping.trivial import TrivialRouter
-from repro.service.registry import (DEVICES, ROUTERS, Registry, build_device,
-                                    build_router, device_spec)
+from repro.service.registry import (DEVICES, ROUTERS, Registry, SpecError,
+                                    build_device, build_router, device_spec)
 
 
 class TestUnknownNames:
@@ -79,6 +80,30 @@ class TestBadParameters:
     def test_fixed_device_takes_no_params(self):
         with pytest.raises(TypeError):
             build_device({"name": "ibm_q20_tokyo", "params": {"rows": 2}})
+
+    @pytest.mark.parametrize("registry, spec, words", [
+        (ROUTERS, {"name": "sabre", "bogus_knob": 1},
+         ["router 'sabre'", "'bogus_knob'", "decay_delta"]),
+        (DEVICES, {"name": "grid", "rows": 2}, ["device 'grid'", "'cols'"]),
+        (STAGES, {"name": "verify", "params": {"samples": 2}},
+         ["stage 'verify'", "'samples'", "['strict']"]),
+    ])
+    def test_a_spec_off_the_signature_is_a_value_error_naming_it(
+            self, registry, spec, words):
+        with pytest.raises(ValueError) as caught:
+            registry.build(spec)
+        assert isinstance(caught.value, SpecError)
+        assert all(word in str(caught.value) for word in words), caught.value
+
+    def test_a_type_error_inside_the_factory_is_not_the_spec(self):
+        def factory(value=1):
+            return len(value)
+
+        registry = Registry("thing")
+        registry.register("broken", factory)
+        with pytest.raises(TypeError) as caught:
+            registry.build({"name": "broken", "value": 3})
+        assert not isinstance(caught.value, SpecError)
 
 
 class TestMalformedSpecs:

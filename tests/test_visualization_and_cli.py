@@ -283,6 +283,11 @@ USER_ERRORS = {
     "batch-unknown-router": (["batch", "--suite", "--max-qubits", "4",
                               "--router", "bogus"], "unknown router"),
     "batch-qubit-out-of-range": (["batch", "{dir}/bad.qasm"], "out of range"),
+    "pipeline-unknown-stage-param": (
+        ["pipeline", "run", "{dir}/pair.qasm", "--pipeline",
+         '["parse", "layout", "route", '
+         '{{"name": "verify", "params": {{"bogus": 1}}}}]'],
+        "stage 'verify': got an unexpected keyword argument 'bogus'"),
 }
 
 
