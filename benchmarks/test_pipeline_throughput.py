@@ -77,7 +77,10 @@ def test_analysis_cache_microbench(paper_scale):
     iterations = 40 if paper_scale else 20
     record = {}
     for name in DEVICES:
+        # Each leg starts after a full collection (see
+        # test_routing_suite_cold_vs_warm_analysis).
         clear_cache()
+        gc.collect()
         start = time.perf_counter()
         for _ in range(iterations):
             clear_cache()
@@ -86,6 +89,7 @@ def test_analysis_cache_microbench(paper_scale):
 
         clear_cache()
         analyze(get_device(name))  # prime once
+        gc.collect()
         start = time.perf_counter()
         for _ in range(iterations):
             analyze(get_device(name))
@@ -209,6 +213,7 @@ def _best_route_seconds(jobs: list[CompileJob]) -> tuple[float, list[str]]:
     circuits of the last round."""
     outcomes = [execute_job(job) for job in jobs]  # warm-up
     assert all(outcome.ok for outcome in outcomes)
+    gc.collect()  # each leg starts after a full collection
     best = None
     for _ in range(3):
         outcomes = [execute_job(job) for job in jobs]
@@ -300,6 +305,7 @@ def test_router_kernel_microbench(paper_scale, reference_scoring):
 
     def timed(run) -> tuple[float, list]:
         run()  # warm-up
+        gc.collect()  # each leg starts after a full collection
         start = time.perf_counter()
         for _ in range(iterations):
             scores = run()
@@ -363,6 +369,7 @@ def test_recorder_overhead_within_noise(paper_scale):
         analyze(get_device(device))
 
     def run_pass(metrics: ServerMetrics) -> float:
+        gc.collect()  # each pass starts after a full collection
         start = time.perf_counter()
         for job in jobs:
             outcome = execute_job(job)

@@ -15,6 +15,7 @@ Every phase appends a machine-readable record to ``BENCH_portfolio.json``
 (see ``perf_record.py``) so the portfolio trajectory is diffable across PRs.
 """
 
+import gc
 import time
 from collections import Counter
 from pathlib import Path
@@ -97,6 +98,9 @@ def test_racing_beats_sequential_try_all(paper_scale):
                    "inc_10", "tof_chain_10")])
 
     sequential = PortfolioRunner("weighted_depth")
+    # Each leg starts after a full collection: a gen-2 collection of the
+    # test process's heap takes 40-100 ms in a full tier-1 run.
+    gc.collect()
     start = time.perf_counter()
     baselines = [sequential.run(circuit, device,
                                 candidates=RACING_CANDIDATES, seed=11)
@@ -108,6 +112,7 @@ def test_racing_beats_sequential_try_all(paper_scale):
               for result in baselines}
 
     with PortfolioRunner("weighted_depth", workers=4) as racing:
+        gc.collect()
         start = time.perf_counter()
         raced = [racing.run(circuit, device, candidates=RACING_CANDIDATES,
                             seed=11, beat_bound=bounds[circuit.name])

@@ -30,8 +30,7 @@ qubit mapping problem on NISQ devices.  This package provides:
   (:mod:`repro.cluster`), and
 * an observability layer — end-to-end request tracing (``X-Repro-Trace``)
   across client → gateway → shard → queue → pipeline with stitched
-  ``GET /traces``, structured JSON logging and an opt-in sampling profiler
-  for slow jobs (:mod:`repro.obs`), and
+  ``GET /traces`` and structured JSON logging (:mod:`repro.obs`), and
 * multi-tenant fairness and observability — an ``X-Repro-Tenant`` identity
   carried end-to-end, per-tenant quotas and deficit-round-robin dequeue,
   tenant-labelled Prometheus metrics, per-tenant SLO burn-rate alerts and
@@ -86,8 +85,7 @@ from repro.cluster import (ClusterGateway, HealthMonitor, LocalShardFleet,
                            ShardMember, ShardRing)
 from repro.portfolio import (Candidate, PortfolioResult, PortfolioRunner,
                              build_cost_model, portfolio_preset)
-from repro.obs import (SamplingProfiler, SpanStore, TraceContext, get_logger,
-                       render_trace)
+from repro.obs import SpanStore, TraceContext, get_logger, render_trace
 
 __version__ = "0.10.0"
 
@@ -133,7 +131,6 @@ __all__ = [
     "pipeline_preset",
     "TraceContext",
     "SpanStore",
-    "SamplingProfiler",
     "get_logger",
     "render_trace",
     "__version__",

@@ -223,8 +223,7 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
     device = get_device(spec["name"], **spec["params"])
     runner = PortfolioRunner(cost, workers=args.workers,
                              cache=_result_cache(args),
-                             beat_bound=args.beat_bound,
-                             hedge_timeout=args.hedge_timeout)
+                             beat_bound=args.beat_bound)
 
     failures, records = 0, []
     start = time.perf_counter()
@@ -354,7 +353,7 @@ def _cmd_pipeline_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    cache = ResultCache(args.cache_dir, memory=False)
+    cache = ResultCache(args.cache_dir)
     entries = len(cache)
     print(f"cache dir : {args.cache_dir}")
     print(f"entries   : {entries}")
@@ -436,19 +435,18 @@ def _serve_until_stopped(server) -> None:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs.logging import configure
-    from repro.server.http import CompileServer
+    from repro.server.http import CACHE_ENTRIES, CompileServer
 
     if args.verbose:
         configure(level="debug")
     # Cap the memory tier even with a disk cache: the server must stay flat.
-    cache = (ResultCache(args.cache_dir, max_entries=1024)
+    cache = (ResultCache(args.cache_dir, max_entries=CACHE_ENTRIES)
              if args.cache_dir else None)
     server = CompileServer(host=args.host, port=args.port,
                            workers=args.server_workers, cache=cache,
                            max_depth=args.max_depth,
                            job_timeout=args.job_timeout,
                            slow_request_s=args.slow_request_s,
-                           profile_slow_s=args.profile_slow_s,
                            trace_max_spans=args.trace_spans,
                            monitor=_monitor_config(args),
                            **_tenant_options(args))
@@ -914,9 +912,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="racing pool size (default: sequential)")
     portfolio.add_argument("--beat-bound", type=float,
                            help="cancel stragglers once a score reaches this")
-    portfolio.add_argument("--hedge-timeout", type=float,
-                           help="duplicate candidates still running after this "
-                                "many seconds")
     portfolio.add_argument("--seed", type=int,
                            help="portfolio-wide seed for seeded layouts")
     _add_cache_dir(portfolio)
@@ -975,9 +970,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--slow-request-s", type=float, default=5.0,
                        help="log a slow_request warning past this many "
                             "seconds")
-    serve.add_argument("--profile-slow-s", type=float,
-                       help="sample executing jobs; attach stacks to traces "
-                            "slower than this (off by default)")
     serve.add_argument("--trace-spans", type=int,
                        help="span ring-buffer capacity (default 4096)")
     _add_serving_options(serve)
@@ -1144,7 +1136,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        # An option the command does not have is a user error like any
+        # other: one line on stderr and exit 2.
+        print(f"error: unrecognized arguments: {' '.join(unknown)}",
+              file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (OSError, ValueError, KeyError, ServerError) as exc:

@@ -78,6 +78,9 @@ from repro.server.transport import KeepAliveApp
 #: Socket headroom added on top of a proxied blocking wait.
 PROXY_MARGIN_S = 30.0
 
+#: Socket timeout of a proxied request without a blocking wait.
+PROXY_TIMEOUT_S = 30.0
+
 _LOG = get_logger("cluster.gateway")
 
 #: Transport-level failures that trigger failover to the next ring member.
@@ -280,8 +283,6 @@ class ClusterGateway(KeepAliveApp):
         Gateway bind address; ``port=0`` picks an ephemeral port.
     health_interval, probe_timeout, fail_threshold, ok_threshold:
         Health-monitor knobs (see :class:`HealthMonitor`).
-    proxy_timeout:
-        Default socket timeout for proxied requests without a blocking wait.
     monitor:
         Fleet monitoring configuration (``None`` = defaults, ``False`` =
         disabled, dict / :class:`~repro.obs.monitor.MonitorConfig` =
@@ -294,9 +295,7 @@ class ClusterGateway(KeepAliveApp):
     def __init__(self, shards, host: str = "127.0.0.1", port: int = 0, *,
                  health_interval: float = 1.0, probe_timeout: float = 2.0,
                  fail_threshold: int = 2, ok_threshold: int = 1,
-                 proxy_timeout: float = 30.0,
                  monitor: MonitorConfig | dict | bool | None = None):
-        self.proxy_timeout = proxy_timeout
         self.ring = ShardRing(shards)
         self.health_monitor = HealthMonitor(
             self.ring, interval=health_interval, timeout=probe_timeout,
@@ -467,7 +466,7 @@ class ClusterGateway(KeepAliveApp):
         failures raise (see :data:`_TRANSPORT_ERRORS`).
         """
         reply = member.pool.request(method, path, body,
-                                    timeout=timeout or self.proxy_timeout,
+                                    timeout=timeout or PROXY_TIMEOUT_S,
                                     tenant=tenant)
         return (reply.status, reply.body,
                 reply.headers.get("Content-Type", "application/json"))

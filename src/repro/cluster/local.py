@@ -17,6 +17,9 @@ from __future__ import annotations
 import multiprocessing
 import time
 
+#: How long :meth:`LocalShardFleet.start` waits for every shard's URL.
+START_TIMEOUT_S = 30.0
+
 
 def _shard_main(connection, host: str, workers: int,
                 max_depth: int | None, job_timeout: float | None,
@@ -25,10 +28,10 @@ def _shard_main(connection, host: str, workers: int,
                 default_tenant_quota: int | None
                 ) -> None:  # pragma: no cover — child
     """Child-process entry: run one CompileServer until terminated."""
-    from repro.server.http import CompileServer
+    from repro.server.http import CACHE_ENTRIES, CompileServer
     from repro.service.cache import ResultCache
 
-    cache = (ResultCache(cache_dir, max_entries=1024)
+    cache = (ResultCache(cache_dir, max_entries=CACHE_ENTRIES)
              if cache_dir else None)
     server = CompileServer(host=host, port=0, workers=workers, cache=cache,
                            max_depth=max_depth, job_timeout=job_timeout,
@@ -77,7 +80,6 @@ class LocalShardFleet:
                  workers: int = 2, max_depth: int | None = 256,
                  job_timeout: float | None = None,
                  cache_dirs: list[str] | None = None,
-                 start_timeout: float = 30.0,
                  monitor: dict | bool | None = None,
                  tenant_weights: dict | None = None,
                  tenant_quotas: dict | None = None,
@@ -92,7 +94,6 @@ class LocalShardFleet:
         self.max_depth = max_depth
         self.job_timeout = job_timeout
         self.cache_dirs = cache_dirs
-        self.start_timeout = start_timeout
         self.monitor = monitor
         self.tenant_weights = tenant_weights
         self.tenant_quotas = tenant_quotas
@@ -121,7 +122,7 @@ class LocalShardFleet:
             child_end.close()
             pending.append((process, parent_end))
         urls = []
-        deadline = time.monotonic() + self.start_timeout
+        deadline = time.monotonic() + START_TIMEOUT_S
         for process, parent_end in pending:
             remaining = max(0.1, deadline - time.monotonic())
             if not parent_end.poll(remaining):
@@ -129,7 +130,7 @@ class LocalShardFleet:
                 self.stop()
                 raise TimeoutError(
                     f"shard {process.name} did not report a URL within "
-                    f"{self.start_timeout}s")
+                    f"{START_TIMEOUT_S}s")
             urls.append(parent_end.recv())
             parent_end.close()
         self._processes = [process for process, _ in pending]

@@ -302,22 +302,6 @@ class Circuit:
         out._gates = [g for g in self._gates if predicate(g)]
         return out
 
-    # ------------------------------------------------------------------ #
-    # Interchange formats
-    # ------------------------------------------------------------------ #
-    def to_qasm(self) -> str:
-        """Serialise to OpenQASM 2.0 text."""
-        from repro.qasm.exporter import circuit_to_qasm  # local import: avoid cycle
-
-        return circuit_to_qasm(self)
-
-    @classmethod
-    def from_qasm(cls, text: str) -> "Circuit":
-        """Parse an OpenQASM 2.0 program into a flat circuit."""
-        from repro.qasm.parser import parse_qasm  # local import: avoid cycle
-
-        return parse_qasm(text)
-
     @classmethod
     def from_gates(cls, num_qubits: int, gates: Iterable[Gate],
                    name: str = "circuit") -> "Circuit":

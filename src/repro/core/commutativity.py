@@ -6,11 +6,13 @@ precedes it in ``I``.  CF gates can be hoisted to the head of the sequence,
 so they are all logically executable *now*; exposing them (instead of only the
 plain dependency front) gives CODAR's heuristic more context to score SWAPs.
 
-Two gates on disjoint qubits always commute, so the check reduces to pairwise
-commutation against earlier gates that share at least one qubit.  Pairwise
-commutation is decided by fast symbolic rules (diagonal-vs-diagonal, shared
-CX control, shared CX target, X-rotation on a CX target, ...) with an exact
-unitary check as fallback for rare unclassified pairs.
+Two gates on disjoint qubits commute unless both write one classical bit (two
+measurements into ``c[0]`` must keep their order), so the check reduces to
+pairwise commutation against earlier gates that share a qubit or a classical
+bit.  Pairwise commutation is decided by fast symbolic rules
+(diagonal-vs-diagonal, shared CX control, shared CX target, X-rotation on a
+CX target, ...) with an exact unitary check as fallback for rare
+unclassified pairs.
 """
 
 from __future__ import annotations
@@ -38,6 +40,11 @@ _Z_CONTROLLED = frozenset({"cx", "cy", "cz", "ch", "crx", "cry", "crz", "cp", "c
 
 def _shares_qubits(a: Gate, b: Gate) -> bool:
     return bool(set(a.qubits) & set(b.qubits))
+
+
+def _shares_cbits(a: Gate, b: Gate) -> bool:
+    """True when both gates write a common classical bit."""
+    return bool(a.cbits and b.cbits and not set(a.cbits).isdisjoint(b.cbits))
 
 
 def _control_set(gate: Gate) -> frozenset[int]:
@@ -122,13 +129,16 @@ def _unitary_check(a: Gate, b: Gate) -> bool:
     return matrices_commute(mat_a, mat_b)
 
 
-def gates_commute(a: Gate, b: Gate, exact_fallback: bool = True) -> bool:
+def gates_commute(a: Gate, b: Gate) -> bool:
     """Decide whether two gates commute.
 
     Measurement, reset and barrier never commute with anything sharing their
     qubits (a barrier blocks everything that touches any qubit when it has no
-    explicit operand list).
+    explicit operand list), and two writes of one classical bit never
+    commute.
     """
+    if _shares_cbits(a, b):
+        return False
     if a.is_barrier or b.is_barrier:
         barrier, other = (a, b) if a.is_barrier else (b, a)
         if not barrier.qubits:
@@ -141,8 +151,6 @@ def gates_commute(a: Gate, b: Gate, exact_fallback: bool = True) -> bool:
     verdict = _rule_based(a, b)
     if verdict is not None:
         return verdict
-    if not exact_fallback:
-        return False
     try:
         return _unitary_check(a, b)
     except ValueError:
@@ -205,11 +213,12 @@ class CommutativityChecker:
     standard gates also go into :data:`SHARED_VERDICTS`, so the next job
     starts warm.  A pair involving a gate with a custom
     :class:`~repro.core.gates.GateSpec` stays on this checker, because
-    another job may give the same name another spec.
+    another job may give the same name another spec.  Two gates writing one
+    classical bit never commute; that is decided before any table, whose
+    keys name only qubit overlaps.
     """
 
-    def __init__(self, exact_fallback: bool = True):
-        self._exact_fallback = exact_fallback
+    def __init__(self):
         self._kinds: dict[tuple, int] = {}
         self._memo: dict[tuple, bool] = {}
 
@@ -224,16 +233,19 @@ class CommutativityChecker:
 
     def commute(self, a: Gate, b: Gate) -> bool:
         if not _shares_qubits(a, b) and not (a.is_barrier or b.is_barrier):
-            return True
+            return not _shares_cbits(a, b)
         return self.overlapping_commute(a, b)
 
     def overlapping_commute(self, a: Gate, b: Gate) -> bool:
         """:meth:`commute` for two gates known to share a qubit."""
+        if a.cbits and _shares_cbits(a, b):
+            return False
         return self.kinds_commute(a, self.kind(a), b, self.kind(b))
 
     def kinds_commute(self, a: Gate, kind_a: int, b: Gate,
                       kind_b: int) -> bool:
-        """:meth:`overlapping_commute`, given both gates' :meth:`kind`.
+        """:meth:`overlapping_commute`, given both gates' :meth:`kind`, for
+        two gates the caller knows write no common classical bit.
 
         The memo key is the two kind ids and the overlap labels; a verdict
         derived afresh is shared under the structural key, which names the
@@ -249,11 +261,10 @@ class CommutativityChecker:
 
     def _derive(self, a: Gate, b: Gate, labels: tuple[int, ...]) -> bool:
         shared = _is_standard(a) and _is_standard(b)
-        key = (a.name, len(a.qubits), a.params, b.name, labels, b.params,
-               self._exact_fallback)
+        key = (a.name, len(a.qubits), a.params, b.name, labels, b.params)
         verdict = SHARED_VERDICTS.get(key) if shared else None
         if verdict is None:
-            verdict = gates_commute(a, b, exact_fallback=self._exact_fallback)
+            verdict = gates_commute(a, b)
             if shared:
                 SHARED_VERDICTS.put(key, verdict)
         return verdict
@@ -307,6 +318,8 @@ def commutative_front(gates: Sequence[Gate],
     # Per-qubit list of indices of earlier gates touching that qubit: a later
     # gate only needs to be checked against earlier gates sharing a qubit.
     per_qubit: dict[int, list[int]] = {}
+    # Classical bits written by earlier gates.
+    written: set[int] = set()
     limit = len(gates) if scan_limit is None else min(scan_limit, len(gates))
     for k in range(limit):
         gate = gates[k]
@@ -315,9 +328,12 @@ def commutative_front(gates: Sequence[Gate],
             if k == 0:
                 front.append(k)
             break
-        is_cf = True
+        # Two writes of one classical bit never commute.
+        is_cf = written.isdisjoint(gate.cbits)
         seen: set[int] = set()
         for q in gate.qubits:
+            if not is_cf:
+                break
             for j in per_qubit.get(q, ()):
                 if j in seen:
                     continue
@@ -325,14 +341,13 @@ def commutative_front(gates: Sequence[Gate],
                 if not checker.commute(gates[j], gate):
                     is_cf = False
                     break
-            if not is_cf:
-                break
         if is_cf:
             front.append(k)
             if max_front is not None and len(front) >= max_front:
                 break
         for q in gate.qubits:
             per_qubit.setdefault(q, []).append(k)
+        written.update(gate.cbits)
     if not front and gates:
         # Degenerate safety net: the first gate is always CF by definition.
         front.append(0)
@@ -348,7 +363,8 @@ class _Slot:
         self.gate = gate
         #: The gate's :meth:`CommutativityChecker.kind`.
         self.kind = kind
-        #: Earlier window gates that share a qubit and do not commute with it.
+        #: Earlier window gates that share a qubit and do not commute with
+        #: it, or write a classical bit it writes.
         self.blockers = 0
         #: The later window gates whose ``blockers`` count this one.
         self.blocks: list[_Slot] = []
@@ -366,8 +382,8 @@ class CommutativeFrontWindow:
     * the window holds the first ``scan_limit`` remaining gates, the prefix
       :func:`commutative_front` scans;
     * each window gate counts the earlier window gates that share a qubit
-      with it and do not commute with it, and is a CF gate when the count is
-      zero;
+      with it and do not commute with it, or write a classical bit it
+      writes, and is a CF gate when the count is zero;
     * removing a gate decrements only the gates it blocked, and each gate
       that refills the window is judged once against the gates before it, so
       no pair is judged twice.
@@ -393,6 +409,7 @@ class CommutativeFrontWindow:
         self._size = len(gates) if scan_limit is None else max(1, scan_limit)
         self._slots: list[_Slot] = []
         self._on_qubit: dict[int, list[_Slot]] = {}
+        self._on_cbit: dict[int, list[_Slot]] = {}
         self._fill()
 
     def __len__(self) -> int:
@@ -456,6 +473,8 @@ class CommutativeFrontWindow:
                 later.blockers -= 1
             for q in slot.gate.qubits:
                 self._on_qubit[q].remove(slot)
+            for c in slot.gate.cbits:
+                self._on_cbit[c].remove(slot)
         self._slots = kept
         self._fill()
 
@@ -469,8 +488,10 @@ class CommutativeFrontWindow:
                 self._count_blockers(slot)
             else:
                 slot = _Slot(gate, -1)
-            for q in slot.gate.qubits:
+            for q in gate.qubits:
                 self._on_qubit.setdefault(q, []).append(slot)
+            for c in gate.cbits:
+                self._on_cbit.setdefault(c, []).append(slot)
             self._slots.append(slot)
 
     def _count_blockers(self, slot: _Slot) -> None:
@@ -478,6 +499,13 @@ class CommutativeFrontWindow:
         kind = slot.kind
         commute = self._checker.kinds_commute
         seen: set[_Slot] = set()
+        # Two writes of one classical bit never commute.
+        for c in gate.cbits:
+            for earlier in self._on_cbit.get(c, ()):
+                if earlier not in seen:
+                    seen.add(earlier)
+                    slot.blockers += 1
+                    earlier.blocks.append(slot)
         for q in gate.qubits:
             for earlier in self._on_qubit.get(q, ()):
                 if earlier in seen:
@@ -489,21 +517,26 @@ class CommutativeFrontWindow:
 
 
 def dependency_front(gates: Sequence[Gate]) -> list[int]:
-    """Plain dependency front (no commutativity): first gate per qubit chain.
+    """Plain dependency front (no commutativity): first gate per qubit chain
+    and per classical bit.
 
     This is what duration-unaware routers such as SABRE use; provided here so
     the ablation experiment can switch CODAR's look-ahead strategy.
     """
     blocked: set[int] = set()
+    written: set[int] = set()  # classical bits, ordered like qubits
     front: list[int] = []
     for k, gate in enumerate(gates):
         if gate.is_barrier and not gate.qubits:
             break
-        if any(q in blocked for q in gate.qubits):
+        if (any(q in blocked for q in gate.qubits)
+                or not written.isdisjoint(gate.cbits)):
             blocked.update(gate.qubits)
+            written.update(gate.cbits)
             continue
         front.append(k)
         blocked.update(gate.qubits)
+        written.update(gate.cbits)
         if len(blocked) >= 10_000:  # pragma: no cover - defensive bound
             break
     return front

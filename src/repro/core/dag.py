@@ -7,11 +7,12 @@ Routers need two structural views of a circuit:
 * ASAP *layers* — an unweighted levelisation used for depth statistics and
   for building the extended (look-ahead) set of SABRE.
 
-The DAG treats each qubit as a serial resource: gate ``b`` depends on gate
-``a`` when they share a qubit and ``a`` precedes ``b`` in program order, with
-only the *immediately* preceding gate per qubit recorded (transitive edges are
-redundant).  Barriers depend on everything before them on their qubits (or on
-every qubit for a bare ``barrier;``).
+The DAG treats each qubit and each classical bit as a serial resource: gate
+``b`` depends on gate ``a`` when they share a qubit or a classical bit and
+``a`` precedes ``b`` in program order, with only the *immediately* preceding
+gate per resource recorded (transitive edges are redundant).  Barriers depend
+on everything before them on their qubits (or on every qubit for a bare
+``barrier;``).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ class CircuitDag:
 
     def _build(self) -> None:
         last_on_qubit: dict[int, int] = {}
+        last_on_cbit: dict[int, int] = {}
         for idx, gate in enumerate(self.circuit.gates):
             qubits: Sequence[int]
             if gate.is_barrier and not gate.qubits:
@@ -48,6 +50,10 @@ class CircuitDag:
                 if q in last_on_qubit:
                     preds.add(last_on_qubit[q])
                 last_on_qubit[q] = idx
+            for c in gate.cbits:
+                if c in last_on_cbit:
+                    preds.add(last_on_cbit[c])
+                last_on_cbit[c] = idx
             for p in sorted(preds):
                 self.predecessors[idx].append(p)
                 self.successors[p].append(idx)

@@ -255,10 +255,6 @@ class Gate:
         return self.spec.duration_class is DurationClass.BARRIER
 
     @property
-    def is_diagonal(self) -> bool:
-        return self.spec.diagonal
-
-    @property
     def duration_class(self) -> DurationClass:
         return self.spec.duration_class
 

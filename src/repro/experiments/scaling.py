@@ -12,6 +12,7 @@ modest overhead over SABRE (the CF-set scan and lock bookkeeping).
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -85,6 +86,8 @@ class RuntimeScalingExperiment:
         records = []
         for circuit in self.circuits():
             for router in self.routers:
+                # Time the routing, not a collection of earlier garbage.
+                gc.collect()
                 start = time.perf_counter()
                 result = router.run(circuit, self.device)
                 elapsed = time.perf_counter() - start

@@ -7,10 +7,11 @@ The layering is purely logical (it ignores the device), so it lives in its own
 module and is reusable by the scaling experiments and the tests.
 
 The partition is the ASAP levelisation of the gate sequence: a gate's layer is
-one past the deepest layer already occupied by any of its qubits.  Within a
-layer no qubit therefore appears twice, and emitting the layers in order
-(each layer's gates in original program order) is a valid reordering of the
-circuit — gates that share a qubit keep their relative order.
+one past the deepest layer already occupied by any of its qubits or classical
+bits.  Within a layer no qubit therefore appears twice, and emitting the
+layers in order (each layer's gates in original program order) is a valid
+reordering of the circuit — gates that share a qubit or a classical bit keep
+their relative order.
 
 A layer separates:
 
@@ -79,6 +80,8 @@ def two_qubit_layers(circuit: Circuit) -> list[CircuitLayer]:
     """
     layers: list[CircuitLayer] = []
     last_layer_of: dict[int, int] = {}
+    # Classical bits are serial resources too: two writes keep their order.
+    last_layer_of_cbit: dict[int, int] = {}
     # Gates after a bare barrier may not land in a layer earlier than it.
     floor = 0
 
@@ -93,11 +96,15 @@ def two_qubit_layers(circuit: Circuit) -> list[CircuitLayer]:
         else:
             qubits = gate.qubits
         depth = 1 + max((last_layer_of.get(q, -1) for q in qubits), default=-1)
+        for c in gate.cbits:
+            depth = max(depth, 1 + last_layer_of_cbit.get(c, -1))
         depth = max(depth, floor)
         target = layer_at(depth)
         target._add(gate, position)
         for q in qubits:
             last_layer_of[q] = depth
+        for c in gate.cbits:
+            last_layer_of_cbit[c] = depth
         if gate.is_barrier and not gate.qubits:
             floor = depth
     return [layer for layer in layers if not layer.is_empty]

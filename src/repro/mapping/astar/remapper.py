@@ -38,8 +38,6 @@ class AStarConfig:
     #: Weight of the next layer's pairs in the search heuristic (0 disables
     #: the look-ahead).
     lookahead_weight: float = 0.5
-    #: Include the following layer's pairs in the heuristic.
-    use_lookahead: bool = True
 
 
 class AStarRouter(Router):
@@ -92,10 +90,9 @@ class AStarRouter(Router):
         return routed, layout, swap_count, extra
 
     # ------------------------------------------------------------------ #
-    def _lookahead_pairs(self, layers: list[CircuitLayer],
+    @staticmethod
+    def _lookahead_pairs(layers: list[CircuitLayer],
                          position: int) -> list[tuple[int, int]]:
-        if not self.config.use_lookahead:
-            return []
         for later in layers[position + 1:]:
             pairs = later.interaction_pairs()
             if pairs:

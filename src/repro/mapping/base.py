@@ -53,12 +53,6 @@ class RoutingResult:
     def original_gate_count(self) -> int:
         return len(self.original)
 
-    def speedup_over(self, other: "RoutingResult") -> float:
-        """``other.weighted_depth / self.weighted_depth`` (how much faster this result is)."""
-        if self.weighted_depth == 0:
-            return 1.0
-        return other.weighted_depth / self.weighted_depth
-
     def summary(self, include_circuits: bool = False) -> dict:
         """Flat JSON-serialisable dict used by the experiment reports.
 

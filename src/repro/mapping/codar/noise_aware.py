@@ -25,6 +25,7 @@ from repro.arch.coupling import CouplingGraph
 from repro.arch.devices import Device
 from repro.core.circuit import Circuit
 from repro.mapping.codar.remapper import CodarConfig, CodarRouter
+from repro.mapping.layout import Layout
 
 
 class EdgeFidelityMap:
@@ -106,15 +107,18 @@ class NoiseAwareCodarRouter(CodarRouter):
         self.edge_fidelities = edge_fidelities or EdgeFidelityMap()
 
     # ------------------------------------------------------------------ #
-    def run(self, circuit: Circuit, device: Device, **kwargs):
-        """Route and additionally report the routed circuit's SWAP-fidelity product."""
-        result = super().run(circuit, device, **kwargs)
+    def _route(self, circuit: Circuit, device: Device, layout: Layout
+               ) -> tuple[Circuit, Layout, int, dict]:
+        """Route as CODAR and also report the product of the inserted SWAPs'
+        fidelities as ``extra["swap_fidelity_product"]``."""
+        routed, final_layout, swap_count, extra = super()._route(
+            circuit, device, layout)
         product = 1.0
-        for gate in result.routed.gates:
+        for gate in routed.gates:
             if gate.is_routing_swap:
                 product *= self.edge_fidelities.swap_fidelity(*gate.qubits)
-        result.extra["swap_fidelity_product"] = product
-        return result
+        extra["swap_fidelity_product"] = product
+        return routed, final_layout, swap_count, extra
 
     # ------------------------------------------------------------------ #
     def _candidate_swaps(self, machine, unresolved, ignore_locks: bool = False):

@@ -1,4 +1,4 @@
-"""repro.obs — end-to-end tracing, structured logging and profiling.
+"""repro.obs — end-to-end tracing and structured logging.
 
 The observability layer the serving stack (client → gateway → shard →
 queue → pipeline) reports into:
@@ -10,8 +10,6 @@ queue → pipeline) reports into:
   behind ``GET /traces``;
 * :mod:`repro.obs.logging` — JSON-lines structured logging stamped with
   trace ids;
-* :mod:`repro.obs.profile` — an opt-in thread-stack sampling wall-clock
-  profiler (:class:`SamplingProfiler`);
 * :mod:`repro.obs.render` — the ``repro trace`` span-tree renderer with
   critical-path annotation.
 
@@ -38,7 +36,6 @@ from repro.obs.dashboard import render_dashboard, sparkline
 from repro.obs.logging import StructuredLogger, configure, get_logger, recent
 from repro.obs.monitor import (DEFAULT_SLOS, Monitor, MonitorConfig,
                                default_rules)
-from repro.obs.profile import ProfileReport, SamplingProfiler, profile_window
 from repro.obs.render import critical_path, render_trace
 from repro.obs.slo import SLOSpec, evaluate_slo, evaluate_window
 from repro.obs.store import SpanStore, configure_store, get_store
@@ -66,9 +63,6 @@ __all__ = [
     "configure",
     "get_logger",
     "recent",
-    "ProfileReport",
-    "SamplingProfiler",
-    "profile_window",
     "critical_path",
     "render_trace",
     "AlertManager",

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 #: Attribute keys surfaced inline, in display order; everything else is
-#: appended alphabetically (the bulky ``profile`` payload is summarised).
+#: appended alphabetically.
 _FIRST_KEYS = ("status", "error", "shard", "router", "kind", "coalesced")
 
 
@@ -62,9 +62,7 @@ def _format_attributes(attributes: Mapping) -> str:
         if key in seen:
             continue
         value = attributes[key]
-        if key == "profile" and isinstance(value, Mapping):
-            parts.append(f"profile={value.get('samples', '?')} samples")
-        elif key in ("job_key", "leader_trace_id") and isinstance(value, str):
+        if key in ("job_key", "leader_trace_id") and isinstance(value, str):
             parts.append(f"{key}={value[:12]}")
         else:
             parts.append(f"{key}={value}")

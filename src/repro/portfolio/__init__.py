@@ -11,9 +11,9 @@ them, and keep the winner under an explicit, pluggable cost model —
 * :mod:`repro.portfolio.cost` — cost models scoring a routing result (swaps,
   weighted/duration depth, estimated fidelity, measured latency), composable
   as weighted sums and addressable as JSON specs,
-* :mod:`repro.portfolio.runner` — :class:`PortfolioRunner`, fanning
-  candidates over the service's worker pool with racing (early-cancel past a
-  bound, hedged restarts for stragglers) and deterministic winner selection.
+* :mod:`repro.portfolio.runner` — :class:`PortfolioRunner`, racing
+  candidates on worker processes of their own (early-cancel past a bound
+  kills the stragglers) with deterministic winner selection.
 
 Quickstart::
 

@@ -9,16 +9,10 @@ misses fan out through the same picklable worker entry point the batch
 executor uses (:func:`repro.service.executor._execute_payload`), each
 candidate on a worker process of its own.
 
-Racing controls:
-
-* ``beat_bound`` — once any finished candidate scores at or below the bound,
-  the rest of the portfolio is cancelled: queued candidates never start and
-  running stragglers are **terminated mid-compile** (each candidate runs in
-  its own worker process precisely so it can be killed).
-* ``hedge_timeout`` — a candidate still running after this many seconds gets
-  a duplicate submission (a *hedged restart*); the first copy to finish
-  wins.  Jobs are deterministic, so hedging only fights straggler workers,
-  never changes results.
+Racing control: ``beat_bound`` — once any finished candidate scores at or
+below the bound, the rest of the portfolio is cancelled: queued candidates
+never start and running stragglers are **terminated mid-compile** (each
+candidate runs in its own worker process precisely so it can be killed).
 
 Winner selection is deterministic under fixed seeds: the winner is the
 lowest ``(score, candidate position)`` among candidates that produced a
@@ -47,7 +41,7 @@ _QUBIT_BANDS = (("q04", 4), ("q08", 8), ("q16", 16), ("q32", 32))
 #: Two-qubit-gate-density band edges over gates2q / gates_total.
 _DENSITY_BANDS = (("sparse", 0.25), ("mixed", 0.5))
 
-#: How often the racing loop re-checks completions / hedges (seconds).
+#: How often the racing loop re-checks completions (seconds).
 #: Short relative to a real compile so the early-cancel window opens before
 #: queued candidates reach a worker.
 _POLL_S = 0.005
@@ -86,7 +80,6 @@ class CandidateReport:
     outcome: CompileOutcome | None = None
     score: float | None = None
     cache_hit: bool = False
-    hedged: bool = False
 
     @property
     def elapsed_s(self) -> float | None:
@@ -100,7 +93,6 @@ class CandidateReport:
             "router": self.candidate.router["name"],
             "status": self.status,
             "cache_hit": self.cache_hit,
-            "hedged": self.hedged,
         }
         if self.score is not None:
             row["score"] = self.score if self.score != UNSCORABLE else None
@@ -194,16 +186,15 @@ class PortfolioRunner:
         Either a :class:`~repro.service.cache.ResultCache` or a full
         :class:`CompilationService` to share with batch callers; warm
         candidates short-circuit execution exactly like batch jobs.
-    beat_bound, hedge_timeout:
-        Default racing controls (see the module docstring); both can be
-        overridden per :meth:`run` call.
+    beat_bound:
+        Default racing control (see the module docstring); :meth:`run` can
+        override it per call.
     """
 
     def __init__(self, cost_model: CostModel | str | Mapping = "weighted_depth",
                  *, workers: int | None = None, cache=None,
                  service: CompilationService | None = None,
-                 beat_bound: float | None = None,
-                 hedge_timeout: float | None = None):
+                 beat_bound: float | None = None):
         if service is None:
             service = CompilationService(workers=workers, cache=cache)
         elif workers is not None or cache is not None:
@@ -211,7 +202,6 @@ class PortfolioRunner:
         self.service = service
         self.cost_model = build_cost_model(cost_model)
         self.beat_bound = beat_bound
-        self.hedge_timeout = hedge_timeout
 
     # ------------------------------------------------------------------ #
     @property
@@ -229,8 +219,8 @@ class PortfolioRunner:
 
     # ------------------------------------------------------------------ #
     def run(self, circuit, device, candidates="fast", *,
-            seed: int | None = None, beat_bound: float | None = None,
-            hedge_timeout: float | None = None) -> PortfolioResult:
+            seed: int | None = None,
+            beat_bound: float | None = None) -> PortfolioResult:
         """Compile ``circuit`` for ``device`` with every candidate; pick a winner.
 
         ``circuit`` is a :class:`~repro.core.circuit.Circuit` or OpenQASM
@@ -249,8 +239,6 @@ class PortfolioRunner:
             qasm = str(circuit)
             circuit_obj = parse_qasm(qasm)
         beat_bound = beat_bound if beat_bound is not None else self.beat_bound
-        hedge_timeout = (hedge_timeout if hedge_timeout is not None
-                         else self.hedge_timeout)
 
         resolved = resolve_candidates(candidates)
         if seed is not None:
@@ -263,7 +251,7 @@ class PortfolioRunner:
         reports = [CandidateReport(candidate=candidate)
                    for candidate in resolved]
         stats = {"candidates": len(resolved), "executed": 0, "cancelled": 0,
-                 "cache_hits": 0, "hedged": 0}
+                 "cache_hits": 0}
         self.service.stats.jobs += len(jobs)
 
         start = time.perf_counter()
@@ -271,8 +259,7 @@ class PortfolioRunner:
         best = self._best_score(reports)
         if pending and (beat_bound is None or best > beat_bound):
             if self.workers > 1 and len(pending) > 1:
-                self._run_racing(jobs, reports, pending, stats,
-                                 beat_bound, hedge_timeout)
+                self._run_racing(jobs, reports, pending, stats, beat_bound)
             else:
                 self._run_sequential(jobs, reports, pending, stats, beat_bound)
         else:
@@ -357,8 +344,7 @@ class PortfolioRunner:
 
     def _run_racing(self, jobs: Sequence[CompileJob],
                     reports: list[CandidateReport], pending: Sequence[int],
-                    stats: dict, beat_bound: float | None,
-                    hedge_timeout: float | None) -> None:
+                    stats: dict, beat_bound: float | None) -> None:
         """Race pending candidates, each on its own terminable worker process.
 
         One process per candidate (capped at ``self.workers`` concurrent) so
@@ -368,22 +354,21 @@ class PortfolioRunner:
         reporting becomes an error outcome, never a hang.
         """
         queued = list(pending)
-        running: dict[int, list[_WorkerHandle]] = {}
+        running: dict[int, _WorkerHandle] = {}
         unresolved = set(pending)
 
         try:
             while unresolved:
-                while queued and _live_count(running) < self.workers:
+                while queued and len(running) < self.workers:
                     index = queued.pop(0)
-                    running[index] = [_WorkerHandle.spawn(jobs[index])]
+                    running[index] = _WorkerHandle.spawn(jobs[index])
 
                 time.sleep(_POLL_S)
-                for index, handles in list(running.items()):
-                    outcome = _first_result(handles, jobs[index])
+                for index, handle in list(running.items()):
+                    outcome = handle.outcome(jobs[index])
                     if outcome is None:
                         continue
-                    for handle in handles:
-                        handle.terminate()
+                    handle.terminate()
                     del running[index]
                     self._record(reports, index, outcome, stats,
                                  job=jobs[index])
@@ -393,35 +378,17 @@ class PortfolioRunner:
                         and self._best_score(reports) <= beat_bound):
                     stats["cancelled"] += len(unresolved)
                     unresolved.clear()
-                    break
-
-                if hedge_timeout is not None:
-                    now = time.monotonic()
-                    for index, handles in running.items():
-                        report = reports[index]
-                        # Hedges respect the worker cap too: duplicating a
-                        # straggler onto an oversubscribed machine would slow
-                        # every candidate, the opposite of the point.
-                        if _live_count(running) >= self.workers:
-                            break
-                        if (not report.hedged
-                                and now - handles[0].started_at >= hedge_timeout):
-                            report.hedged = True
-                            stats["hedged"] += 1
-                            handles.append(_WorkerHandle.spawn(jobs[index]))
         finally:
-            for handles in running.values():
-                for handle in handles:
-                    handle.terminate()
+            for handle in running.values():
+                handle.terminate()
 
 
 class _WorkerHandle:
-    """One candidate attempt on a dedicated, terminable worker process."""
+    """One candidate on a dedicated, terminable worker process."""
 
     def __init__(self, process: mp.Process, conn):
         self.process = process
         self.conn = conn
-        self.started_at = time.monotonic()
 
     @classmethod
     def spawn(cls, job: CompileJob) -> "_WorkerHandle":
@@ -432,19 +399,24 @@ class _WorkerHandle:
         child_conn.close()  # the parent only reads
         return cls(process, parent_conn)
 
-    def poll_result(self) -> dict | None:
-        """The worker's outcome dict if it has reported, else ``None``."""
+    def outcome(self, job: CompileJob) -> CompileOutcome | None:
+        """The worker's outcome once it has reported; an error outcome once
+        it has exited without reporting (e.g. OOM-killed); ``None`` while it
+        is still running."""
+        # Read the exit code first: a worker that reported and then exited
+        # has its result in the pipe by the time the poll below runs.
+        exited = self.process.exitcode is not None
         try:
             if self.conn.poll(0):
-                return self.conn.recv()
+                return CompileOutcome.from_dict(self.conn.recv())
         except (EOFError, OSError):
             pass
-        return None
-
-    @property
-    def dead(self) -> bool:
-        """Exited without ever reporting a result."""
-        return self.process.exitcode is not None
+        if not exited:
+            return None
+        return CompileOutcome(
+            job_key=job.key, status="error",
+            error="candidate worker died without reporting a result",
+            error_type="RuntimeError")
 
     def terminate(self) -> None:
         if self.process.is_alive():
@@ -460,32 +432,6 @@ def _candidate_worker(payload: dict, conn) -> None:  # pragma: no cover — chil
         conn.close()
 
 
-def _live_count(running: Mapping[int, list[_WorkerHandle]]) -> int:
-    return sum(len(handles) for handles in running.values())
-
-
-def _first_result(handles: Sequence[_WorkerHandle],
-                  job: CompileJob) -> CompileOutcome | None:
-    """First reported outcome across a candidate's attempts, if any.
-
-    Returns an error outcome when every attempt died silently (e.g. the
-    worker was OOM-killed), and ``None`` while at least one is still going.
-    """
-    all_dead = True
-    for handle in handles:
-        result = handle.poll_result()
-        if result is not None:
-            return CompileOutcome.from_dict(result)
-        if not handle.dead:
-            all_dead = False
-    if all_dead:
-        return CompileOutcome(
-            job_key=job.key, status="error",
-            error="candidate worker died without reporting a result",
-            error_type="RuntimeError")
-    return None
-
-
 def run_portfolio_job(job, cache=None) -> CompileOutcome:
     """Execute one ``portfolio``-kind job (the service executor entry point).
 
@@ -496,8 +442,7 @@ def run_portfolio_job(job, cache=None) -> CompileOutcome:
     compiled by plain jobs or by portfolios with a different cost model.
     """
     runner = PortfolioRunner(cost_model=job.cost, workers=1, cache=cache,
-                             beat_bound=job.racing.get("beat_bound"),
-                             hedge_timeout=job.racing.get("hedge_timeout"))
+                             beat_bound=job.racing.get("beat_bound"))
     result = runner.run(job.qasm, job.device,
                         candidates=[Candidate.from_dict(data)
                                     for data in job.candidates],

@@ -63,10 +63,6 @@ class RegisterRef:
     name: str
     index: int | None = None
 
-    @property
-    def is_indexed(self) -> bool:
-        return self.index is not None
-
 
 # --------------------------------------------------------------------------- #
 # Statements

@@ -90,6 +90,10 @@ from repro.service.jobs import CompileJob, PortfolioJob
 #: Longest a single blocking-wait submit may hold its request thread.
 MAX_WAIT_S = 300.0
 
+#: Cap on a server's in-memory result-cache tier, with or without a disk
+#: tier behind it, so a long-running server's footprint stays flat.
+CACHE_ENTRIES = 1024
+
 _LOG = get_logger("server.http")
 
 
@@ -289,7 +293,7 @@ class CompileServer(KeepAliveApp):
         Scheduler worker threads.
     cache:
         :class:`ResultCache` for warm hits; defaults to a memory-only LRU
-        of ``default_cache_entries`` so a long-running server is bounded.
+        of :data:`CACHE_ENTRIES` so a long-running server is bounded.
         Pass an on-disk cache to survive restarts.
     max_depth:
         Queue admission bound (``None`` = unbounded).
@@ -298,9 +302,6 @@ class CompileServer(KeepAliveApp):
     slow_request_s:
         Requests slower than this log a ``slow_request`` warning through the
         structured logger (``None`` disables).
-    profile_slow_s:
-        Forwarded to the scheduler: sample executing jobs and attach a
-        ``job.profile`` span to traces slower than this (``None`` disables).
     trace_max_spans:
         Resize the process-global span ring (``None`` keeps the current
         size).  Note the store is per-*process*: in-process servers share it.
@@ -321,9 +322,7 @@ class CompileServer(KeepAliveApp):
                  workers: int = 2, cache: ResultCache | None = None,
                  max_depth: int | None = 256,
                  job_timeout: float | None = None,
-                 default_cache_entries: int = 1024,
                  slow_request_s: float | None = 5.0,
-                 profile_slow_s: float | None = None,
                  trace_max_spans: int | None = None,
                  monitor: MonitorConfig | dict | bool | None = None,
                  tenant_weights: dict[str, float] | None = None,
@@ -333,7 +332,7 @@ class CompileServer(KeepAliveApp):
         if trace_max_spans is not None:
             configure_store(trace_max_spans)
         if cache is None:
-            cache = ResultCache(max_entries=default_cache_entries)
+            cache = ResultCache(max_entries=CACHE_ENTRIES)
         self.cache = cache
         self.service = CompilationService(cache=cache)
         self.queue = JobQueue(max_depth=max_depth,
@@ -343,8 +342,7 @@ class CompileServer(KeepAliveApp):
         self.metrics = ServerMetrics()
         self.scheduler = Scheduler(self.service, queue=self.queue,
                                    workers=workers, job_timeout=job_timeout,
-                                   metrics=self.metrics,
-                                   profile_slow_s=profile_slow_s)
+                                   metrics=self.metrics)
         # Process-health gauges: saturation signals for `repro top` and the
         # alert rules, next to the queue gauges the scheduler registered.
         self.metrics.register_gauge("uptime_seconds", self._uptime)

@@ -296,7 +296,7 @@ class ServerMetrics:
     TENANT_COUNTERS = COUNTERS
     #: Per-portfolio-run counters (see :meth:`observe_portfolio`).
     PORTFOLIO_COUNTERS = ("runs", "candidates_run", "candidates_cancelled",
-                          "candidates_cached", "hedged")
+                          "candidates_cached")
     #: Cap on distinct tenant label values; overflow tenants are lumped into
     #: :data:`OVERFLOW_TENANT` so a client minting random tenant names cannot
     #: blow up metric cardinality.
@@ -353,7 +353,6 @@ class ServerMetrics:
                 stats.get("cancelled", 0))
             self._portfolio["candidates_cached"] += int(
                 stats.get("cache_hits", 0))
-            self._portfolio["hedged"] += int(stats.get("hedged", 0))
             if winner_router:
                 self._wins[winner_router] = self._wins.get(winner_router, 0) + 1
 

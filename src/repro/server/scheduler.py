@@ -13,9 +13,10 @@ Worker threads are the right grain here: a cold compile releases no GIL but
 the pool still overlaps queue wait, HTTP handling and cache I/O, while
 handing a hit to a worker and back would only add two thread switches.
 ``job_timeout`` bounds a runaway compile — the job is run on a reaper thread
-and abandoned past the deadline with a ``TimeoutError`` outcome (the thread
-itself cannot be killed mid-compile; it finishes in the background and its
-result is discarded).
+and abandoned past the deadline with a ``TimeoutError`` outcome.  The thread
+itself cannot be killed mid-compile: it finishes in the background, and
+``CompilationService.execute`` still caches an ok outcome, so once it has, a
+resubmission of the job is a cache hit.
 
 Every completed ticket is kept in a bounded ``records`` map (most recent
 ``max_records``), which backs ``GET /jobs/<key>`` and ``GET /results/<key>``;
@@ -28,8 +29,6 @@ import threading
 import time
 from collections import OrderedDict
 
-from repro.obs.logging import get_logger
-from repro.obs.profile import ProfileReport, SamplingProfiler
 from repro.obs.trace import activate, current_trace, record_span, span
 from repro.server.metrics import ServerMetrics
 from repro.server.queue import (DONE, FAILED, JobQueue, JobTicket,
@@ -41,8 +40,6 @@ from repro.service.jobs import CompileJob, CompileOutcome
 
 #: How often paused/idle workers re-check for work or shutdown (seconds).
 _POLL_S = 0.05
-
-_LOG = get_logger("server.scheduler")
 
 
 class Scheduler:
@@ -62,23 +59,13 @@ class Scheduler:
         Shared :class:`ServerMetrics`; defaults to a private instance.
     max_records:
         How many finished tickets stay addressable by key.
-    profile_slow_s:
-        When set, every executing job is watched by a
-        :class:`~repro.obs.profile.SamplingProfiler`; jobs slower than this
-        threshold get the sampled stacks attached to their trace as a
-        ``job.profile`` span (fast jobs discard the report).  ``None``
-        (default) disables profiling entirely.
-    profile_interval_s:
-        Sampling period for the profiler (default 5 ms).
     """
 
     def __init__(self, service: CompilationService | None = None, *,
                  queue: JobQueue | None = None, workers: int = 2,
                  job_timeout: float | None = None,
                  metrics: ServerMetrics | None = None,
-                 max_records: int = 4096,
-                 profile_slow_s: float | None = None,
-                 profile_interval_s: float = 0.005):
+                 max_records: int = 4096):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.service = service or CompilationService()
@@ -87,8 +74,6 @@ class Scheduler:
         self.job_timeout = job_timeout
         self.metrics = metrics or ServerMetrics()
         self.max_records = max_records
-        self.profile_slow_s = profile_slow_s
-        self.profile_interval_s = profile_interval_s
         self.records: OrderedDict[str, JobTicket] = OrderedDict()  #: guarded by self._records_lock
         self._records_lock = threading.Lock()
         self._threads: list[threading.Thread] = []
@@ -281,10 +266,8 @@ class Scheduler:
         """
         context = ticket.trace
         if context is None:
-            outcome, _ = self._execute(ticket.job, ticket.key)
-            return outcome
+            return self._execute(ticket.job, ticket.key)
         picked_up_wall = time.time()  # wall-clock: span end, stitched cross-process by trace id
-        picked_up = time.monotonic()
         record_span("queue.wait", trace=context,
                     start=ticket.submitted_wall, end=picked_up_wall,
                     job_key=ticket.key, priority=ticket.priority,
@@ -292,35 +275,14 @@ class Scheduler:
         with activate(context):
             with span("job.execute", job_key=ticket.key, tenant=ticket.tenant,
                       kind=getattr(ticket.job, "kind", "compile")) as entry:
-                outcome, report = self._execute(ticket.job, ticket.key)
+                outcome = self._execute(ticket.job, ticket.key)
                 entry.attributes["status"] = outcome.status
                 entry.attributes["cache_hit"] = outcome.cache_hit
-                service_s = time.monotonic() - picked_up
-                if (report is not None and report.samples
-                        and service_s >= (self.profile_slow_s or 0.0)):
-                    record_span("job.profile", trace=current_trace(),
-                                start=report.started_at,
-                                end=report.stopped_at or picked_up_wall,
-                                job_key=ticket.key,
-                                profile=report.as_dict())
-                    _LOG.warning("slow_job_profiled", job_key=ticket.key,
-                                 tenant=ticket.tenant,
-                                 service_s=round(service_s, 6),
-                                 samples=report.samples)
         return outcome
 
-    def _execute(self, job: CompileJob, key: str
-                 ) -> tuple[CompileOutcome, ProfileReport | None]:
-        profiler = (SamplingProfiler(self.profile_interval_s)
-                    if self.profile_slow_s is not None else None)
+    def _execute(self, job: CompileJob, key: str) -> CompileOutcome:
         if self.job_timeout is None:
-            if profiler is not None:
-                profiler.start((threading.get_ident(),))
-            try:
-                outcome = self._compile(job, key)
-            finally:
-                report = profiler.stop() if profiler is not None else None
-            return outcome, report
+            return self._compile(job, key)
         box: dict[str, CompileOutcome] = {}
         context = current_trace()
 
@@ -332,19 +294,16 @@ class Scheduler:
 
         runner = threading.Thread(target=_run, daemon=True)
         runner.start()
-        if profiler is not None and runner.ident is not None:
-            profiler.start((runner.ident,))
         runner.join(self.job_timeout)
-        report = profiler.stop() if profiler is not None else None
         if runner.is_alive():
             return CompileOutcome(
                 job_key=key, status="error",
                 error=f"job exceeded the {self.job_timeout}s server timeout",
-                error_type="TimeoutError"), report
-        return (box.get("outcome") or CompileOutcome(
+                error_type="TimeoutError")
+        return box.get("outcome") or CompileOutcome(
             job_key=key, status="error",
             error="worker thread died without producing an outcome",
-            error_type="RuntimeError")), report
+            error_type="RuntimeError")
 
     def _compile(self, job: CompileJob, key: str) -> CompileOutcome:
         try:

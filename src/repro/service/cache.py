@@ -61,8 +61,6 @@ class ResultCache:
     ----------
     directory:
         Root of the on-disk tier; ``None`` keeps the cache memory-only.
-    memory:
-        Keep a process-local dict in front of the disk tier (default).
     max_entries:
         LRU cap on the memory tier; the least-recently-*used* entry is
         evicted once the tier exceeds it (counted in ``stats.evictions``).
@@ -73,7 +71,7 @@ class ResultCache:
     """
 
     def __init__(self, directory: str | os.PathLike | None = None, *,
-                 memory: bool = True, max_entries: int | None = None):
+                 max_entries: int | None = None):
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.directory = Path(directory) if directory is not None else None
@@ -81,12 +79,7 @@ class ResultCache:
             self.directory.mkdir(parents=True, exist_ok=True)
         # The memory tier stores serialised JSON, not dicts, so a caller
         # mutating a returned outcome can never corrupt later cache hits.
-        # The *reference* is immutable after construction (None-checks may
-        # run unlocked); the dict's contents are only touched under
-        # ``self._lock``, which RL001 cannot express, so it stays
-        # unannotated deliberately.
-        self._memory: OrderedDict[str, str] | None = (
-            OrderedDict() if memory else None)
+        self._memory: OrderedDict[str, str] = OrderedDict()  #: guarded by self._lock
         self.max_entries = max_entries
         # Guards the memory tier: the online server shares one cache across
         # scheduler workers and HTTP threads.  Disk writes need no lock —
@@ -100,7 +93,6 @@ class ResultCache:
 
     def _remember(self, key: str, encoded: str) -> None:
         """Insert into the memory tier, evicting LRU entries past the cap."""
-        assert self._memory is not None
         with self._lock:
             self._memory[key] = encoded
             self._memory.move_to_end(key)
@@ -122,13 +114,12 @@ class ResultCache:
         to check it against its key, re-encoded canonically and kept in the
         memory tier.
         """
-        if self._memory is not None:
-            with self._lock:
-                encoded = self._memory.get(key)
-                if encoded is not None:
-                    self._memory.move_to_end(key)  # refresh LRU recency
-                    self.stats.hits += 1
-                    return encoded
+        with self._lock:
+            encoded = self._memory.get(key)
+            if encoded is not None:
+                self._memory.move_to_end(key)  # refresh LRU recency
+                self.stats.hits += 1
+                return encoded
         if self.directory is not None:
             path = self._path(key)
             try:
@@ -148,8 +139,7 @@ class ResultCache:
                     pass
             else:
                 encoded = json.dumps(data, sort_keys=True)
-                if self._memory is not None:
-                    self._remember(key, encoded)
+                self._remember(key, encoded)
                 with self._lock:
                     self.stats.hits += 1
                 return encoded
@@ -160,8 +150,7 @@ class ResultCache:
     def put(self, key: str, outcome: dict) -> None:
         """Store an outcome dict under ``key`` in every enabled tier."""
         encoded = json.dumps(outcome, sort_keys=True)
-        if self._memory is not None:
-            self._remember(key, encoded)
+        self._remember(key, encoded)
         if self.directory is not None:
             path = self._path(key)
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -175,10 +164,8 @@ class ResultCache:
 
     # ------------------------------------------------------------------ #
     def keys(self) -> set[str]:
-        found: set[str] = set()
-        if self._memory is not None:
-            with self._lock:
-                found.update(self._memory)
+        with self._lock:
+            found = set(self._memory)
         if self.directory is not None:
             found.update(p.stem for p in self.directory.glob("??/*.json"))
         return found
@@ -206,9 +193,8 @@ class ResultCache:
     def clear(self) -> int:
         """Drop every entry from every tier; returns the number removed."""
         removed = len(self)
-        if self._memory is not None:
-            with self._lock:
-                self._memory.clear()
+        with self._lock:
+            self._memory.clear()
         if self.directory is not None:
             for path in self.directory.glob("??/*.json"):
                 try:

@@ -250,7 +250,7 @@ class PortfolioJob:
                            in resolve_candidates(self.candidates)]
         self.cost = cost_spec(self.cost)
         racing = dict(self.racing or {})
-        unknown = set(racing) - {"beat_bound", "hedge_timeout"}
+        unknown = set(racing) - {"beat_bound"}
         if unknown:
             raise ValueError(f"unknown racing option(s): {sorted(unknown)}")
         self.racing = {key: float(value) for key, value in racing.items()

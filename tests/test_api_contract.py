@@ -62,11 +62,17 @@ REFUSED_POSTS = {
     "json_not_an_object": ("/jobs", b"[1, 2]", 400),
     "bad_job_payload": ("/jobs", b'{"qasm": "OPENQASM 2.0;"}', 400),
     "bad_portfolio_payload": ("/portfolio", b'{"job": {}}', 400),
+    "deleted_racing_option": (
+        "/portfolio", json.dumps({"job": {
+            "qasm": "qreg q[2];\ncx q[0],q[1];\n", "device": "ibm_q20_tokyo",
+            "racing": {"hedge_timeout": 1.0}}}).encode(), 400),
     "unreadable_content_length": ("/jobs", ({"Content-Length": "abc"}, b"{}"),
                                   400),
     "chunked_body": ("/jobs", ({"Transfer-Encoding": "chunked"},
                                b"2\r\n{}\r\n0\r\n\r\n"), 411),
 }
+#: What a refusal's error message must name.
+REFUSAL_NAMES = {"deleted_racing_option": "hedge_timeout"}
 #: Refusals that leave the body unread, so the connection must close.
 UNREAD_BODIES = ("oversized_body", "unreadable_content_length",
                  "chunked_body")
@@ -182,6 +188,7 @@ class TestRefusedPosts:
         status, headers, payload = _call(app, "POST", path, body)
         assert (status, headers["Content-Type"]) == (expected, JSON)
         assert set(payload) == {"error"}
+        assert REFUSAL_NAMES.get(case, "") in payload["error"]
         # Every submission is traced, refused ones included.
         assert headers["X-Repro-Trace"]
         if expected == 413:

@@ -183,7 +183,7 @@ class TestAStarRouter:
         assert result.extra["budget_exhausted_layers"] >= 0
 
     def test_lookahead_can_be_disabled(self):
-        config = AStarConfig(use_lookahead=False)
+        config = AStarConfig(lookahead_weight=0.0)
         device = get_device("ibm_q16_melbourne")
         result = AStarRouter(config).run(gen.qft(6), device)
         verify_routing(result)

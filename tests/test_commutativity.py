@@ -59,6 +59,13 @@ class TestPairwiseRules:
         assert not gates_commute(Gate("measure", (0,)), Gate("t", (0,)))
         assert gates_commute(Gate("measure", (0,)), Gate("t", (1,)))
 
+    def test_writes_of_one_classical_bit_never_commute(self):
+        first = Gate("measure", (0,), cbits=(0,))
+        assert not gates_commute(first, Gate("measure", (1,), cbits=(0,)))
+        assert not CommutativityChecker().commute(
+            first, Gate("measure", (1,), cbits=(0,)))
+        assert gates_commute(first, Gate("measure", (1,), cbits=(1,)))
+
     def test_global_barrier_blocks_everything(self):
         assert not gates_commute(Gate("barrier", ()), Gate("h", (0,)))
 

@@ -261,8 +261,10 @@ def _mixed_gates(rng: random.Random, num_qubits: int,
             gates.append(Gate("rz", (rng.randrange(num_qubits),),
                               (rng.choice((0.25, 0.5, 1.5)),)))
         elif kind == "measure":
+            # Two classical bits: measurements of different qubits can
+            # write one bit, which orders them like a shared qubit would.
             qubit = rng.randrange(num_qubits)
-            gates.append(Gate("measure", (qubit,), cbits=(qubit,)))
+            gates.append(Gate("measure", (qubit,), cbits=(qubit % 2,)))
         else:
             gates.append(Gate(kind, (rng.randrange(num_qubits),)))
     return gates

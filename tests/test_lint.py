@@ -242,13 +242,3 @@ class TestClockRegressions:
         assert monitor.clock is time.monotonic
         assert monitor.recorder.clock is time.monotonic
         assert monitor.alerts.clock is time.monotonic
-
-    def test_profile_wall_s_survives_wall_clock_step(self):
-        from repro.obs.profile import ProfileReport
-
-        report = ProfileReport(0.005)
-        # Simulate an NTP step backwards between start and stop: the epoch
-        # fields move, but the duration must come from the monotonic twins.
-        report.stopped_at = report.started_at - 3600.0
-        report._stopped_mono = report._started_mono + 0.25
-        assert report.wall_s == pytest.approx(0.25)

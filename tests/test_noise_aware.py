@@ -72,6 +72,28 @@ class TestNoiseAwareRouter:
         product = result.extra["swap_fidelity_product"]
         assert product == pytest.approx(0.95 ** (3 * result.swap_count))
 
+    def test_pipeline_job_reports_the_product_too(self):
+        """The pipeline's route stage reports what a plain job does."""
+        from repro.qasm.exporter import circuit_to_qasm
+        from repro.service.executor import execute_job
+        from repro.service.jobs import CompileJob
+
+        qasm = circuit_to_qasm(gen.qft(5))
+        plain = execute_job(CompileJob(
+            qasm=qasm, device="ibm_q20_tokyo", router="codar_noise_aware",
+            layout_strategy="reverse_traversal", seed=0))
+        piped = execute_job(CompileJob(
+            qasm=qasm, device="ibm_q20_tokyo", router="codar_noise_aware",
+            seed=0, pipeline=[
+                "parse",
+                {"name": "layout", "params": {"strategy": "reverse_traversal"}},
+                {"name": "route", "params": {"router": "codar_noise_aware"}}]))
+        assert plain.ok and piped.ok
+        assert piped.routed_qasm == plain.routed_qasm
+        product = plain.summary["extra"]["swap_fidelity_product"]
+        assert product < 1.0
+        assert piped.summary["extra"]["swap_fidelity_product"] == product
+
     def test_uniform_fidelities_match_stock_codar(self):
         """With identical edge fidelities the refinements change nothing."""
         device = get_device("ibm_q20_tokyo")

@@ -1,5 +1,5 @@
-"""Observability layer: trace context, spans, store, logging, profiler,
-renderer — plus end-to-end HTTP trace propagation and gateway stitching.
+"""Observability layer: trace context, spans, store, logging, renderer —
+plus end-to-end HTTP trace propagation and gateway stitching.
 
 The HTTP tests run real :class:`~repro.server.http.CompileServer` instances
 (and a real :class:`~repro.cluster.gateway.ClusterGateway`) on ephemeral
@@ -12,8 +12,6 @@ the scheduler worker and every pipeline stage.
 
 import io
 import json
-import threading
-import time
 
 import pytest
 
@@ -22,7 +20,6 @@ from repro.obs import (TraceContext, activate, configure, configure_store,
                        critical_path, current_trace, get_logger, get_store,
                        recent, record_span, render_trace, span)
 from repro.obs.logging import STDERR
-from repro.obs.profile import SamplingProfiler, profile_window
 from repro.obs.store import SpanStore
 from repro.server import CompileClient, CompileServer, ServerError
 from repro.service import make_job
@@ -217,62 +214,6 @@ class TestStructuredLogging:
     def test_unknown_level_is_rejected(self):
         with pytest.raises(ValueError, match="unknown log level"):
             configure(level="shout")
-
-
-# --------------------------------------------------------------------------- #
-# Sampling profiler
-# --------------------------------------------------------------------------- #
-class TestSamplingProfiler:
-    @staticmethod
-    def _busy(deadline_s: float = 0.08) -> int:
-        total, deadline = 0, time.perf_counter() + deadline_s
-        while time.perf_counter() < deadline:
-            total += sum(range(100))
-        return total
-
-    def test_profile_window_samples_the_calling_thread(self):
-        result, report = profile_window(self._busy, interval_s=0.002)
-        assert result > 0
-        assert report.samples > 0
-        assert report.stopped_at is not None
-        top = report.top(3)
-        assert top and top[0]["samples"] >= 1
-        stacks = [frame for row in top for frame in row["stack"]]
-        assert any("_busy" in frame for frame in stacks)
-        payload = report.as_dict()
-        assert payload["samples"] == report.samples
-        assert json.dumps(payload)  # JSON-safe for the job.profile span
-
-    def test_targeted_sampling_ignores_other_threads(self):
-        stop = threading.Event()
-
-        def distinctively_named_noise_loop():
-            stop.wait()
-
-        noise = threading.Thread(target=distinctively_named_noise_loop,
-                                 daemon=True)
-        noise.start()
-        profiler = SamplingProfiler(interval_s=0.002)
-        profiler.start((threading.get_ident(),))
-        self._busy(0.05)
-        report = profiler.stop()
-        stop.set()
-        noise.join(1.0)
-        stacks = [frame for stack in report.stacks for frame in stack]
-        assert report.samples > 0
-        assert not any("distinctively_named_noise_loop" in frame
-                       for frame in stacks)
-
-    def test_double_start_and_idle_stop_are_errors(self):
-        profiler = SamplingProfiler(interval_s=0.01)
-        with pytest.raises(RuntimeError):
-            profiler.stop()
-        profiler.start((threading.get_ident(),))
-        with pytest.raises(RuntimeError):
-            profiler.start()
-        profiler.stop()
-        with pytest.raises(ValueError):
-            SamplingProfiler(interval_s=0.0)
 
 
 # --------------------------------------------------------------------------- #

@@ -1,15 +1,26 @@
 """Tests for the racing portfolio subsystem (candidates, cost, runner)."""
 
+import os
+
 import pytest
 
 from repro.portfolio import (COST_MODELS, Candidate, PortfolioRunner,
                              UNSCORABLE, build_cost_model, cost_spec,
                              feature_bucket, portfolio_preset,
                              resolve_candidates, score_outcome, score_result)
+from repro.portfolio.runner import _candidate_worker
 from repro.service import (CompilationService, CompileOutcome, PortfolioJob,
                            ResultCache, job_from_dict, make_job)
 from repro.service.executor import execute_job
 from repro.workloads.generators import ghz, qft
+
+
+def _codar_worker_dies_silently(payload: dict, conn) -> None:
+    """A racing worker entry point whose CODAR candidate's process ends
+    without reporting a result; every other candidate runs as usual."""
+    if payload["router"]["name"] == "codar":
+        os._exit(3)
+    _candidate_worker(payload, conn)
 
 
 # --------------------------------------------------------------------------- #
@@ -261,25 +272,27 @@ class TestPortfolioRunner:
         assert raced.winner.candidate.key == sequential.winner.candidate.key
         assert raced.outcome.routed_qasm == sequential.outcome.routed_qasm
 
-    def test_hedged_restart_duplicates_stragglers(self):
-        from repro.workloads.generators import random_circuit
+    def test_a_silently_dead_worker_is_an_error_and_the_race_goes_on(
+            self, monkeypatch):
+        from repro.portfolio import runner as runner_module
 
-        # hedge_timeout=0: every candidate still running at the first poll
-        # gets a twin; results are deterministic so the winner is unchanged.
-        circuit = random_circuit(10, 400, seed=3)
-        candidates = [Candidate("codar"), Candidate("sabre")]
-        baseline = PortfolioRunner("weighted_depth").run(
-            circuit, "ibm_q20_tokyo", candidates=candidates, seed=2)
-        # workers > candidates so the worker cap leaves room for hedges.
-        with PortfolioRunner("weighted_depth", workers=4) as runner:
-            hedged = runner.run(circuit, "ibm_q20_tokyo",
-                                candidates=candidates, seed=2,
-                                hedge_timeout=0.0)
-        assert hedged.ok
-        assert hedged.stats["hedged"] >= 1
-        assert any(report.hedged for report in hedged.reports)
-        assert hedged.winner.candidate.key == baseline.winner.candidate.key
-        assert hedged.score == baseline.score
+        monkeypatch.setattr(runner_module, "_candidate_worker",
+                            _codar_worker_dies_silently)
+        candidates = [Candidate("codar"), Candidate("sabre"),
+                      Candidate("trivial")]
+        with PortfolioRunner("weighted_depth", workers=2) as racing:
+            raced = racing.run(qft(5), "ibm_q20_tokyo",
+                               candidates=candidates, seed=4)
+        assert [report.status for report in raced.reports] == [
+            "error", "ok", "ok"]
+        died = raced.reports[0].outcome
+        assert died.error_type == "RuntimeError"
+        assert "died without reporting" in died.error
+        survivors = PortfolioRunner("weighted_depth").run(
+            qft(5), "ibm_q20_tokyo", candidates=candidates[1:], seed=4)
+        assert raced.ok
+        assert raced.winner.candidate.key == survivors.winner.candidate.key
+        assert raced.outcome.routed_qasm == survivors.outcome.routed_qasm
 
     def test_service_and_workers_are_exclusive(self):
         with pytest.raises(ValueError, match="not both"):
@@ -315,9 +328,12 @@ class TestPortfolioJob:
         assert base.key != make_job(qft(4), "ibm_q20_tokyo", "codar").key
 
     def test_unknown_racing_option_rejected(self):
-        with pytest.raises(ValueError, match="racing option"):
-            PortfolioJob.from_circuit(qft(4), "ibm_q20_tokyo", "fast",
-                                      racing={"warp_speed": 1})
+        # A payload naming an option the runner does not have is refused,
+        # never run as if the option were absent.
+        for option in ("warp_speed", "hedge_timeout"):
+            with pytest.raises(ValueError, match=f"racing option.*{option}"):
+                PortfolioJob.from_circuit(qft(4), "ibm_q20_tokyo", "fast",
+                                          racing={option: 1})
 
     def test_executes_and_caches_like_any_job(self, tmp_path):
         job = PortfolioJob.from_circuit(qft(4), "ibm_q20_tokyo", "fast", seed=5)
@@ -346,10 +362,9 @@ class TestPortfolioJob:
         assert stats["executed"] == 0 and stats["cache_hits"] == 3
 
     def test_racing_options_thread_through_the_job(self, tmp_path):
-        # hedge_timeout is part of the job key *and* reaches the runner.
+        # beat_bound is part of the job key *and* reaches the runner.
         job = PortfolioJob.from_circuit(qft(4), "ibm_q20_tokyo", "fast",
-                                        racing={"beat_bound": 1e9,
-                                                "hedge_timeout": 30.0})
+                                        racing={"beat_bound": 1e9})
         outcome = CompilationService().compile_one(job)
         assert outcome.ok
         stats = outcome.summary["portfolio"]["stats"]

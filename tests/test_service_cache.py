@@ -47,9 +47,10 @@ class TestAccounting:
         assert cache.disk_bytes() == 0
 
     def test_disk_only_cache(self, tmp_path):
-        cache = ResultCache(tmp_path, memory=False)
-        cache.put("ab" * 32, _outcome("ab" * 32))
-        assert cache.get("ab" * 32) is not None
+        ResultCache(tmp_path).put("ab" * 32, _outcome("ab" * 32))
+        # A fresh cache starts with an empty memory tier: it reads the disk.
+        cache = ResultCache(tmp_path)
+        assert cache.get("ab" * 32) == _outcome("ab" * 32)
         assert cache.disk_bytes() > 0
 
     def test_clear_empties_both_tiers(self, tmp_path):
@@ -281,7 +282,7 @@ class TestConcurrentWriters:
             thread.join(30.0)
         assert not errors
         assert len(cache) == 80
-        fresh = ResultCache(tmp_path, memory=False)  # re-read from disk only
+        fresh = ResultCache(tmp_path)  # empty memory tier: reads the disk
         for worker in range(4):
             for index in range(20):
                 key = f"{worker}{index:x}".ljust(64, "b")
@@ -291,7 +292,7 @@ class TestConcurrentWriters:
     def test_concurrent_writers_to_the_same_key(self, tmp_path):
         # The server's coalescing makes this rare, but distinct processes
         # may still race on one key; last-writer-wins with no torn reads.
-        cache = ResultCache(tmp_path, memory=False)
+        cache = ResultCache(tmp_path)
         key = "cc" * 32
         barrier = threading.Barrier(4)
         errors = []
@@ -301,8 +302,10 @@ class TestConcurrentWriters:
                 barrier.wait(10.0)
                 for _ in range(25):
                     cache.put(key, _outcome(key))
-                    found = cache.get(key)
-                    assert found == _outcome(key)
+                    # A fresh cache's memory tier is empty: it reads the disk.
+                    reader = ResultCache(tmp_path)
+                    assert reader.get(key) == _outcome(key)
+                    assert reader.stats.corrupt == 0
             except Exception as exc:  # noqa: BLE001 — surfaced below
                 errors.append(exc)
 
@@ -313,7 +316,7 @@ class TestConcurrentWriters:
             thread.join(30.0)
         assert not errors
         assert cache.stats.corrupt == 0
-        assert ResultCache(tmp_path, memory=False).get(key) == _outcome(key)
+        assert ResultCache(tmp_path).get(key) == _outcome(key)
 
     def test_disk_bytes_skips_entries_that_vanish_mid_scan(self, tmp_path):
         # Regression: a racing eviction/clear() unlinking a file between

@@ -22,7 +22,7 @@ from repro.qasm.exporter import circuit_to_qasm
 from repro.qasm.parser import parse_qasm
 from repro.service.executor import execute_job
 from repro.service.jobs import CompileJob
-from repro.service.registry import build_device, build_router
+from repro.service.registry import ROUTERS, build_device, build_router
 from repro.workloads.generators import qft
 
 
@@ -320,6 +320,35 @@ class TestStructureMutations:
         original = Circuit(2).h(0)
         assert "holding no program qubit" in _structure(
             _fake_result(original, Circuit(3).h(2), device))[0]
+
+
+#: Two measurements into ``c[0]``: the second measures a qubit no earlier
+#: gate touches, so a router ordering gates by qubits alone may run it
+#: first and leave ``c[0]`` holding q[0]'s outcome instead of q[1]'s.
+ONE_BIT_TWICE = """OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[3];
+creg c[1];
+cx q[0],q[2];
+measure q[0] -> c[0];
+measure q[1] -> c[0];
+"""
+
+
+class TestClassicalBitOrder:
+    @pytest.mark.parametrize("router", ROUTERS.names())
+    def test_every_router_keeps_writes_of_one_bit_in_order(self, router):
+        circuit = parse_qasm(ONE_BIT_TWICE)
+        device = build_device("line_3")
+        result = build_router(router).run(circuit, device,
+                                          initial_layout=Layout.identity(3))
+        assert _structure(result) == []
+
+    def test_default_pipeline_job_verifies(self):
+        outcome = execute_job(CompileJob(qasm=ONE_BIT_TWICE, device="line_3",
+                                         router="codar", pipeline="default"))
+        assert outcome.ok, outcome.error
+        assert outcome.summary["verified"] is True
 
 
 class TestServedOutcomes:

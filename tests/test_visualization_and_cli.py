@@ -283,6 +283,11 @@ USER_ERRORS = {
     "batch-unknown-router": (["batch", "--suite", "--max-qubits", "4",
                               "--router", "bogus"], "unknown router"),
     "batch-qubit-out-of-range": (["batch", "{dir}/bad.qasm"], "out of range"),
+    "serve-deleted-profile-flag": (["serve", "--profile-slow-s", "1"],
+                                   "unrecognized arguments: --profile-slow-s"),
+    "portfolio-deleted-hedge-flag": (
+        ["portfolio", "{dir}/pair.qasm", "--hedge-timeout", "1"],
+        "unrecognized arguments: --hedge-timeout"),
     "pipeline-unknown-stage-param": (
         ["pipeline", "run", "{dir}/pair.qasm", "--pipeline",
          '["parse", "layout", "route", '
@@ -320,9 +325,8 @@ CLI_SURFACE = {
                   "--device device='ibm_q20_tokyo'", "--preset preset='fast'",
                   '--router router=None', "--cost cost='weighted_depth'",
                   '--workers workers=None', '--beat-bound beat_bound=None',
-                  '--hedge-timeout hedge_timeout=None', '--seed seed=None',
-                  '--cache-dir cache_dir=None', '--json json=None',
-                  '--verbose verbose=False'],
+                  '--seed seed=None', '--cache-dir cache_dir=None',
+                  '--json json=None', '--verbose verbose=False'],
     'pipeline': [],
     'pipeline list': [],
     'pipeline describe': ['<arg> spec=None'],
@@ -335,7 +339,6 @@ CLI_SURFACE = {
     'routers': [],
     'serve': ['--port port=8642', '--cache-dir cache_dir=None',
               '--slow-request-s slow_request_s=5.0',
-              '--profile-slow-s profile_slow_s=None',
               '--trace-spans trace_spans=None', "--host host='127.0.0.1'",
               '--server-workers server_workers=2', '--max-depth max_depth=256',
               '--job-timeout job_timeout=None', '--verbose verbose=False',
