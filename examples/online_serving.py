@@ -84,7 +84,7 @@ def main() -> None:
         health = client.health()
         print(f"health   : {health['status']}, up {health['uptime_s']}s, "
               f"p95 service "
-              f"{health['metrics']['service_seconds']['p95']}s")
+              f"{samples['repro_server_job_service_seconds_p95']}s")
     print("server stopped")
 
 

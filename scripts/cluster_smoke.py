@@ -12,7 +12,11 @@ failure rehearsal the cluster layer exists for:
 5. fetch the stitched distributed trace of a failed-over request and
    verify the failover hop shows up as a ``gateway.failover`` span next to
    the surviving shard's ``server.request``,
-6. confirm the gateway health surface reports the ejection.
+6. confirm the gateway health surface reports the ejection,
+7. run ``repro status`` and ``repro top --once`` against the gateway and
+   the surviving shard: the shard liveness and per-shard ``routed=``
+   counts they print must agree with the ``gateway`` entry of the
+   gateway's ``GET /metrics/sample``.
 
 ``--trace-out PATH`` writes that stitched trace as JSON so CI can upload
 it as a build artifact alongside the benchmark files.
@@ -23,6 +27,8 @@ Run from the repo root: ``PYTHONPATH=src python scripts/cluster_smoke.py``.
 
 import argparse
 import json
+import re
+import subprocess
 import sys
 import threading
 import time
@@ -41,6 +47,33 @@ def _failover_trace(client: CompileClient, trace_ids: list) -> dict | None:
         if "gateway.failover" in names:
             return stitched
     return None
+
+
+def _cli(*argv: str) -> str:
+    """The stdout of one ``repro`` CLI run, which must exit 0."""
+    run = subprocess.run([sys.executable, "-m", "repro.cli", *argv],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, (argv, run.stderr)
+    return run.stdout
+
+
+def _check_cli_views(gateway_url: str, shard_url: str, entry: dict) -> None:
+    """``repro status`` and ``repro top --once`` agree with ``entry``, the
+    ``gateway`` entry of the gateway's sample: shard liveness, and each
+    shard's routed count."""
+    rows = re.findall(r"^  (\S+)\s+(up|DOWN)\s.*\brouted=(\d+)\b",
+                      _cli("status", "--url", gateway_url), re.MULTILINE)
+    assert {name: (flag == "up", int(routed))
+            for name, flag, routed in rows} == {
+        name: (bool(up), entry["shard_requests"].get(name, 0))
+        for name, up in entry["shard_up"].items()}, (rows, entry)
+    frame = _cli("top", "--url", gateway_url, "--once", "--no-color")
+    up = entry["shard_up"]
+    shards = f"shards {sum(up.values())}/{len(up)}"
+    assert shards in frame, (shards, frame)
+    assert "server     : " in _cli("status", "--url", shard_url)
+    assert "status ok" in _cli("top", "--url", shard_url, "--once",
+                               "--no-color")
 
 
 def main(argv: list | None = None) -> int:
@@ -144,10 +177,15 @@ def main(argv: list | None = None) -> int:
                 time.sleep(0.2)
             health = client.health()
             assert health["ejections"] >= 1
-            snapshot = gateway.metrics.snapshot()
+            entry = client.metrics_sample()["gateway"]
             print(f"[smoke] health: {health['shards_alive']}/2 alive, "
-                  f"{snapshot['failovers']} failover(s), "
-                  f"{snapshot['requests']} gateway requests")
+                  f"{entry['failovers']} failover(s), "
+                  f"{entry['requests']} gateway requests")
+
+            # 7. the CLI views agree with the gateway's own counts
+            _check_cli_views(gateway.url, fleet.urls[1], entry)
+            print("[smoke] repro status / repro top agree with the sample's "
+                  f"gateway entry (routed {entry['shard_requests']})")
     print(f"[smoke] PASS in {time.perf_counter() - started:.1f}s")
     return 0
 

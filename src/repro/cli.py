@@ -27,11 +27,11 @@ Usage (``python -m repro.cli <command> ...``):
   Spawn N local compile-server shard processes behind a shard-routing
   gateway that serves the server's own API: rendezvous hashing on the job
   key, health-checked failover, fleet-merged ``/metrics``.
-  ``cluster status --url URL`` prints shard liveness and routing counters.
 * ``submit FILES ... --url URL --device D --router R [--priority N] [--async]``
   Submit circuits to a running server and (by default) wait for the outcomes.
 * ``status --url URL [KEY]``
-  Server health + metrics snapshot, or one job's status when KEY is given.
+  Server health and job counts, or a gateway's shard liveness and routing
+  counts, or one job's status when KEY is given.
 * ``trace IDENT --url URL``
   Fetch one request trace (by trace id, job key, or a >= 8-char key prefix)
   from a server or gateway and print the span tree with the critical path
@@ -91,6 +91,7 @@ from repro.experiments.layouts import LayoutSensitivityExperiment
 from repro.experiments.scaling import RuntimeScalingExperiment
 from repro.experiments.sensitivity import DurationSensitivityExperiment
 from repro.experiments.speedup import SpeedupExperiment
+from repro.obs.timeseries import percentile_from_cumulative
 from repro.passes.pipeline import transpile
 from repro.qasm import circuit_to_qasm, parse_qasm_file
 from repro.server.client import CompileClient, ServerError
@@ -517,13 +518,10 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cluster_status(args: argparse.Namespace) -> int:
-    health = CompileClient(args.url).health()
-    if health.get("role") != "gateway":
-        print(f"note: {args.url} looks like a single server, not a gateway",
-              file=sys.stderr)
+def _print_gateway_status(url: str, health: dict) -> None:
+    """``repro status`` of a gateway: shard liveness and routing counts."""
     gateway = health.get("gateway", {})
-    print(f"gateway    : {args.url} ({health.get('status')}, "
+    print(f"gateway    : {url} ({health.get('status')}, "
           f"up {health.get('uptime_s', 0)}s)")
     print(f"shards     : {health.get('shards_alive', 0)}"
           f"/{len(health.get('shards', []))} alive  "
@@ -541,7 +539,6 @@ def _cmd_cluster_status(args: argparse.Namespace) -> int:
           f"failovers={gateway.get('failovers', 0)}  "
           f"bad={gateway.get('bad_requests', 0)}  "
           f"unrouted={gateway.get('unrouted', 0)}")
-    return 0
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
@@ -579,28 +576,26 @@ def _cmd_status(args: argparse.Namespace) -> int:
         return 0
     health = client.health()
     if health.get("role") == "gateway":
-        # Pointed at a cluster gateway: its health has shard rows, not the
-        # single-server fields this printer expects.
-        print(f"note: {args.url} is a cluster gateway; showing cluster "
-              "status", file=sys.stderr)
-        return _cmd_cluster_status(args)
-    metrics = health.pop("metrics", {})
+        _print_gateway_status(args.url, health)
+        return 0
+    sample = health["metrics"]
+    counters = sample["counters"]
     print(f"server     : {args.url} ({health['status']}, "
           f"up {health['uptime_s']}s)")
     print(f"workers    : {health['workers']}  "
           f"queue depth: {health['queue_depth']}  "
           f"in flight: {health['jobs_in_flight']}")
-    print(f"jobs       : submitted={metrics.get('submitted', 0)} "
-          f"completed={metrics.get('completed', 0)} "
-          f"failed={metrics.get('failed', 0)} "
-          f"coalesced={metrics.get('coalesced', 0)} "
-          f"rejected={metrics.get('rejected', 0)}")
-    wait = metrics.get("wait_seconds", {})
-    service = metrics.get("service_seconds", {})
-    print(f"wait       : p50={wait.get('p50', 0)}s "
-          f"p95={wait.get('p95', 0)}s (n={wait.get('count', 0)})")
-    print(f"service    : p50={service.get('p50', 0)}s "
-          f"p95={service.get('p95', 0)}s (n={service.get('count', 0)})")
+    print(f"jobs       : submitted={counters['submitted']} "
+          f"completed={counters['completed']} "
+          f"failed={counters['failed']} "
+          f"coalesced={counters['coalesced']} "
+          f"rejected={counters['rejected']}")
+    for label in ("wait", "service"):
+        data = sample["histograms"][f"{label}_seconds"]
+        p50, p95 = (percentile_from_cumulative(
+            data["buckets"], data["count"], fraction, data["sum"])
+            for fraction in (0.50, 0.95))
+        print(f"{label:<11s}: p50={p50}s p95={p95}s (n={data['count']})")
     print(f"cache      : {health.get('cache')}")
     return 0
 
@@ -657,6 +652,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
             frame = render_dashboard(
                 url=args.url,
                 health=_fetch(client.health),
+                sample=_fetch(client.metrics_sample),
                 history=_fetch(client.metrics_history),
                 slo=_fetch(client.slo),
                 alerts=_fetch(lambda: client.alerts(limit=10)),
@@ -988,10 +984,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help="seconds between shard health probes")
     _add_serving_options(cluster_serve)
     cluster_serve.set_defaults(func=_cmd_cluster_serve)
-    cluster_status = cluster_sub.add_parser(
-        "status", help="gateway health: shard liveness and routing counters")
-    _add_url(cluster_status, "gateway base URL", "http://127.0.0.1:8700")
-    cluster_status.set_defaults(func=_cmd_cluster_status)
 
     submit = sub.add_parser("submit",
                             help="submit circuits to a running server")
@@ -1014,10 +1006,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "header (default: the server's \"default\")")
     submit.set_defaults(func=_cmd_submit)
 
-    status = sub.add_parser("status",
-                            help="server health or one job's status")
+    status = sub.add_parser(
+        "status", help="server or gateway health, or one job's status")
     status.add_argument("key", nargs="?", help="job key (omit for health)")
-    _add_url(status, "server base URL")
+    _add_url(status)
     status.set_defaults(func=_cmd_status)
 
     trace_cmd = sub.add_parser(

@@ -30,15 +30,13 @@ Quickstart::
             outcome = client.compile(job)
 """
 
-from repro.cluster.gateway import (ClusterGateway, GatewayMetrics,
-                                   NoShardAvailableError)
+from repro.cluster.gateway import ClusterGateway, NoShardAvailableError
 from repro.cluster.health import HealthMonitor
 from repro.cluster.local import LocalShardFleet
 from repro.cluster.ring import ShardMember, ShardRing
 
 __all__ = [
     "ClusterGateway",
-    "GatewayMetrics",
     "HealthMonitor",
     "LocalShardFleet",
     "NoShardAvailableError",

@@ -21,12 +21,12 @@ URL and nothing else changes.  What the gateway does differently:
 * ``GET /metrics/sample`` — the fleet's cumulative metrics sample as JSON:
   every shard's ``GET /metrics/sample`` summed value by value (histogram
   buckets by bound — every shard uses the same fixed bounds), each gauge
-  merged by its rule (:func:`_fleet_gauges`) and the fleet topology added.
-  A dead shard contributes its last-known sample, and a restarted shard's
-  earlier values are banked, so merged counters never go back.
-* ``GET /metrics`` — cluster-level Prometheus exposition for external
-  scrapers: the gateway's own ``repro_cluster_*`` counters, then the same
-  merged shard sample rendered by
+  merged by its rule (:func:`_fleet_gauges`), the fleet topology added as
+  gauges and the gateway's own counts as its ``gateway`` entry.  A dead
+  shard contributes its last-known sample, and a restarted shard's earlier
+  values are banked, so merged counters never go back.
+* ``GET /metrics`` — that sample as Prometheus text for external scrapers,
+  rendered by the servers' own
   :func:`~repro.server.metrics.render_prometheus` under the
   ``repro_cluster`` prefix (p50/p95 from the merged buckets).
 * ``GET /metrics/history`` / ``GET /slo`` / ``GET /alerts`` — the fleet
@@ -39,7 +39,8 @@ URL and nothing else changes.  What the gateway does differently:
   ids) surface at the cluster edge.
 * ``GET /traces`` / ``GET /traces/<id>`` — the gateway's own spans stitched
   with every shard's part of the same traces.
-* ``GET /healthz`` — gateway liveness plus per-shard health.
+* ``GET /healthz`` — gateway liveness plus per-shard health, and the
+  ``gateway`` entry of its sample.
 
 Every fleet view polls all ring members the same way
 (:meth:`ClusterGateway._poll_shards`), and its ``shards_polled`` counts the
@@ -134,92 +135,9 @@ def _fell(old, new) -> bool:
     return old > (new or 0)
 
 
-class GatewayMetrics:
-    """The gateway's own counters (shard counters are labelled by name)."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.requests = 0  #: guarded by self._lock
-        self.failovers = 0  #: guarded by self._lock
-        self.bad_requests = 0  #: guarded by self._lock
-        # Requests that exhausted every shard.
-        self.unrouted = 0  #: guarded by self._lock
-        self._shard_requests: dict[str, int] = {}  #: guarded by self._lock
-        self._shard_failures: dict[str, int] = {}  #: guarded by self._lock
-        self._tenant_requests: dict[str, int] = {}  #: guarded by self._lock
-
-    def record_request(self) -> None:
-        with self._lock:
-            self.requests += 1
-
-    def record_bad_request(self) -> None:
-        with self._lock:
-            self.bad_requests += 1
-
-    def record_unrouted(self) -> None:
-        with self._lock:
-            self.unrouted += 1
-
-    def record_proxied(self, shard: str) -> None:
-        with self._lock:
-            self._shard_requests[shard] = self._shard_requests.get(shard, 0) + 1
-
-    def record_tenant(self, tenant: str) -> None:
-        """One submission attributed to ``tenant`` at the cluster edge."""
-        with self._lock:
-            self._tenant_requests[tenant] = (
-                self._tenant_requests.get(tenant, 0) + 1)
-
-    def record_failover(self, shard: str) -> None:
-        """One failed attempt against ``shard`` that moved to the next member."""
-        with self._lock:
-            self.failovers += 1
-            self._shard_failures[shard] = self._shard_failures.get(shard, 0) + 1
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {"requests": self.requests,
-                    "failovers": self.failovers,
-                    "bad_requests": self.bad_requests,
-                    "unrouted": self.unrouted,
-                    "shard_requests": dict(self._shard_requests),
-                    "shard_failures": dict(self._shard_failures),
-                    "tenant_requests": dict(self._tenant_requests)}
-
-    def to_prometheus(self, ring: ShardRing,
-                      prefix: str = "repro_cluster") -> list[str]:
-        with self._lock:
-            lines = [
-                f"# TYPE {prefix}_gateway_requests_total counter",
-                f"{prefix}_gateway_requests_total {self.requests}",
-                f"# TYPE {prefix}_failovers_total counter",
-                f"{prefix}_failovers_total {self.failovers}",
-                f"# TYPE {prefix}_gateway_bad_requests_total counter",
-                f"{prefix}_gateway_bad_requests_total {self.bad_requests}",
-                f"# TYPE {prefix}_gateway_unrouted_total counter",
-                f"{prefix}_gateway_unrouted_total {self.unrouted}",
-                f"# TYPE {prefix}_shards_alive gauge",
-                f"{prefix}_shards_alive {len(ring.alive_members())}",
-                f"# TYPE {prefix}_shard_up gauge",
-            ]
-            for member in ring.members:
-                lines.append(f'{prefix}_shard_up{{shard="{member.name}"}} '
-                             f"{1 if member.alive else 0}")
-            lines.append(f"# TYPE {prefix}_shard_requests_total counter")
-            for name in sorted(self._shard_requests):
-                lines.append(f'{prefix}_shard_requests_total{{shard="{name}"}} '
-                             f"{self._shard_requests[name]}")
-            lines.append(f"# TYPE {prefix}_shard_failures_total counter")
-            for name in sorted(self._shard_failures):
-                lines.append(f'{prefix}_shard_failures_total{{shard="{name}"}} '
-                             f"{self._shard_failures[name]}")
-            lines.append(f"# TYPE {prefix}_gateway_tenant_requests_total "
-                         "counter")
-            for name in sorted(self._tenant_requests):
-                lines.append(
-                    f'{prefix}_gateway_tenant_requests_total{{tenant="{name}"}}'
-                    f" {self._tenant_requests[name]}")
-        return lines
+#: The gateway's own counts: totals, and ``{shard or tenant: count}`` maps.
+_TOTALS = ("requests", "failovers", "bad_requests", "unrouted")
+_PER_LABEL = ("shard_requests", "shard_failures", "tenant_requests")
 
 
 class _GatewayHandler(ApiHandler):
@@ -229,18 +147,18 @@ class _GatewayHandler(ApiHandler):
     _log = _LOG
 
     def do_GET(self) -> None:  # noqa: N802 — stdlib naming
-        self.app.metrics.record_request()
+        self.app.count("requests")
         super().do_GET()
 
     def do_POST(self) -> None:  # noqa: N802 — stdlib naming
-        self.app.metrics.record_request()
+        self.app.count("requests")
         super().do_POST()
 
     def _error(self, status: int, message: str) -> None:
         if status in (400, 411, 413):
             # A malformed submission, refused at the edge with the backend's
             # exact contract: it never costs a shard round-trip.
-            self.app.metrics.record_bad_request()
+            self.app.count("bad_requests")
         super()._error(status, message)
 
     def _get_ticket(self, path: str) -> None:
@@ -250,7 +168,7 @@ class _GatewayHandler(ApiHandler):
                 wait: float | None) -> None:
         key = job.key  # a sha256 over the job: computed once
         self._span.attributes["job_key"] = key
-        self.app.metrics.record_tenant(tenant)
+        self.app.count("tenant_requests", tenant)
         timeout = wait + PROXY_MARGIN_S if wait is not None else None
         # The shard gets the client's bytes as received: no re-encoding.
         self._proxy(key, "POST", path, body=self._body, timeout=timeout,
@@ -264,7 +182,7 @@ class _GatewayHandler(ApiHandler):
             shard, status, reply_body, content_type = self.app.forward(
                 key, method, path, body=body, timeout=timeout, tenant=tenant)
         except NoShardAvailableError as exc:
-            self.app.metrics.record_unrouted()
+            self.app.count("unrouted")
             self._error(503, str(exc))
             return
         self._send(status, reply_body, content_type,
@@ -300,7 +218,9 @@ class ClusterGateway(KeepAliveApp):
         self.health_monitor = HealthMonitor(
             self.ring, interval=health_interval, timeout=probe_timeout,
             fail_threshold=fail_threshold, ok_threshold=ok_threshold)
-        self.metrics = GatewayMetrics()
+        self._counts_lock = threading.Lock()
+        self._counts: dict = dict.fromkeys(_TOTALS, 0)  #: guarded by self._counts_lock
+        self._counts.update((name, {}) for name in _PER_LABEL)
         # Per shard: the last sample it served, and the banked non-gauge
         # values of its earlier incarnations (see ``_absorb_sample``).  An
         # unreachable shard keeps contributing its last sample plus the bank,
@@ -315,6 +235,27 @@ class ClusterGateway(KeepAliveApp):
         self.monitor = Monitor(self.metrics_sample, monitor, name="gateway")
 
     # ------------------------------------------------------------------ #
+    def count(self, name: str, label: str | None = None) -> None:
+        """Add one to the gateway's own count ``name``: a total, or with
+        ``label`` (a shard or tenant name) one entry of a per-label map."""
+        with self._counts_lock:
+            if label is None:
+                self._counts[name] += 1
+            else:
+                counts = self._counts[name]
+                counts[label] = counts.get(label, 0) + 1
+
+    def counts(self) -> dict:
+        """The ``gateway`` entry of the fleet sample and of ``/healthz``:
+        the gateway's own counts, and per shard whether it is routed to."""
+        with self._counts_lock:
+            entry = {name: (dict(value) if isinstance(value, dict)
+                            else value)
+                     for name, value in self._counts.items()}
+        entry["shard_up"] = {member.name: int(member.alive)
+                             for member in self.ring.members}
+        return entry
+
     def health(self) -> dict:
         uptime = self._uptime()
         shards = self.health_monitor.snapshot()
@@ -326,7 +267,7 @@ class ClusterGateway(KeepAliveApp):
             "shards_alive": sum(1 for shard in shards if shard["alive"]),
             "ejections": self.health_monitor.ejections,
             "readmissions": self.health_monitor.readmissions,
-            "gateway": self.metrics.snapshot(),
+            "gateway": self.counts(),
             "traces": get_store().stats(),
             "monitor": self.monitor.status(),
         }
@@ -443,10 +384,11 @@ class ClusterGateway(KeepAliveApp):
                     _LOG.warning("shard_failover", shard=member.name,
                                  error=type(exc).__name__,
                                  key=key[:12])
-                    self.metrics.record_failover(member.name)
+                    self.count("failovers")
+                    self.count("shard_failures", member.name)
                     self.health_monitor.report_failure(member)
                 continue
-            self.metrics.record_proxied(member.name)
+            self.count("shard_requests", member.name)
             if method == "GET" and status == 404 and member is not attempts[-1]:
                 held = (member, status, reply_body, content_type)
                 continue
@@ -553,21 +495,19 @@ class ClusterGateway(KeepAliveApp):
     def metrics_sample(self) -> dict:
         """The fleet's cumulative sample (``GET /metrics/sample``).
 
-        Also the gateway monitor's metrics source.  The shard sum is still
-        *cumulative* (sums of per-shard cumulative values), so the recorder
-        differences it exactly as it would a single shard's.  Fleet
-        topology and the gateway's own counters ride along.
+        Also the gateway monitor's metrics source, and what ``GET
+        /metrics`` renders.  The shard sum is still *cumulative* (sums of
+        per-shard cumulative values), so the recorder differences it
+        exactly as it would a single shard's.  Fleet topology rides along
+        as gauges, and the gateway's own counts as the ``gateway`` entry
+        (:meth:`counts`).
         """
         merged, polled, _ = self._scrape_merged()
         gauges = dict(merged.get("gauges", {}))
         gauges["shards_total"] = float(len(self.ring))
         gauges["shards_alive"] = float(len(self.ring.alive_members()))
         gauges["shards_polled"] = float(polled)
-        snapshot = self.metrics.snapshot()
-        counters = dict(merged.get("counters", {}))
-        counters["gateway_failovers"] = float(snapshot["failovers"])
-        counters["gateway_unrouted"] = float(snapshot["unrouted"])
-        return {**merged, "counters": counters, "gauges": gauges}
+        return {**merged, "gauges": gauges, "gateway": self.counts()}
 
     def alerts(self, limit: int | None = None) -> dict:
         """Fleet ``GET /alerts``: gateway-level alerts + every shard's.
@@ -596,21 +536,16 @@ class ClusterGateway(KeepAliveApp):
         return payload
 
     def metrics_text(self) -> str:
-        """Cluster-wide Prometheus text: gateway counters + the shard merge.
+        """The fleet sample as Prometheus text, one shard poll.
 
-        The merged shard sample (see :meth:`_scrape_merged`) is rendered by
-        the servers' own :func:`~repro.server.metrics.render_prometheus`
-        under the ``repro_cluster`` prefix: counters and histogram buckets
-        are sums over the shards, gauges follow their merge rule, and
-        histogram p50/p95 are recomputed from the merged buckets instead of
-        being summed.
+        Rendered by the servers' own
+        :func:`~repro.server.metrics.render_prometheus` under the
+        ``repro_cluster`` prefix: counters and histogram buckets are sums
+        over the shards, gauges follow their merge rule, and histogram
+        p50/p95 are recomputed from the merged buckets instead of being
+        summed.
         """
-        prefix = "repro_cluster"
-        merged, polled, _ = self._scrape_merged()
-        lines = self.metrics.to_prometheus(self.ring, prefix)
-        lines.append(f"# TYPE {prefix}_shards_polled gauge")
-        lines.append(f"{prefix}_shards_polled {polled}")
-        return "\n".join(lines) + "\n" + render_prometheus(merged, prefix)
+        return render_prometheus(self.metrics_sample(), "repro_cluster")
 
     # ------------------------------------------------------------------ #
     def _start_background(self) -> None:

@@ -1,9 +1,11 @@
 """Pure renderer for the ``repro top`` live terminal dashboard.
 
-Takes the JSON payloads of ``/healthz``, ``/metrics/history``, ``/slo``
-and ``/alerts`` and returns one ANSI frame as a string — no I/O, no
-clock, so a single frame is unit-testable.  The CLI owns the refresh
-loop and screen clearing.
+Takes the JSON payloads of ``/healthz``, ``/metrics/sample``,
+``/metrics/history``, ``/slo`` and ``/alerts`` and returns one ANSI frame
+as a string — no I/O, no clock, so a single frame is unit-testable.  The
+CLI owns the refresh loop and screen clearing.  The payloads have the same
+shape from a server and from a cluster gateway, whose sample sums its
+shards' and adds the fleet's shard counts.
 """
 
 from __future__ import annotations
@@ -68,14 +70,33 @@ def _window_line(label: str, view: Mapping | None) -> str:
             f"   n={int(service.get('count', 0))}")
 
 
+def _header(gauges: Mapping) -> str:
+    """The gauge readings of the status line (``?`` for a missing one);
+    a gateway's fleet sample adds its shards alive out of total."""
+    def show(name: str, scale: float = 1.0) -> str:
+        value = gauges.get(name)
+        return "?" if value is None else f"{value * scale:.0f}"
+
+    shards = (f"   shards {show('shards_alive')}/{show('shards_total')}"
+              if "shards_total" in gauges else "")
+    return (f"   uptime {show('uptime_seconds')}s{shards}"
+            f"   queue {show('queue_depth')}"
+            f"   in-flight {show('jobs_in_flight')}"
+            f"   util {show('worker_utilization', 100.0)}%"
+            f"   rss {show('process_rss_bytes', 1e-6)}MB"
+            f"   threads {show('process_threads')}")
+
+
 def render_dashboard(*, url: str, health: Mapping | None,
                      history: Mapping | None, slo: Mapping | None,
-                     alerts: Mapping | None, color: bool = True) -> str:
-    """Compose one dashboard frame from the four endpoint payloads.
+                     alerts: Mapping | None, sample: Mapping | None = None,
+                     color: bool = True) -> str:
+    """Compose one dashboard frame from the five endpoint payloads.
 
     Every input is optional (an endpoint that errored renders as a gap,
     not a crash) and every lookup is defensive — the dashboard must stay
-    up when the fleet is the thing that's broken.
+    up when the fleet is the thing that's broken.  The status line reads
+    the gauges of ``sample``, the ``/metrics/sample`` payload.
     """
     lines = []
     health = health or {}
@@ -83,16 +104,8 @@ def render_dashboard(*, url: str, health: Mapping | None,
     status_color = _GREEN if status == "ok" else _RED
     title = f"repro top — {url}"
     lines.append(_paint(title, _BOLD, color))
-    uptime = health.get("uptime_s", 0.0)
-    process = health.get("process") or {}
-    lines.append(
-        f"status {_paint(status, status_color, color)}"
-        f"   uptime {uptime:.0f}s"
-        f"   workers {health.get('workers', '?')}"
-        f"   queue {health.get('queue_depth', 0)}"
-        f"   in-flight {health.get('jobs_in_flight', 0)}"
-        + (f"   rss {process.get('rss_bytes', 0) / 1e6:.0f}MB"
-           f"   threads {process.get('threads', 0)}" if process else ""))
+    lines.append(f"status {_paint(status, status_color, color)}"
+                 + _header((sample or {}).get("gauges") or {}))
 
     # --- rolling windows -------------------------------------------------
     history = history or {}

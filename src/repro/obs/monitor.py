@@ -276,8 +276,7 @@ class Monitor:
                 "slos": len(self._specs),
                 "rules": len(self.alerts.rules),
                 "firing": self.alerts.firing_count(),
-                "tick_errors": self.tick_errors
-                + self.recorder.sample_errors}
+                "tick_errors": self.tick_errors}
 
     # ------------------------------------------------------------------ #
     def start(self) -> None:

@@ -3,9 +3,11 @@
 ``GET /metrics`` is a point-in-time scrape of *lifetime* aggregates — after a
 day of traffic the p95 gauge is the p95 of every job since boot and says
 nothing about the last five minutes.  The :class:`MetricsRecorder` fixes the
-time axis: a background thread samples a cumulative metrics source (e.g.
-:meth:`~repro.server.metrics.ServerMetrics.sample`) on a fixed
-interval into a bounded per-process ring of :class:`MetricsSnapshot`, and
+time axis: each :meth:`~MetricsRecorder.sample_now` (the
+:class:`~repro.obs.monitor.Monitor`'s tick, on a fixed interval) pulls one
+cumulative sample of the process's metrics source (a server's
+:meth:`~repro.server.metrics.ServerMetrics.sample`, a gateway's fleet
+sample) into a bounded per-process ring of :class:`MetricsSnapshot`, and
 **windowed** views are computed by differencing two snapshots — counters
 subtract into rates (jobs/s, error rate) and histogram *cumulative bucket
 counts* subtract into a window-local histogram from which rolling p50/p95
@@ -47,13 +49,12 @@ def percentile_from_cumulative(buckets: Sequence[Sequence[float]],
                                total_sum: float = 0.0) -> float:
     """Upper-bound quantile from ``(finite_bound, cumulative_count)`` pairs.
 
-    The one percentile estimate behind :meth:`Histogram.percentile
-    <repro.server.metrics.Histogram.percentile>`, the ``_p50``/``_p95``
-    gauges of every ``/metrics`` page and the rolling windows: the smallest
-    bucket bound covering ``fraction`` of ``count`` observations (the last
-    finite bound when the rest overflowed); when every observation
-    overflowed the finite bounds the mean (``total_sum / count``) is
-    reported instead of a meaningless top bound.
+    The one percentile estimate behind the ``_p50``/``_p95`` gauges of
+    every ``/metrics`` page, the rolling windows and ``repro status``: the
+    smallest bucket bound covering ``fraction`` of ``count`` observations
+    (the last finite bound when the rest overflowed); when every
+    observation overflowed the finite bounds the mean (``total_sum /
+    count``) is reported instead of a meaningless top bound.
     """
     if count <= 0:
         return 0.0
@@ -197,15 +198,16 @@ class MetricsRecorder:
         :meth:`~repro.server.metrics.ServerMetrics.sample`; other keys are
         ignored).
     interval_s:
-        Background sampling period for :meth:`start`.
+        The period its owner calls :meth:`sample_now` at (reported in
+        :meth:`history_payload`).
     max_samples:
         Ring capacity (720 × 5 s ≈ one hour of history).
     windows:
         Rolling window lengths in seconds, shortest first.
     clock:
         Injectable clock (monotonic by default — snapshot timestamps are
-        only ever differenced); tests advance a fake and call
-        :meth:`sample_now` instead of running the thread.
+        only ever differenced); tests advance a fake between
+        :meth:`sample_now` calls.
     """
 
     def __init__(self, source: Callable[[], Mapping], *,
@@ -225,11 +227,6 @@ class MetricsRecorder:
         self.clock = clock
         self._ring: deque[MetricsSnapshot] = deque(maxlen=max_samples)  #: guarded by self._lock
         self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        #: Sampling errors swallowed by the background thread (the recorder
-        #: must never take the serving path down with it).
-        self.sample_errors = 0
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
@@ -322,26 +319,3 @@ class MetricsRecorder:
             "windows": self.windows_view(),
             "series": self.series(seconds),
         }
-
-    # ------------------------------------------------------------------ #
-    def start(self) -> None:
-        if self._thread is not None:
-            raise RuntimeError("recorder is already running")
-        self._stop.clear()
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="repro-metrics-recorder")
-        self._thread.start()
-
-    def stop(self, timeout: float = 5.0) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout)
-            self._thread = None
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            try:
-                self.sample_now()
-            except Exception:  # noqa: BLE001 — observability must not crash
-                self.sample_errors += 1
-

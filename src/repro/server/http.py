@@ -42,8 +42,9 @@ endpoints for a whole fleet.  Endpoints (all JSON unless noted):
   budgets; ``503`` when the monitor is disabled.
 * ``GET /alerts`` — active alerts plus recent transition events
   (``?limit=N`` caps events); ``503`` when the monitor is disabled.
-* ``GET /healthz`` — liveness plus metrics/cache/span-store/process/monitor
-  snapshots.
+* ``GET /healthz`` — liveness, queue and worker state, the metrics sample
+  ``GET /metrics/sample`` serves (under ``metrics``) and cache, span-store,
+  process and monitor summaries.
 * ``GET /traces`` — newest-first digests of recently traced requests (ring
   buffer, strictly bounded); ``?limit=N`` caps the rows.
 * ``GET /traces/<id>`` — every stored span of one trace, by full trace id or
@@ -76,7 +77,8 @@ from repro.obs.logging import get_logger
 from repro.obs.monitor import Monitor, MonitorConfig
 from repro.obs.store import configure_store, get_store
 from repro.obs.trace import TRACE_HEADER, TraceContext, activate, span
-from repro.server.metrics import ServerMetrics, rss_bytes, thread_count
+from repro.server.metrics import (ServerMetrics, render_prometheus,
+                                  rss_bytes, thread_count)
 from repro.server.queue import (JobQueue, QueueClosedError, QueueFullError,
                                 TenantQuotaError)
 from repro.server.scheduler import Scheduler
@@ -374,7 +376,7 @@ class CompileServer(KeepAliveApp):
             "queue_depth": self.queue.depth,
             "queue_tenants": self.queue.tenant_depths(),
             "jobs_in_flight": self.scheduler.active,
-            "metrics": self.metrics.snapshot(),
+            "metrics": self.metrics.sample(),
             "cache": self.cache.stats.as_dict(),
             "traces": store.stats(),
             "process": {
@@ -387,7 +389,7 @@ class CompileServer(KeepAliveApp):
         }
 
     def metrics_text(self) -> str:
-        return self.metrics.to_prometheus()
+        return render_prometheus(self.metrics.sample())
 
     def metrics_sample(self) -> dict:
         return self.metrics.sample()

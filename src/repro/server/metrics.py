@@ -2,17 +2,18 @@
 
 Everything is stdlib and lock-protected.  :meth:`ServerMetrics.sample` takes
 one cumulative sample of every metric in a single locked pass, and that
-sample is the only metrics format the serving processes exchange:
+sample is the one metrics format of a serving process:
 
-* ``GET /metrics/sample`` serves it as JSON; the cluster gateway sums the
-  shards' samples, and the monitors and the load generator read samples;
+* ``GET /metrics/sample`` serves it as JSON, and so does ``GET /healthz``
+  under ``metrics``; the cluster gateway sums the shards' samples, and the
+  monitors, the load generator and ``repro status``/``repro top`` read
+  samples;
 * :func:`render_prometheus` renders a sample in the Prometheus text
   exposition format served at ``GET /metrics`` (counters as ``_total``,
   histograms as ``_bucket``/``_sum``/``_count`` plus precomputed
   ``_p50``/``_p95`` gauges) for external scrapers and dashboards — a server
-  renders its own sample, the gateway the fleet sum;
-* :meth:`ServerMetrics.snapshot` — a JSON-friendly dict embedded in
-  ``GET /healthz`` and the CLI's ``repro status``.
+  renders its own sample, the gateway its fleet sample (the shards' sum
+  plus its own ``gateway`` counts).
 
 The histogram uses fixed log-spaced bucket bounds, so percentiles are
 upper-bound estimates (the canonical Prometheus trade-off): cheap to record
@@ -35,7 +36,7 @@ DEFAULT_BUCKETS = (0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
 
 
 class Histogram:
-    """Fixed-bucket latency histogram with percentile estimates."""
+    """Fixed-bucket latency histogram with per-bucket exemplars."""
 
     def __init__(self, buckets: Sequence[float] = DEFAULT_BUCKETS):
         self.bounds = tuple(sorted(buckets))
@@ -59,17 +60,6 @@ class Histogram:
             if held is None or value >= held[1]:
                 self._exemplars[index] = (trace_id, value)
 
-    def exemplar(self) -> dict | None:
-        """The slowest-bucket exemplar: a trace id to pull for "why slow?"."""
-        if not self._exemplars:
-            return None
-        index = max(self._exemplars)
-        trace_id, value = self._exemplars[index]
-        bound = (self.bounds[index] if index < len(self.bounds)
-                 else float("inf"))
-        return {"trace_id": trace_id, "value": round(value, 6),
-                "bucket_le": "+Inf" if bound == float("inf") else bound}
-
     def exemplar_above(self, threshold: float) -> str | None:
         """A trace id from the worst bucket at or beyond ``threshold``.
 
@@ -83,25 +73,6 @@ class Histogram:
                 return self._exemplars[index][0]
         return None
 
-    # ------------------------------------------------------------------ #
-    def percentile(self, fraction: float) -> float:
-        """Upper-bound estimate of the ``fraction`` quantile (0 < f <= 1).
-
-        The smallest bucket bound whose cumulative count covers the fraction,
-        by :func:`~repro.obs.timeseries.percentile_from_cumulative`:
-        observations past the last bound report the last finite bound (an
-        under-estimate, flagged by ``+Inf`` bucket counts), and when *every*
-        observation overflowed the mean (``sum/count``) is reported instead.
-        """
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError("fraction must be in (0, 1]")
-        return percentile_from_cumulative(self.cumulative_buckets()[:-1],
-                                          self.count, fraction, self.sum)
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
     def cumulative_buckets(self) -> list[tuple[float, int]]:
         """``(upper_bound, cumulative_count)`` pairs, +Inf last."""
         pairs: list[tuple[float, int]] = []
@@ -111,18 +82,6 @@ class Histogram:
             pairs.append((bound, cumulative))
         pairs.append((float("inf"), self.count))
         return pairs
-
-    def as_dict(self) -> dict:
-        data = {"count": self.count, "sum": round(self.sum, 6),
-                "mean": round(self.mean, 6),
-                "p50": self.percentile(0.50), "p95": self.percentile(0.95),
-                "p99": self.percentile(0.99)}
-        exemplar = self.exemplar()
-        if exemplar is not None:
-            # JSON snapshots only — the Prometheus text format stays
-            # exemplar-free so ``iter_samples``'s rpartition parse holds.
-            data["exemplar"] = exemplar
-        return data
 
 
 class _TenantStats:
@@ -185,16 +144,48 @@ _HISTOGRAM_HELP = {
 }
 
 
+def _gateway_lines(gateway: Mapping, prefix: str) -> list[str]:
+    """The lines of a fleet sample's ``gateway`` entry: the gateway's own
+    counts and, per shard, whether it routes to that shard."""
+    lines: list[str] = []
+    for name, family in (("requests", "gateway_requests"),
+                         ("failovers", "failovers"),
+                         ("bad_requests", "gateway_bad_requests"),
+                         ("unrouted", "gateway_unrouted")):
+        metric = f"{prefix}_{family}_total"
+        lines.append(f"# TYPE {metric} counter")
+        lines.append(f"{metric} {gateway[name]}")
+    up = gateway["shard_up"]
+    metric = f"{prefix}_shard_up"
+    lines.append(f"# TYPE {metric} gauge")
+    for shard in sorted(up):
+        lines.append(f'{metric}{{shard="{shard}"}} {up[shard]}')
+    for name in ("shard_requests", "shard_failures"):
+        counts = gateway[name]
+        metric = f"{prefix}_{name}_total"
+        lines.append(f"# TYPE {metric} counter")
+        for shard in sorted(counts):
+            lines.append(f'{metric}{{shard="{shard}"}} {counts[shard]}')
+    counts = gateway["tenant_requests"]
+    metric = f"{prefix}_gateway_tenant_requests_total"
+    lines.append(f"# TYPE {metric} counter")
+    for tenant in sorted(counts):
+        lines.append(f'{metric}{{tenant="{tenant}"}} {counts[tenant]}')
+    return lines
+
+
 def render_prometheus(sample: Mapping, prefix: str = "repro_server") -> str:
     """Render one cumulative sample as Prometheus text exposition.
 
     A pure function of a :meth:`ServerMetrics.sample` (or a sum of them):
     a server renders its own sample under ``repro_server``, the cluster
-    gateway the fleet sum under ``repro_cluster``.  Histograms gain their
-    ``+Inf`` bucket from ``count`` and ``_p50``/``_p95`` gauges from the
-    cumulative buckets; per-tenant histograms get no percentile gauges.
+    gateway its fleet sample under ``repro_cluster``, its ``gateway``
+    entry first.  Histograms gain their ``+Inf`` bucket from ``count`` and
+    ``_p50``/``_p95`` gauges from the cumulative buckets; per-tenant
+    histograms get no percentile gauges.
     """
-    lines: list[str] = []
+    lines = (_gateway_lines(sample["gateway"], prefix)
+             if "gateway" in sample else [])
     for name, value in sample.get("parse_cache", {}).items():
         metric = f"{prefix}_parse_cache_{name}_total"
         lines.append(f"# HELP {metric} Parse-cache {name} since "
@@ -371,18 +362,6 @@ class ServerMetrics:
                                              + float(row.get("elapsed_s", 0.0)))
                 self._stage_runs[name] = self._stage_runs.get(name, 0) + 1
 
-    def stage_timings(self) -> dict[str, dict]:
-        """Per-stage cumulative seconds and run counts (copy)."""
-        with self._lock:
-            return {name: {"runs": self._stage_runs[name],
-                           "seconds": round(self._stage_seconds[name], 6)}
-                    for name in sorted(self._stage_runs)}
-
-    def wins(self) -> dict[str, int]:
-        """Portfolio win counts keyed by router name (copy)."""
-        with self._lock:
-            return dict(self._wins)
-
     def observe_job(self, wait_s: float | None, service_s: float | None,
                     *, ok: bool, cache_hit: bool, coalesced: int = 0,
                     trace_id: str | None = None,
@@ -486,32 +465,6 @@ class ServerMetrics:
                                   "runs": self._stage_runs[name]}
                            for name in self._stage_runs},
             }
-
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> dict:
-        with self._lock:
-            data = dict(self._counters)
-            data["wait_seconds"] = self.wait_seconds.as_dict()
-            data["service_seconds"] = self.service_seconds.as_dict()
-            data["portfolio"] = dict(self._portfolio)
-            data["portfolio"]["wins"] = dict(self._wins)
-            data["stages"] = {name: {"runs": self._stage_runs[name],
-                                     "seconds": round(
-                                         self._stage_seconds[name], 6)}
-                              for name in sorted(self._stage_runs)}
-            data["tenants"] = {tenant: dict(self._tenants[tenant].counters)
-                               for tenant in sorted(self._tenants)}
-            gauges = {name: supplier() for name, supplier
-                      in self._gauges.items()}
-        from repro.compiler.parse_cache import cache_stats as parse_cache_stats
-
-        data["parse_cache"] = parse_cache_stats()
-        data.update(gauges)
-        return data
-
-    def to_prometheus(self, prefix: str = "repro_server") -> str:
-        """Every metric as Prometheus text: this server's rendered sample."""
-        return render_prometheus(self.sample(), prefix)
 
 
 # --------------------------------------------------------------------------- #

@@ -17,6 +17,7 @@ import pytest
 
 from repro.cluster import ClusterGateway
 from repro.server import CompileClient, CompileServer
+from repro.server.metrics import iter_samples
 from repro.server.transport import MAX_BODY_BYTES
 from repro.service import make_job
 from repro.workloads.generators import ghz
@@ -42,6 +43,8 @@ SHARED_KEYS = {
 }
 #: Endpoints whose gateway payload also counts the shards that answered.
 POLLED = {"/alerts", "/traces", "/traces/<id>"}
+#: The gateway's own counts ride in its sample as one more entry.
+GATEWAY_ENTRIES = {"/metrics/sample": {"gateway"}}
 HEALTH_KEYS = {
     "server": {"cache", "jobs_in_flight", "metrics", "monitor", "process",
                "queue_depth", "queue_tenants", "status", "traces",
@@ -50,6 +53,45 @@ HEALTH_KEYS = {
                 "role", "shards", "shards_alive", "status", "traces",
                 "uptime_s"},
 }
+
+#: Every metric family ``GET /metrics`` types once a job has compiled, by
+#: kind, under the app's prefix (``repro_server`` or ``repro_cluster``).
+SHARED_FAMILIES = {
+    "counter": (
+        "jobs_cache_hits_total", "jobs_coalesced_total",
+        "jobs_completed_total", "jobs_failed_total", "jobs_rejected_total",
+        "jobs_submitted_total", "jobs_throttled_total",
+        "tenant_jobs_cache_hits_total", "tenant_jobs_coalesced_total",
+        "tenant_jobs_completed_total", "tenant_jobs_failed_total",
+        "tenant_jobs_rejected_total", "tenant_jobs_submitted_total",
+        "tenant_jobs_throttled_total",
+        "parse_cache_evictions_total", "parse_cache_hits_total",
+        "parse_cache_misses_total",
+        "portfolio_candidates_cached_total",
+        "portfolio_candidates_cancelled_total",
+        "portfolio_candidates_run_total", "portfolio_runs_total",
+        "portfolio_wins_total", "stage_runs_total", "stage_seconds_total"),
+    "gauge": (
+        "job_service_seconds_p50", "job_service_seconds_p95",
+        "job_wait_seconds_p50", "job_wait_seconds_p95", "jobs_in_flight",
+        "parse_cache_entries", "process_rss_bytes", "process_threads",
+        "queue_depth", "queue_saturation", "trace_span_ring_spans",
+        "trace_span_ring_utilization", "uptime_seconds",
+        "worker_utilization"),
+    "histogram": (
+        "job_service_seconds", "job_wait_seconds",
+        "tenant_job_service_seconds", "tenant_job_wait_seconds"),
+}
+#: The gateway's own families, typed on its page only.
+GATEWAY_FAMILIES = {
+    "counter": (
+        "gateway_requests_total", "gateway_bad_requests_total",
+        "gateway_unrouted_total", "gateway_tenant_requests_total",
+        "failovers_total", "shard_requests_total", "shard_failures_total"),
+    "gauge": ("shard_up", "shards_alive", "shards_polled", "shards_total"),
+}
+#: Labelled families that serve no series until their first event.
+UNSEEN_FAMILIES = {"portfolio_wins_total", "shard_failures_total"}
 
 #: ``(path, body, status)`` of every POST the API refuses; ``None`` sends
 #: no body, ``int`` announces a body of that length without sending it and
@@ -160,6 +202,28 @@ class TestReadEndpoints:
         assert (status, headers["Content-Type"]) == (200, PROMETHEUS)
         assert "# TYPE " in text
 
+    def test_metrics_families_are_pinned(self, app, compiled):
+        """The names and ``# TYPE`` lines of ``GET /metrics``: one renderer
+        over the app's one sample, the same families on both apps."""
+        text = _call(app, "GET", "/metrics")[2]
+        prefix = {"server": "repro_server", "gateway": "repro_cluster"}[
+            app.role]
+        families = {(name, kind) for kind, names in SHARED_FAMILIES.items()
+                    for name in names}
+        if app.role == "gateway":
+            families |= {(name, kind)
+                         for kind, names in GATEWAY_FAMILIES.items()
+                         for name in names}
+        typed = {tuple(line.split()[2:]) for line in text.splitlines()
+                 if line.startswith("# TYPE ")}
+        assert typed == {(f"{prefix}_{name}", kind)
+                         for name, kind in families}
+        suffixes = {"histogram": ("_bucket", "_sum", "_count")}
+        assert {name.partition("{")[0] for name, _ in iter_samples(text)} == {
+            f"{prefix}_{name}{suffix}" for name, kind in families
+            if name not in UNSEEN_FAMILIES
+            for suffix in suffixes.get(kind, ("",))}
+
     @pytest.mark.parametrize("template", sorted(SHARED_KEYS), ids=_ident)
     def test_json_endpoint_keys(self, app, compiled, template):
         status, headers, payload = _call(app, "GET",
@@ -169,6 +233,8 @@ class TestReadEndpoints:
         if app.role == "gateway" and template in POLLED:
             expected.add("shards_polled")
             assert payload["shards_polled"] == 2
+        if app.role == "gateway":
+            expected |= GATEWAY_ENTRIES.get(template, set())
         assert set(payload) == expected
 
     @pytest.mark.parametrize("path", ["/traces/" + "0" * 32,
@@ -252,7 +318,7 @@ def test_gateway_counts_requests_and_bad_requests():
                     _call(gateway, "GET", path)
                 for path, body, _ in REFUSED_POSTS.values():
                     _call(gateway, "POST", path, body)
-                counts = gateway.metrics.snapshot()
+                counts = gateway.counts()
     assert counts["requests"] == 3 + len(REFUSED_POSTS)
     # An unknown path is not a bad request: the body was never looked at.
     assert counts["bad_requests"] == len(REFUSED_POSTS) - 1

@@ -18,7 +18,7 @@ from repro.cluster import (ClusterGateway, HealthMonitor, LocalShardFleet,
                            ShardMember, ShardRing)
 from repro.obs.timeseries import percentile_from_cumulative
 from repro.server import CompileClient, CompileServer, ServerError
-from repro.server.metrics import iter_samples
+from repro.server.metrics import iter_samples, render_prometheus
 from repro.service import make_job
 from repro.service.jobs import CompileJob, PortfolioJob
 from repro.workloads.generators import ghz
@@ -275,7 +275,7 @@ class TestGateway:
             client.submit({"qasm": "OPENQASM 2.0;", "device": DEVICE,
                            "router": "qiskit"})
         assert excinfo.value.status == 400
-        assert gateway.metrics.snapshot()["bad_requests"] == 2
+        assert gateway.counts()["bad_requests"] == 2
         # The shards never saw either request.
         assert all(s.metrics.counter("submitted") == 0 for s in shards)
 
@@ -410,6 +410,32 @@ class TestAggregatedMetrics:
             family = base.rsplit("_", 1)[0]
             assert base in typed or typed.get(family) == "histogram", name
 
+    def test_page_is_the_rendered_fleet_sample(self, shards, gateway):
+        """With tenant traffic, ``GET /metrics`` serves exactly the series
+        of the fleet sample rendered by the one renderer, and every job
+        and shard counter reads the same on both."""
+        alice = CompileClient(gateway.url, tenant="alice")
+        for seed in range(3):
+            assert alice.compile(_job(3, seed=seed), timeout=60.0).ok
+        # A shard records a job's metrics just after its waiter wakes.
+        deadline = time.monotonic() + 30.0
+        while sum(s.metrics.counter("completed") for s in shards) < 3:
+            assert time.monotonic() < deadline, "completions never recorded"
+            time.sleep(0.01)  # sleep-ok: bounded poll for cross-thread counter
+        page = dict(iter_samples(CompileClient(gateway.url).metrics_text()))
+        rendered = dict(iter_samples(render_prometheus(
+            gateway.metrics_sample(), "repro_cluster")))
+        assert set(page) == set(rendered)
+        counts = [name for name in page
+                  if name.partition("{")[0].endswith(("_total", "_shard_up"))]
+        assert ('repro_cluster_tenant_jobs_completed_total{tenant="alice"}'
+                in counts)
+        assert 'repro_cluster_shard_up{shard="shard1"}' in counts
+        assert any(name.startswith("repro_cluster_shard_requests_total")
+                   for name in counts)
+        for name in counts:
+            assert page[name] == rendered[name], name
+
     def test_each_gauge_merges_by_one_rule(self, shards, client):
         """Fractions are the mean over the shards, uptime is the gateway's
         own, and no metric name appears twice on the page."""
@@ -496,8 +522,7 @@ class TestFailover:
         assert len(outcomes) == len(jobs)
         assert all(outcome.ok for outcome in outcomes)
         # The survivor answered everything submitted after the kill.
-        snapshot = gateway.metrics.snapshot()
-        assert snapshot["failovers"] >= 1 or (
+        assert gateway.counts()["failovers"] >= 1 or (
             shards[1].metrics.counter("submitted") == len(jobs))
 
     def test_dead_shard_is_ejected_then_skipped(self, shards, gateway,
@@ -514,9 +539,9 @@ class TestFailover:
         health = client.health()
         assert health["shards_alive"] == 1 and health["ejections"] >= 1
         # Requests now route straight to the survivor with no failover cost.
-        before = gateway.metrics.snapshot()["failovers"]
+        before = gateway.counts()["failovers"]
         assert client.compile(_job(4, seed=99), timeout=60.0).ok
-        assert gateway.metrics.snapshot()["failovers"] == before
+        assert gateway.counts()["failovers"] == before
 
     def test_every_shard_down_is_503(self, shards, gateway):
         for shard in shards:
@@ -540,10 +565,10 @@ class TestFailover:
             with pytest.raises(ServerError) as excinfo:
                 client.submit(_job(3))
             assert excinfo.value.status == 503
-            assert gateway.metrics.snapshot()["unrouted"] == 1
+            assert gateway.counts()["unrouted"] == 1
             assert client.health()["gateway"]["unrouted"] == 1
             sample = client.metrics_sample()
-            assert sample["counters"]["gateway_unrouted"] == 1
+            assert sample["gateway"]["unrouted"] == 1
             assert ("repro_cluster_gateway_unrouted_total 1"
                     in client.metrics_text())
 
@@ -567,7 +592,7 @@ class TestLocalShardFleet:
                 for seed in range(4, 8):
                     assert client.compile(_job(3, seed=seed),
                                           timeout=120.0).ok
-                assert gateway.metrics.snapshot()["requests"] >= 8
+                assert gateway.counts()["requests"] >= 8
 
     def test_fleet_validation(self):
         with pytest.raises(ValueError):
@@ -577,7 +602,7 @@ class TestLocalShardFleet:
 
 
 # --------------------------------------------------------------------------- #
-# CLI: repro cluster serve / status (slow lane — subprocess boots)
+# CLI: repro cluster serve + repro status (slow lane — subprocess boots)
 # --------------------------------------------------------------------------- #
 @pytest.mark.slow
 class TestClusterCli:
@@ -609,7 +634,7 @@ class TestClusterCli:
                         break
                 assert url, lines
                 status = subprocess.run(
-                    [sys.executable, "-m", "repro.cli", "cluster", "status",
+                    [sys.executable, "-m", "repro.cli", "status",
                      "--url", url],
                     capture_output=True, text=True, env=env, timeout=60)
                 assert status.returncode == 0, status.stderr
@@ -622,5 +647,4 @@ class TestClusterCli:
     def test_cluster_status_against_a_dead_gateway(self):
         from repro.cli import main
 
-        assert main(["cluster", "status",
-                     "--url", "http://127.0.0.1:1"]) == 2
+        assert main(["status", "--url", "http://127.0.0.1:1"]) == 2

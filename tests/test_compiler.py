@@ -475,17 +475,16 @@ class TestStageMetrics:
         metrics.observe_stages([{"stage": "route", "elapsed_s": 0.25},
                                 {"stage": "layout", "elapsed_s": 0.5}])
         metrics.observe_stages([{"stage": "route", "elapsed_s": 0.75}])
-        timings = metrics.stage_timings()
+        timings = metrics.sample()["stages"]
         assert timings["route"] == {"runs": 2, "seconds": 1.0}
         assert timings["layout"] == {"runs": 1, "seconds": 0.5}
-        assert metrics.snapshot()["stages"]["route"]["runs"] == 2
 
     def test_prometheus_exposition_includes_stage_counters(self):
-        from repro.server.metrics import ServerMetrics
+        from repro.server.metrics import ServerMetrics, render_prometheus
 
         metrics = ServerMetrics()
         metrics.observe_stages([{"stage": "route", "elapsed_s": 0.25}])
-        text = metrics.to_prometheus()
+        text = render_prometheus(metrics.sample())
         assert 'repro_server_stage_seconds_total{stage="route"} 0.25' in text
         assert 'repro_server_stage_runs_total{stage="route"} 1' in text
 

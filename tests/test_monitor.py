@@ -8,6 +8,7 @@ so the endpoints are exercised deterministically.
 """
 
 import json
+import time
 
 import pytest
 
@@ -218,8 +219,7 @@ class TestMetricsSample:
                                    "stats": {"executed": 2}})
         metrics.register_gauge("queue_depth", lambda: 4)
         sample = metrics.sample()
-        text = metrics.to_prometheus()
-        assert text == render_prometheus(sample)
+        text = render_prometheus(sample)
         # The JSON a shard serves renders to the same samples.
         served = json.loads(json.dumps(sample, sort_keys=True))
         samples = dict(iter_samples(text))
@@ -238,7 +238,9 @@ class TestMetricsSample:
             assert samples['repro_server_job_service_seconds_bucket'
                            f'{{le="{bound!r}"}}'] == cumulative
         assert (samples["repro_server_job_service_seconds_p95"]
-                == metrics.service_seconds.percentile(0.95) == 5.0)
+                == percentile_from_cumulative(service["buckets"],
+                                              service["count"], 0.95,
+                                              service["sum"]) == 5.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -669,3 +671,33 @@ class TestCLI:
             assert "repro top" in frame
             assert "error budgets" in frame
             assert "\x1b[31m" not in frame  # --no-color means no ANSI colors
+
+    def test_top_once_on_a_gateway_shows_the_fleet(self, capsys):
+        """The status line reads the fleet sample's gauges: the queue depth
+        summed over the shards, and the shards alive out of total."""
+        from repro.cli import main
+        with CompileServer(port=0, workers=1,
+                           monitor=_monitor_off()) as shard_a, \
+                CompileServer(port=0, workers=1,
+                              monitor=_monitor_off()) as shard_b:
+            shards = (shard_a, shard_b)
+            with ClusterGateway([shard.url for shard in shards],
+                                health_interval=30.0,
+                                monitor=_monitor_off()) as gateway:
+                for shard in shards:
+                    shard.scheduler.pause()
+                try:
+                    time.sleep(0.2)  # sleep-ok: let in-pop workers settle behind the pause gate
+                    client = CompileClient(gateway.url)
+                    for size in (3, 4, 5, 6):
+                        assert client.submit(_job(size))["status"] == "queued"
+                    depth = sum(shard.queue.depth for shard in shards)
+                    assert main(["top", "--url", gateway.url, "--once",
+                                 "--no-color"]) == 0
+                finally:
+                    for shard in shards:
+                        shard.scheduler.resume()
+        status = capsys.readouterr().out.splitlines()[1]
+        assert depth == 4
+        assert f"   queue {depth}   " in status, status
+        assert "   shards 2/2   " in status, status

@@ -399,8 +399,9 @@ class TestPortfolioOverHttp:
             assert samples[
                 f'repro_server_portfolio_wins_total{{router="{winner_router}"}}'
             ] == 1.0
-            snap = client.health()["metrics"]["portfolio"]
-            assert snap["runs"] == 1 and snap["wins"] == {winner_router: 1}
+            sample = client.health()["metrics"]
+            assert sample["portfolio"]["runs"] == 1
+            assert sample["portfolio_wins"] == {winner_router: 1}
             with pytest.raises(ServerError) as excinfo:
                 client.submit_portfolio({"device": "ibm_q20_tokyo"})
             assert excinfo.value.status == 400

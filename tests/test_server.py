@@ -12,9 +12,11 @@ import time
 
 import pytest
 
+from repro.obs.timeseries import percentile_from_cumulative
 from repro.server import (CompileClient, CompileServer, Histogram, JobQueue,
                           QueueClosedError, QueueFullError, Scheduler,
                           ServerError, ServerMetrics)
+from repro.server.metrics import render_prometheus
 from repro.service import CompilationService, ResultCache, make_job
 from repro.service.jobs import CompileJob, CompileOutcome
 from repro.workloads.generators import ghz, qft
@@ -241,6 +243,14 @@ class TestJobQueue:
 # --------------------------------------------------------------------------- #
 # Metrics
 # --------------------------------------------------------------------------- #
+def _percentile(histogram: Histogram, fraction: float) -> float:
+    """The estimate ``/metrics`` and ``repro status`` report for
+    ``histogram``: its sample entry's finite buckets, count and sum."""
+    return percentile_from_cumulative(histogram.cumulative_buckets()[:-1],
+                                      histogram.count, fraction,
+                                      histogram.sum)
+
+
 class TestMetrics:
     def test_histogram_percentiles(self):
         histogram = Histogram(buckets=(0.01, 0.1, 1.0))
@@ -248,10 +258,10 @@ class TestMetrics:
             histogram.observe(0.005)
         for _ in range(10):
             histogram.observe(0.5)
-        assert histogram.percentile(0.50) == 0.01
-        assert histogram.percentile(0.95) == 1.0
+        assert _percentile(histogram, 0.50) == 0.01
+        assert _percentile(histogram, 0.95) == 1.0
         assert histogram.count == 100
-        assert histogram.mean == pytest.approx(0.0545)
+        assert histogram.sum == pytest.approx(5.45)
 
     def test_histogram_overflow_lands_in_inf_bucket(self):
         histogram = Histogram(buckets=(0.01,))
@@ -260,36 +270,33 @@ class TestMetrics:
         # Every observation overflowed: the finite bounds know nothing, so
         # the percentile falls back to sum/count instead of reporting the
         # top bound (0.01 s for a 99 s observation — off by four decades).
-        assert histogram.percentile(0.99) == pytest.approx(99.0)
-        assert histogram.percentile(0.50) == pytest.approx(99.0)
+        assert _percentile(histogram, 0.99) == pytest.approx(99.0)
+        assert _percentile(histogram, 0.50) == pytest.approx(99.0)
 
     def test_histogram_partial_overflow_still_reports_bounds(self):
         histogram = Histogram(buckets=(0.01, 0.1))
         histogram.observe(0.005)
         histogram.observe(99.0)
-        assert histogram.percentile(0.50) == 0.01  # covered by finite bucket
-        assert histogram.percentile(0.99) == 0.1  # clipped to last bound
+        assert _percentile(histogram, 0.50) == 0.01  # covered by finite bucket
+        assert _percentile(histogram, 0.99) == 0.1  # clipped to last bound
 
     def test_histogram_exemplar_tracks_slowest_bucket(self):
         histogram = Histogram(buckets=(0.01, 0.1))
+        histogram.observe(0.002)  # untraced observations leave no exemplar
+        assert histogram.exemplar_above(0.0) is None
         histogram.observe(0.005, "trace-fast")
         histogram.observe(0.05, "trace-slow")
-        histogram.observe(0.002)  # untraced observations leave no exemplar
-        exemplar = histogram.exemplar()
-        assert exemplar == {"trace_id": "trace-slow", "value": 0.05,
-                            "bucket_le": 0.1}
+        assert histogram.exemplar_above(0.0) == "trace-slow"
+        assert histogram.exemplar_above(0.05) == "trace-slow"
+        assert histogram.exemplar_above(0.2) is None  # nothing that slow
         histogram.observe(5.0, "trace-overflow")
-        assert histogram.exemplar()["bucket_le"] == "+Inf"
-        assert histogram.as_dict()["exemplar"]["trace_id"] == "trace-overflow"
+        assert histogram.exemplar_above(0.2) == "trace-overflow"
+        assert histogram.exemplar_above(0.0) == "trace-overflow"
 
     def test_empty_histogram(self):
         histogram = Histogram()
-        assert histogram.percentile(0.5) == 0.0
-        assert histogram.mean == 0.0
-
-    def test_percentile_validates_fraction(self):
-        with pytest.raises(ValueError):
-            Histogram().percentile(0.0)
+        assert _percentile(histogram, 0.5) == 0.0
+        assert (histogram.count, histogram.sum) == (0, 0.0)
 
     def test_prometheus_exposition(self):
         metrics = ServerMetrics()
@@ -297,7 +304,7 @@ class TestMetrics:
         metrics.observe_job(0.01, 0.2, ok=True, cache_hit=True, coalesced=2)
         metrics.observe_job(0.02, 0.3, ok=False, cache_hit=False)
         metrics.register_gauge("queue_depth", lambda: 3)
-        text = metrics.to_prometheus()
+        text = render_prometheus(metrics.sample())
         assert "repro_server_jobs_submitted_total 5" in text
         assert "repro_server_jobs_completed_total 2" in text
         assert "repro_server_jobs_failed_total 1" in text
@@ -309,23 +316,12 @@ class TestMetrics:
         assert "# TYPE repro_server_jobs_submitted_total counter" in text
 
     def test_parse_cache_exposition(self):
-        metrics = ServerMetrics()
-        text = metrics.to_prometheus()
+        sample = ServerMetrics().sample()
+        text = render_prometheus(sample)
         assert "repro_server_parse_cache_hits_total" in text
         assert "repro_server_parse_cache_entries" in text
-        snapshot = metrics.snapshot()
-        assert {"hits", "misses", "evictions",
-                "entries"} <= set(snapshot["parse_cache"])
-
-    def test_snapshot_round_trips_to_json(self):
-        import json
-
-        metrics = ServerMetrics()
-        metrics.observe_job(0.01, 0.1, ok=True, cache_hit=False)
-        snapshot = metrics.snapshot()
-        assert json.loads(json.dumps(snapshot)) == snapshot
-        assert snapshot["completed"] == 1
-        assert snapshot["service_seconds"]["count"] == 1
+        assert set(sample["parse_cache"]) == {"hits", "misses", "evictions"}
+        assert "parse_cache_entries" in sample["gauges"]
 
 
 # --------------------------------------------------------------------------- #
@@ -672,10 +668,11 @@ class TestCacheHits:
         tenant = "alice"
 
         def counts() -> tuple:
-            metrics = server.metrics.snapshot()
-            own = metrics["tenants"].get(tenant, {})
-            return (metrics["submitted"], metrics["completed"],
-                    metrics["cache_hits"], own.get("submitted", 0),
+            sample = server.metrics.sample()
+            counters = sample["counters"]
+            own = sample["tenants"].get(tenant, {}).get("counters", {})
+            return (counters["submitted"], counters["completed"],
+                    counters["cache_hits"], own.get("submitted", 0),
                     own.get("completed", 0), own.get("cache_hits", 0),
                     server.cache.stats.hits, server.cache.stats.misses)
 

@@ -179,9 +179,9 @@ class TestTenantHTTP:
             assert "quota" in str(excinfo.value)
             assert bob.submit(_job(seed=4))["status"] == "queued"
             assert server.queue.tenant_throttles() == {"alice": 1}
-            tenants = server.metrics.snapshot()["tenants"]
-            assert tenants["alice"]["throttled"] == 1
-            assert tenants["bob"]["throttled"] == 0
+            tenants = server.metrics.sample()["tenants"]
+            assert tenants["alice"]["counters"]["throttled"] == 1
+            assert tenants["bob"]["counters"]["throttled"] == 0
             health = server.health()
             assert health["queue_tenants"] == {"alice": 2, "bob": 1}
             server.scheduler.resume()
@@ -205,16 +205,16 @@ class TestTenantHTTP:
             server.scheduler.resume()
             deadline = time.monotonic() + 30.0
             while time.monotonic() < deadline:
-                if server.metrics.snapshot()["completed"]:
+                if server.metrics.counter("completed"):
                     break
                 time.sleep(0.05)  # sleep-ok: bounded poll for completion counter
-            tenants = server.metrics.snapshot()["tenants"]
+            tenants = server.metrics.sample()["tenants"]
             # One compilation (alice led, so completion is hers); bob's
             # submission is attributed to bob as a coalesced admit.
-            assert tenants["alice"]["submitted"] == 1
-            assert tenants["alice"]["completed"] == 1
-            assert tenants["bob"]["coalesced"] == 1
-            assert tenants["bob"].get("completed", 0) == 0
+            assert tenants["alice"]["counters"]["submitted"] == 1
+            assert tenants["alice"]["counters"]["completed"] == 1
+            assert tenants["bob"]["counters"]["coalesced"] == 1
+            assert tenants["bob"]["counters"]["completed"] == 0
 
     def test_tenant_labels_flow_to_windows_and_dashboard(self):
         with CompileServer(port=0, workers=1,
@@ -392,8 +392,8 @@ class TestGatewayTenantMerge:
                 client = CompileClient(gateway.url, tenant="alice")
                 assert client.compile(_job(seed=1)).ok
                 # The shard saw the forwarded header...
-                assert shard.metrics.snapshot()["tenants"]["alice"][
-                    "completed"] == 1
+                assert shard.metrics.sample()["tenants"]["alice"][
+                    "counters"]["completed"] == 1
                 # ...and both layers expose the tenant dimension.
                 text = gateway.metrics_text()
                 assert ('repro_cluster_tenant_jobs_completed_total'

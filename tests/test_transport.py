@@ -102,7 +102,7 @@ def test_stale_shard_connection_is_not_a_failover(server):
             revived.stop()
         assert reply["outcome"]["status"] == "ok"
         assert client.retried == 0
-        assert gateway.metrics.snapshot()["failovers"] == 0
+        assert gateway.counts()["failovers"] == 0
 
 
 def test_connection_that_carried_a_413_is_not_reused(server, monkeypatch):

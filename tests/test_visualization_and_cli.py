@@ -272,8 +272,6 @@ USER_ERRORS = {
     "slo-refused": (["slo", "--url", DEAD_URL], "Connection refused"),
     "alerts-refused": (["alerts", "--url", DEAD_URL], "Connection refused"),
     "status-refused": (["status", "--url", DEAD_URL], "Connection refused"),
-    "cluster-status-refused": (["cluster", "status", "--url", DEAD_URL],
-                               "Connection refused"),
     "trace-refused": (["trace", "abc", "--url", DEAD_URL],
                       "Connection refused"),
     "loadtest-bad-rate": (["loadtest", "--rates", "x"],
@@ -305,6 +303,15 @@ def test_user_error_exits_2(argv, message, tmp_path, capsys):
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("error: ")]
     assert len(errors) == 1 and message in errors[0], errors
+
+
+def test_deleted_cluster_status_is_an_invalid_choice(capsys):
+    """``repro status`` serves both roles; ``repro cluster status`` is gone,
+    refused by argparse before ``main()``'s error boundary."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["cluster", "status", "--url", DEAD_URL])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'status'" in capsys.readouterr().err
 
 
 #: Every command path's options as ``STRINGS DEST=DEFAULT``, in parser order
@@ -362,7 +369,6 @@ CLI_SURFACE = {
                       '--tenant-quota tenant_quota=None',
                       '--default-tenant-quota default_tenant_quota=None',
                       '--tenant-slos tenant_slos=False'],
-    'cluster status': ["--url url='http://127.0.0.1:8700'"],
     'submit': ['<arg> files=None', "--url url='http://127.0.0.1:8642'",
                "--device device='ibm_q20_tokyo'", "--router router='codar'",
                "--layout layout='reverse_traversal'", '--seed seed=None',
